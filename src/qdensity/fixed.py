@@ -50,6 +50,18 @@ def _ceil_div(n: int, d: int) -> int:
     return -((-n) // d)
 
 
+def _mant_to_float(m: int, F: int) -> float:
+    """m / 2**F as a float, taken from the top 54 bits of |m|."""
+    if m == 0:
+        return 0.0
+    sign = -1.0 if m < 0 else 1.0
+    a = abs(m)
+    shift = a.bit_length() - 54
+    if shift > 0:
+        return sign * math.ldexp(float(a >> shift), shift - F)
+    return sign * math.ldexp(float(a), -F)
+
+
 class FixedReal:
     """Fixed-point real with mantissa, ulp error radius and optional exact value."""
 
@@ -331,15 +343,7 @@ class FixedReal:
         return FixedReal(mant, err, F2, None)
 
     def to_float(self) -> float:
-        m = self.mant
-        if m == 0:
-            return 0.0
-        sign = -1.0 if m < 0 else 1.0
-        a = abs(m)
-        shift = a.bit_length() - 54
-        if shift > 0:
-            return sign * math.ldexp(float(a >> shift), shift - self.F)
-        return sign * math.ldexp(float(a), -self.F)
+        return _mant_to_float(self.mant, self.F)
 
     __float__ = to_float
 

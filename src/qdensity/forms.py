@@ -109,7 +109,10 @@ class TernaryForm:
         parts = text.split()
         if len(parts) != 6:
             raise ValidationError("form literal needs six rational entries")
-        vals = [Fraction(p) for p in parts]
+        try:
+            vals = [Fraction(p) for p in parts]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"bad form entry in {text!r}: {exc}") from exc
         return cls.from_coefficients(*vals, validate=validate)
 
     def to_string(self) -> str:

@@ -12,8 +12,8 @@ to 17 significant digits; identical configurations produce byte-identical
 files regardless of the thread count, because cells are dispatched in config
 order and reassembled in that order.
 
-Exit codes: 0 success, 1 validation or rational-input error, 2 precision
-exhausted, 3 internal soundness tripwire.
+Exit codes: 0 success, 1 usage, validation or rational-input error, 2
+precision exhausted, 3 internal soundness tripwire.
 """
 
 from __future__ import annotations
@@ -90,19 +90,23 @@ SUBCOMMANDS = ("solve", "count-orbit", "verify-lemmas", "kappa", "exponent", "or
 
 
 def parse_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file: {exc}") from exc
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -126,9 +130,12 @@ class RunConfig:
 
     def get_float(self, key: str) -> float:
         try:
-            return float(self._get(key))
+            value = float(self._get(key))
         except ValueError as exc:
             raise ValidationError(f"{key} must be a number: {exc}") from exc
+        if not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite")
+        return value
 
     def get_str(self, key: str) -> str:
         return self._get(key).strip()
@@ -477,8 +484,16 @@ RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, like every other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdensity",
         description="Experiments on small values of shifted isotropic ternary quadratic forms.",
     )
@@ -514,9 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = build_config(args)
         meta, header, rows = RUNNERS[args.subcommand](cfg)
         for line in meta:

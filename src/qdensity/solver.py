@@ -1,8 +1,10 @@
 """Constructive solutions for |Q(v + xi) - t| <= threshold with ||v|| <= T.
 
-The engine walks the unipotent orbit of the shift: for each step m it lifts
-the target to eta = (alpha, y, z) with y^2 - 4*alpha*z = t, rounds the orbit
-point to the nearest integer offset u = (0, a, b), and pulls the offset back
+Solving is an orbit hit test, then an exact norm and residual filter.  The
+target is lifted to eta = (alpha, y, z) with y^2 - 4*alpha*z = t, and the
+certified orbit scan of weyl_sums keeps the steps m whose orbit point lies
+within scan_c * delta of (y, z) on the torus.  Only those steps round the
+orbit point to the nearest integer offset u = (0, a, b) and pull it back
 through the inverse orbit matrix, which lands on v = (0, a, b - m*a).  Kept
 solutions are re-filtered unconditionally: certified Euclidean norm at most T
 and certified residual at most bound_C * delta, so every reported row is
@@ -25,9 +27,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import AlphaZero, CapExceeded, PrecisionExhausted, ValidationError
-from .fixed import FixedReal, as_fixed
+from .fixed import FixedReal, _mant_to_float, _round_shift, as_fixed
 from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
-from .weyl_sums import DEFAULT_REDUCTION_TOL
+from .weyl_sums import DEFAULT_REDUCTION_TOL, _orbit_radius, _scan_orbit
 
 Vec3 = tuple[int, int, int]
 
@@ -116,36 +118,41 @@ def target_lift(alpha: FixedReal, t) -> TargetLift:
     return TargetLift(alpha, zero, z, t_fix)
 
 
-def _offset_at(xi: ShiftVector, m: int, eta: TargetLift):
-    """Integer offset u = (0, a, b) minimizing ||xi*M_m + u - eta|| and the gap."""
-    w2 = xi.alpha.mul_int(2 * m) + xi.beta
-    w3 = xi.alpha.mul_int(m * m) + xi.beta.mul_int(m) + xi.gamma
-    d2 = w2 - eta.y
-    d3 = w3 - eta.z
-    a = -d2.round_nearest()
-    b = -d3.round_nearest()
-    gx = d2.add_int(a)
-    gy = d3.add_int(b)
-    return a, b, gx, gy
+def _offset_at(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[int, int, int, int]:
+    """Integer offset (a, b) minimizing ||xi*M_m + u - eta|| and its gap mantissas.
+
+    With u = (0, a, b), the gap is (w2 - y + a, w3 - z + b) for the orbit
+    coordinates w2 = 2*alpha*m + beta and w3 = alpha*m^2 + beta*m + gamma; the
+    mantissa arithmetic is exact and a, b round the midpoints ties to even.
+    """
+    F = xi.precision
+    A, B, C = xi.alpha.mant, xi.beta.mant, xi.gamma.mant
+    d2 = A * (2 * m) + B - eta.y.mant
+    d3 = A * (m * m) + B * m + C - eta.z.mant
+    a = -_round_shift(d2, F)
+    b = -_round_shift(d3, F)
+    return a, b, d2 + (a << F), d3 + (b << F)
 
 
 def nearest_offset(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[Vec3, float]:
     """Nearest integer offset for step m and the achieved distance."""
     a, b, gx, gy = _offset_at(xi, m, eta)
-    miss = math.hypot(gx.to_float(), gy.to_float())
-    return (0, a, b), miss
+    F = xi.precision
+    return (0, a, b), math.hypot(_mant_to_float(gx, F), _mant_to_float(gy, F))
 
 
 def find_solutions(xi: ShiftVector, t, T: int, delta: float,
                    scan_c: float = 1.0, bound_C: float = 32.0,
                    tol=DEFAULT_REDUCTION_TOL) -> SolveReport:
-    """Scan 1 <= m <= scan_c*sqrt(T) and keep certified solutions.
+    """Orbit hit test over 1 <= m <= scan_c*sqrt(T), then exact norm and residual filter.
 
-    A step survives when its torus gap is certifiably at most scan_c*delta;
-    the resulting v = (0, a, b - m*a) is kept only with certified ||v|| <= T
-    and certified |Q(v + xi) - t| <= bound_C*delta, the residual being
-    recomputed through the form evaluation rather than the orbit identity.
-    Identical v from different steps are reported once (smallest m).
+    A step survives the orbit hit test when the torus distance from the orbit
+    point to the lift (eta.y, eta.z), i.e. its gap, is certifiably at most
+    scan_c*delta; steps the scan cannot decide are dropped.  The resulting
+    v = (0, a, b - m*a) is kept only with certified ||v|| <= T and certified
+    |Q(v + xi) - t| <= bound_C*delta, the residual being recomputed through
+    the form evaluation rather than the orbit identity.  Identical v from
+    different steps are reported once (smallest m).
     """
     if T < 4:
         raise ValidationError("T must be >= 4")
@@ -158,36 +165,30 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
 
     eta = target_lift(xi.alpha, t)
     m_max = int(scan_c * math.sqrt(T))
-    S = 1 << xi.precision
-    ea, eb, ec = xi.alpha.err, xi.beta.err, xi.gamma.err
-    E = ea * (m_max * m_max + 2 * m_max) + eb * (m_max + 1) + ec + eta.y.err + eta.z.err
-    if Fraction(E, S) > Fraction(tol):
+    F = xi.precision
+    E = _orbit_radius(xi.alpha, xi.beta, xi.gamma, m_max) + eta.y.err + eta.z.err
+    if Fraction(E, 1 << F) > Fraction(tol):
         raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")
 
-    gap_sq = Fraction(scan_c * delta) ** 2
     residual_cap = Fraction(bound_C * delta)
     form = standard_form()
-    t_fix = eta.t
     T_sq = T * T
-
-    seen: dict[Vec3, None] = {}
+    seen: set[Vec3] = set()
     out: list[Solution] = []
-    for m in range(1, m_max + 1):
-        a, b, gx, gy = _offset_at(xi, m, eta)
-        s2 = gx * gx + gy * gy
-        if not s2.certainly_le(gap_sq):
+    for m, certain in _scan_orbit(xi.alpha, xi.beta, xi.gamma, eta.y, eta.z,
+                                  m_max, scan_c * delta):
+        if not certain:
             continue
+        a, b, gx, gy = _offset_at(xi, m, eta)
         v: Vec3 = (0, a, b - m * a)
         if a * a + v[2] * v[2] > T_sq:
             continue
         qv = evaluate_shifted(form, xi, v)
-        resid = abs(qv - t_fix)
-        if not resid.certainly_le(residual_cap):
+        resid = abs(qv - eta.t)
+        if not resid.certainly_le(residual_cap) or v in seen:
             continue
-        if v in seen:
-            continue
-        seen[v] = None
-        miss = math.hypot(gx.to_float(), gy.to_float())
+        seen.add(v)
+        miss = math.hypot(_mant_to_float(gx, F), _mant_to_float(gy, F))
         out.append(Solution(m, (0, a, b), v, qv.to_float(), resid.to_float(), miss))
     return SolveReport(out, T, delta, scan_c, bound_C)
 

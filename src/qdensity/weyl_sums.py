@@ -4,14 +4,14 @@ Everything phase-like is reduced mod 1 in integer mantissa arithmetic before
 any floating-point call: for a polynomial phase at m ~ 1e6 a double loses the
 entire fractional part, while mantissa addition mod 2**F is exact, so the only
 uncertainty is the propagated input radius.  The hot loops run on raw
-mantissas with second-difference recurrences and re-synchronize from the
-closed form every 2**16 steps.
+mantissas with exact second-difference recurrences.
 
 Hit tests against a threshold are three-valued: certainly inside, certainly
-outside, or ambiguous within the certified radius.  Ambiguity at the working
-precision raises instead of guessing; with exact rational data the radius is
-zero and boundary ties resolve exactly (a distance equal to the threshold
-counts as a hit).
+outside, or ambiguous within the certified radius.  One orbit scan makes
+these decisions for both hit counting and the solver.  Ambiguity at the
+working precision is never guessed: counting raises and the solver drops the
+step.  With exact rational data ambiguous steps resolve exactly, so boundary
+ties are decided (a distance equal to the threshold counts as a hit).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import PrecisionExhausted, ValidationError
 from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed
@@ -26,7 +27,6 @@ from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed
 TWO_PI = 2.0 * math.pi
 DEFAULT_REDUCTION_TOL = Fraction(1, 1 << 64)
 DEFAULT_PHASE_TOL = Fraction(1, 1 << 30)
-RESYNC_PERIOD = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,78 @@ def torus_dist(u: TorusPoint2, v: TorusPoint2) -> float:
     return math.hypot(dx, dy)
 
 
-def _fold(x: int, S: int, H: int) -> int:
-    return ((x + H) % S) - H
+def _orbit_radius(alpha: FixedReal, beta: FixedReal, gamma: FixedReal, m: int) -> int:
+    """Certified radius of both orbit coordinates at step m, in ulps."""
+    return alpha.err * (m * m + 2 * m) + beta.err * (m + 1) + gamma.err
 
 
-def _threshold_ints(thr_sq: Fraction, S: int) -> tuple[int, int]:
-    """(num, den) with dist^2 <= thr_sq  <=>  (dx^2 + dy^2) * den <= num."""
+def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
+                vx: FixedReal, vy: FixedReal, T: int, thr: float) -> Iterator[tuple[int, bool]]:
+    """Classify 1 <= m <= T by the torus distance from phi(m) to (vx, vy).
+
+    Yields (m, True) for each step certainly within thr (closed comparison)
+    and (m, False) for each ambiguous step, in increasing m; certain misses
+    are skipped.  Steps the whole-scan margin cannot decide are redone with
+    the per-m radius, then exactly when every input carries its exact value;
+    what is still undecided is left to the caller's policy.  The reference
+    point need not be reduced mod 1.
+    """
+    F = alpha.F
+    S = 1 << F
+    H = S >> 1
+    mask = S - 1
+    A, B, C = alpha.mant, beta.mant, gamma.mant
+    ev = max(vx.err, vy.err)
+    # the reference radius only shifts the comparison, so it joins the margins
+    E = _orbit_radius(alpha, beta, gamma, T) + ev
+
+    thr_sq = Fraction(thr) ** 2
+    # dist^2 <= thr^2  <=>  (gx^2 + gy^2) * den <= num for the folded ulp differences gx, gy
     scaled = thr_sq * S * S
-    return scaled.numerator, scaled.denominator
+    num, den = scaled.numerator, scaled.denominator
+    # margin covers |true^2 - mid^2| for both coordinates at radius E; the
+    # integer gx^2 + gy^2 is certainly in at <= hit_lim, certainly out above miss_lim
+    margin = 2 * E * S + 2 * E * E
+    hit_lim = num // den - margin
+    miss_lim = num // den + margin
+
+    exacts = (alpha.exact, beta.exact, gamma.exact, vx.exact, vy.exact)
+    all_exact = all(e is not None for e in exacts)
+
+    def exact_hit(m: int) -> bool:
+        ae, be, ce, vxe, vye = exacts
+        rx = (2 * ae * m + be - vxe) % 1
+        ry = (ae * m * m + be * m + ce - vye) % 1
+        rx = min(rx, 1 - rx)
+        ry = min(ry, 1 - ry)
+        return rx * rx + ry * ry <= thr_sq
+
+    # exact integer recurrences on unreduced mantissas, offset by H so that
+    # (x & mask) - H is the difference to the reference folded into [-1/2, 1/2)
+    x = 2 * A + B + H - vx.mant     # 2*alpha*m + beta at m = 1
+    y = A + B + C + H - vy.mant     # alpha*m^2 + beta*m + gamma at m = 1
+    dy = 3 * A + B                  # second coordinate first difference
+    step = 2 * A                    # first coordinate step = second difference
+    for m in range(1, T + 1):
+        gx = (x & mask) - H
+        gy = (y & mask) - H
+        base = gx * gx + gy * gy
+        if base <= hit_lim:
+            yield m, True
+        elif base <= miss_lim:
+            # near the boundary: redo the margin with the per-m radius
+            Em = _orbit_radius(alpha, beta, gamma, m) + ev
+            gm = 2 * Em * (abs(gx) + abs(gy)) + 2 * Em * Em
+            if (base + gm) * den <= num:
+                yield m, True
+            elif (base - gm) * den <= num:
+                if not all_exact:
+                    yield m, False
+                elif exact_hit(m):
+                    yield m, True
+        x += step
+        y += dy
+        dy += step
 
 
 def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
@@ -101,94 +165,19 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
     F = alpha.F
     if beta.F != F or gamma.F != F:
         raise ValidationError("orbit parameters must share one precision")
-    S = 1 << F
-    H = S >> 1
-    A, B, C = alpha.mant, beta.mant, gamma.mant
-    ea, eb, ec = alpha.err, beta.err, gamma.err
-
-    vx = v0.x.with_precision(F)
-    vy = v0.y.with_precision(F)
-    VX, VY = vx.mant, vy.mant
-    ev = max(vx.err, vy.err)
-
-    # worst-case orbit radius over the whole scan, in ulps; the reference
-    # point only shifts the comparison so its radius joins the margins below
-    E_orbit = ea * (T * T + 2 * T) + eb * (T + 1) + ec
-    if Fraction(E_orbit, S) > Fraction(tol):
+    if Fraction(_orbit_radius(alpha, beta, gamma, T), 1 << F) > Fraction(tol):
         raise PrecisionExhausted(
             f"orbit radius at m={T} exceeds the reduction tolerance; raise the precision"
         )
-    E = E_orbit + ev
-
-    num, den = _threshold_ints(Fraction(delta) ** 2, S)
-    # margin covers |true^2 - mid^2| for both coordinates at radius E
-    margin = 2 * E * S + 2 * E * E
-    hit_cut = num - margin * den
-    miss_cut = num + margin * den
-
-    thr_sq = Fraction(delta) ** 2
-    exacts = (alpha.exact, beta.exact, gamma.exact, vx.exact, vy.exact)
-    all_exact = all(e is not None for e in exacts)
-
-    def exact_hit(m: int) -> bool:
-        ae, be, ce, vxe, vye = exacts
-        rx = (2 * ae * m + be - vxe) % 1
-        ry = (ae * m * m + be * m + ce - vye) % 1
-        if rx > Fraction(1, 2):
-            rx -= 1
-        if ry > Fraction(1, 2):
-            ry -= 1
-        return rx * rx + ry * ry <= thr_sq
-
     count = 0
     hits: list[int] = []
-    x1 = (2 * A + B) % S            # 2*alpha*m + beta at m = 1
-    x2 = (A + B + C) % S            # alpha*m^2 + beta*m + gamma at m = 1
-    d2 = (3 * A + B) % S            # second coordinate first difference
-    step1 = (2 * A) % S
-    dd = step1
-    m = 1
-    while m <= T:
-        dx = _fold(x1 - VX, S, H)
-        dy = _fold(x2 - VY, S, H)
-        lhs = (dx * dx + dy * dy) * den
-        if lhs <= hit_cut:
-            count += 1
-            if return_hits:
-                hits.append(m)
-        elif lhs > miss_cut:
-            pass
-        else:
-            # near the boundary: redo the margin with the per-m radius
-            Em = ea * (m * m + 2 * m) + eb * (m + 1) + ec + ev
-            gm = 2 * Em * (abs(dx) + abs(dy)) + 2 * Em * Em
-            base = dx * dx + dy * dy
-            if (base + gm) * den <= num:
-                count += 1
-                if return_hits:
-                    hits.append(m)
-            elif (base - gm) * den > num:
-                pass
-            elif all_exact:
-                if exact_hit(m):
-                    count += 1
-                    if return_hits:
-                        hits.append(m)
-            else:
-                raise PrecisionExhausted(
-                    f"hit test ambiguous at m={m}; raise the precision"
-                )
-        m += 1
-        if m > T:
-            break
-        if m % RESYNC_PERIOD == 0:
-            x1 = (2 * A * m + B) % S
-            x2 = (A * m * m + B * m + C) % S
-            d2 = (A * (2 * m + 1) + B) % S
-        else:
-            x1 = (x1 + step1) % S
-            x2 = (x2 + d2) % S
-            d2 = (d2 + dd) % S
+    for m, certain in _scan_orbit(alpha, beta, gamma, v0.x.with_precision(F),
+                                  v0.y.with_precision(F), T, delta):
+        if not certain:
+            raise PrecisionExhausted(f"hit test ambiguous at m={m}; raise the precision")
+        count += 1
+        if return_hits:
+            hits.append(m)
     if return_hits:
         return count, hits
     return count
@@ -235,12 +224,8 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int,
         m += 1
         if m > T:
             break
-        if m % RESYNC_PERIOD == 0:
-            x = (PA * m * m + PB * m) % S
-            d = (PA * (2 * m + 1) + PB) % S
-        else:
-            x = (x + d) % S
-            d = (d + dd) % S
+        x = (x + d) % S
+        d = (d + dd) % S
     return WeylSumResult(re, im, T, n)
 
 

@@ -1,13 +1,18 @@
+import contextlib
 import csv
 import io
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdensity.harness import (
     DEFAULTS,
+    SUBCOMMANDS,
     Lcg64,
     RunConfig,
     _direction_matrix,
@@ -212,6 +217,12 @@ class TestCliRuns:
         )
         assert code == 3
 
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--scan-c" in capsys.readouterr().out
+
     def test_verify_lemmas_seed_changes_betas_not_outcome(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["verify-lemmas", "--T-list", "100", "--n-list", "1,3", "--betas", "4"]
@@ -254,3 +265,85 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+# flag -> candidate values, valid and malformed; sizes stay small so each call is quick
+_FUZZ_VALUES = {
+    "--xi": ["sqrt:2 0/1 0/1", "sqrt:2 sqrt:3 1/2", "1/3 1/5 2/7", "0 0 0", "sqrt:2 0",
+             "sqrt:-2 0 0", "1/0 0 0", "x y z", "surd:1,1,0,5 0 0", "dec:1.5e3 0 0", ""],
+    "--alpha": ["sqrt:2", "surd:1,1,2,5", "dec:0.5", "0", "1/0", "sqrt:x", ""],
+    "--v0": ["0/1 0/1", "3/10 7/10", "1/0 0", "a b", "0"],
+    "--t": ["0/1", "1/3", "dec:3.14", "sqrt:2", "nan", "1/0", "-21/64", "=-21/64"],
+    "--T": ["10", "4,8", "20", "3", "0", "-5", "abc", "8,4", ""],
+    "--delta": ["0.1", "0.25", "0", "-1", "0.6", "nan", "inf", "-inf", "abc", "1e-300"],
+    "--nu": ["0.2", "0.7", "nan", "inf", "0", "-0.1"],
+    "--precision": ["64", "128", "32", "-1", "abc"],
+    "--threads": ["1", "2", "0", "abc"],
+    "--scan-c": ["1", "2", "0", "-1", "inf", "nan", "1e-9"],
+    "--bound-C": ["32", "0.5", "nan", "inf"],
+    "--q-max": ["1000", "0", "-5", "1", "2"],
+    "--direction-bound": ["1", "3", "0", "-1"],
+    "--cap": ["300", "5", "-1"],
+    "--a": ["1", "0", "2", "-3"],
+    "--c": ["1", "0", "4"],
+    "--mode": ["oracle", "solver", "magic"],
+    "--form": ["0 1 0 0 -2 0", "1 1 -1 0 0 0", "1 1 -1 0 0 x", "1 1 -1 0 0 1/0",
+               "0 0 0 0 0 0", "1 1 1 0 0 0", "1 2 3"],
+    "--n-list": ["1", "1,3", "", "x", "0", "-2"],
+    "--T-list": ["10", "10,20", "1", "0", "x"],
+    "--betas": ["1", "2", "0", "-1"],
+    "--M": ["1", "0", "-1", "2"],
+    "--config": ["/nonexistent/qdensity.cfg", os.path.dirname(os.path.abspath(__file__))],
+    "--seed": ["0", "-1", "abc"],
+    "--bogus": [None],
+}
+
+# keeps every subcommand's default sizes small; fuzzed flags come later and win
+_FUZZ_BASE = ["--T", "10", "--T-list", "10", "--n-list", "1", "--betas", "2",
+              "--q-max", "1000", "--delta", "0.2"]
+
+
+def _fuzz_argv(sub, flags):
+    argv = [sub, *_FUZZ_BASE]
+    for flag, value in flags:
+        if value is None:
+            argv.append(flag)
+        elif value.startswith("="):
+            argv.append(flag + value)
+        else:
+            argv += [flag, value]
+    return argv
+
+
+def _run_quiet(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestCliFuzz:
+    @given(
+        sub=st.sampled_from(list(SUBCOMMANDS) + ["bogus"]),
+        flags=st.lists(
+            st.sampled_from(sorted(_FUZZ_VALUES)).flatmap(
+                lambda f: st.tuples(st.just(f), st.sampled_from(_FUZZ_VALUES[f]))
+            ),
+            max_size=5,
+        ),
+    )
+    @example(sub="solve", flags=[("--config", "/nonexistent/qdensity.cfg")])
+    @example(sub="oracle-count", flags=[("--xi", "0 0 0"), ("--form", "1 1 -1 0 0 x")])
+    @example(sub="oracle-count", flags=[("--xi", "0 0 0"), ("--delta", "nan")])
+    @example(sub="oracle-count", flags=[("--xi", "0 0 0"), ("--delta", "inf")])
+    @example(sub="solve", flags=[("--xi", "sqrt:2 0/1 0/1"), ("--bound-C", "nan")])
+    @example(sub="solve", flags=[("--xi", "sqrt:2 0/1 0/1"), ("--scan-c", "inf")])
+    @example(sub="solve", flags=[("--bogus", None)])
+    @example(sub="solve", flags=[("--t", "-21/64")])
+    @settings(max_examples=60, deadline=None)
+    def test_every_input_exits_cleanly(self, sub, flags):
+        code, err = _run_quiet(_fuzz_argv(sub, flags))
+        assert code in (0, 1, 2)
+        if code:
+            assert any(line.startswith(("error:", "precision exhausted:"))
+                       for line in err.splitlines()), err

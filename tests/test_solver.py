@@ -1,20 +1,28 @@
+import contextlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import qdensity.solver as solver_mod
 from qdensity import (
     AlphaZero,
     CapExceeded,
     FixedReal,
+    PrecisionExhausted,
     ShiftVector,
+    TorusPoint2,
     ValidationError,
     as_fixed,
+    count_orbit_hits,
     count_values_bruteforce,
     estimate_critical_exponent,
     evaluate_shifted,
     find_solutions,
     nearest_offset,
+    parse_real,
     standard_form,
     target_lift,
     unipotent,
@@ -44,6 +52,46 @@ def oracle_recount(xi_vals, t, T, delta):
                 if abs(val - t) <= delta:
                     count += 1
     return count
+
+
+def offset_reference(xi, m, eta):
+    """Nearest offset through FixedReal arithmetic: (a, b) and the gap mantissas."""
+    d2 = xi.alpha.mul_int(2 * m) + xi.beta - eta.y
+    d3 = xi.alpha.mul_int(m * m) + xi.beta.mul_int(m) + xi.gamma - eta.z
+    a = -d2.round_nearest()
+    b = -d3.round_nearest()
+    return a, b, d2.add_int(a).mant, d3.add_int(b).mant
+
+
+@contextlib.contextmanager
+def offset_steps():
+    """Record the steps m that find_solutions computes an offset for."""
+    steps = []
+
+    def recording(xi, m, eta):
+        steps.append(m)
+        return offset_reference(xi, m, eta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "_offset_at", recording)
+        yield steps
+
+
+# sqrt:, surd: and rational literals, both signs
+literals = st.one_of(
+    st.integers(2, 10**6).map(lambda d: f"sqrt:{d}"),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50), st.integers(2, 1000))
+    .map(lambda p: "surd:{},{},{},{}".format(*p)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6).map(
+        lambda f: f"{f.numerator}/{f.denominator}"),
+)
+
+
+def shift_and_lift(lits, t_lit, F):
+    xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+    t = parse_real(t_lit, F)
+    assume(not xi.alpha.contains_zero() or t.exact == 0)
+    return xi, target_lift(xi.alpha, t)
 
 
 class TestTargetLift:
@@ -88,7 +136,51 @@ class TestNearestOffset:
         assert miss == pytest.approx(MISS_AT_ONE, abs=1e-12)
 
 
+class TestOffsetDifferential:
+    @given(lits=st.tuples(literals, literals, literals), t_lit=literals,
+           m=st.integers(0, 10**6), F=st.sampled_from([64, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_offset_matches_fixedreal(self, lits, t_lit, m, F):
+        xi, eta = shift_and_lift(lits, t_lit, F)
+        assert solver_mod._offset_at(xi, m, eta) == offset_reference(xi, m, eta)
+
+    @given(lits=st.tuples(literals, literals, literals), t_lit=literals,
+           T=st.integers(4, 10**6), delta=st.floats(0.01, 0.49),
+           scan_c=st.sampled_from([0.5, 1.0, 2.0]), F=st.sampled_from([64, 256]))
+    @settings(max_examples=80, deadline=None)
+    def test_scan_steps_are_orbit_hits(self, lits, t_lit, T, delta, scan_c, F):
+        # the steps find_solutions offsets are exactly the certified orbit hits
+        # around the lift, before the norm and residual filters
+        xi, eta = shift_and_lift(lits, t_lit, F)
+        m_max = int(scan_c * math.sqrt(T))
+        assume(scan_c * delta < 0.5 and m_max >= 1)
+        v0 = TorusPoint2.from_values(eta.y, eta.z, F)
+        try:
+            _, hits = count_orbit_hits(xi.alpha, xi.beta, xi.gamma, v0, m_max,
+                                       scan_c * delta, return_hits=True)
+            with offset_steps() as steps:
+                find_solutions(xi, eta.t, T, delta, scan_c)
+        except PrecisionExhausted:
+            assume(False)
+        assert steps == hits
+
+
 class TestFindSolutions:
+    def test_ambiguous_steps_are_dropped(self):
+        # the orbit of TestOrbitCounting.test_per_step_radius_near_boundary:
+        # steps 1..1023 are certain hits, 1024..1100 ambiguous
+        xi = ShiftVector(FixedReal(0, 1 << 206, 256), as_fixed(0), as_fixed(Fraction(1, 4)))
+        with offset_steps() as steps:
+            rep = find_solutions(xi, 0, 1100**2, 0.25 + 2.0**-30, tol=Fraction(1, 1 << 20))
+        assert steps == list(range(1, 1024))
+        assert [s.v for s in rep.solutions] == [(0, 0, 0)]
+
+    def test_exact_boundary_tie(self):
+        # the orbit sits at distance exactly 1/4 from the lift at every step
+        xi = ShiftVector.from_values(0, 0, Fraction(1, 4))
+        assert find_solutions(xi, 0, 100, 0.25).count == 1
+        assert find_solutions(xi, 0, 100, 0.2499999).count == 0
+
     def test_degenerate_rational_shift(self):
         xi = ShiftVector.from_values(0, 0, 0)
         rep = find_solutions(xi, 0, 100, 0.1)

@@ -128,6 +128,18 @@ class TestOrbitCounting:
         assert hits == expected
         assert got == len(expected)
 
+    def test_per_step_radius_near_boundary(self, zero):
+        # alpha = 0 +- 2**-50 keeps the midpoint orbit at distance 1/4 while its
+        # radius (m^2 + 2m) * 2**-50 grows; the threshold sits 2**-30 outside
+        # 1/4, so the per-m margin certifies m <= 1023 and not m = 1024
+        alpha = FixedReal(0, 1 << 206, 256)
+        quarter = as_fixed(Fraction(1, 4))
+        v0 = TorusPoint2.from_values(0, 0)
+        thr, tol = 0.25 + 2.0**-30, Fraction(1, 1 << 20)
+        assert count_orbit_hits(alpha, zero, quarter, v0, 1023, thr, tol=tol) == 1023
+        with pytest.raises(PrecisionExhausted, match="ambiguous at m=1024"):
+            count_orbit_hits(alpha, zero, quarter, v0, 1024, thr, tol=tol)
+
     def test_monotone_in_delta(self, sqrt2, zero):
         v0 = TorusPoint2.from_values(Fraction(1, 3), Fraction(1, 7))
         counts = [
