@@ -1,7 +1,9 @@
 """Command-line interface, configuration and reproducible CSV reporting.
 
 Configuration is a flat ``key = value`` text file; any command-line flag with
-the same name overrides the file.  All randomness comes from a 64-bit linear
+the same name overrides the file.  Every key is declared once, in OPTIONS,
+and its value is parsed the same way from a flag, a file or the default, when
+the configuration is loaded.  All randomness comes from a 64-bit linear
 congruential generator with Knuth's MMIX constants
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
@@ -24,7 +26,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diophantine, isometries, solver, weyl_sums
 from .errors import (
@@ -60,31 +62,59 @@ class Lcg64:
         return FixedReal.from_fraction(Fraction(self.next_u64(), 1 << 64), F)
 
 
-DEFAULTS: dict[str, str] = {
-    "precision": "256",
-    "seed": "2025",
-    "threads": "1",
-    "xi": "",
-    "v0": "0/1 0/1",
-    "t": "0/1",
-    "T": "",
-    "delta": "",
-    "nu": "",
-    "scan_c": "1.0",
-    "bound_C": "32.0",
-    "q_max": "1000000",
-    "direction_bound": "3",
-    "cap": "300",
-    "alpha": "",
-    "a": "",
-    "c": "",
-    "mode": "oracle",
-    "form": "",
-    "n_list": "1,3,50",
-    "T_list": "100,1000,10000",
-    "betas": "20",
-    "M": "1",
-}
+class Option(NamedTuple):
+    """One configuration key: its flag is ``--`` + key with ``_`` written as ``-``."""
+
+    key: str
+    parse: Callable[[str], object]
+    default: str
+    help: str
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(p) for p in text.split(",") if p.strip()]
+
+
+def _mode(text: str) -> str:
+    if text not in ("oracle", "solver"):
+        raise ValueError("expected oracle or solver")
+    return text
+
+
+OPTIONS = (
+    Option("precision", int, "256", "fractional bits (>= 64)"),
+    Option("seed", int, "2025", "64-bit RNG seed"),
+    Option("threads", int, "1", "worker threads for independent cells"),
+    Option("xi", str, "", "three real literals, space separated"),
+    Option("v0", str, "0/1 0/1", "two real literals, space separated"),
+    Option("t", str, "0/1", "target value literal"),
+    Option("T", _int_list, "", "range bound, or comma-separated grid"),
+    Option("delta", _finite, "", "closeness threshold"),
+    Option("nu", _finite, "", "delta = T**(-nu)"),
+    Option("scan_c", _finite, "1.0", "orbit scan length: m <= scan_c*sqrt(T)"),
+    Option("bound_C", _finite, "32.0", "residual bound: |Q - t| <= bound_C*delta"),
+    Option("q_max", int, "1000000", "largest continued-fraction denominator"),
+    Option("direction_bound", int, "3", "largest |a|, |c| in the direction scan"),
+    Option("cap", int, "300", "brute-force enumeration cap"),
+    Option("alpha", str, "", "single real literal"),
+    Option("a", int, "", "direction numerator override"),
+    Option("c", int, "", "direction denominator override"),
+    Option("mode", _mode, "oracle", "exponent mode: oracle or solver"),
+    Option("form", str, "", "six rational gram entries: a11 a22 a33 a12 a13 a23"),
+    Option("n_list", _int_list, "1,3,50", "comma-separated n of verify-lemmas"),
+    Option("T_list", _int_list, "100,1000,10000", "comma-separated T of verify-lemmas"),
+    Option("betas", int, "20", "linear coefficients sampled per verify-lemmas case"),
+    Option("M", int, "1", "multiplier of the sum-min range M*T"),
+)
+
+DEFAULTS: dict[str, str] = {opt.key: opt.default for opt in OPTIONS}
 
 SUBCOMMANDS = ("solve", "count-orbit", "verify-lemmas", "kappa", "exponent", "oracle-count")
 
@@ -111,44 +141,28 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 class RunConfig:
-    """Merged configuration with typed accessors that validate on read."""
+    """Merged configuration, every value parsed through OPTIONS once, at construction.
+
+    ``cfg[key]`` is the typed value; a blank value leaves a key without a
+    default unset (None).  Range checks and the precision-dependent literal
+    parsing happen where a subcommand reads them.
+    """
 
     def __init__(self, values: dict[str, str]):
-        self.values = values
+        self.values: dict[str, object] = {}
+        for opt in OPTIONS:
+            text = values.get(opt.key, opt.default).strip()
+            try:
+                self.values[opt.key] = opt.parse(text) if text or opt.default else None
+            except ValueError as exc:
+                raise ValidationError(f"bad {opt.key} value {text!r}: {exc}") from exc
 
-    def _get(self, key: str) -> str:
-        return self.values.get(key, DEFAULTS[key])
-
-    def has(self, key: str) -> bool:
-        return bool(self._get(key).strip())
-
-    def get_int(self, key: str) -> int:
-        try:
-            return int(self._get(key))
-        except ValueError as exc:
-            raise ValidationError(f"{key} must be an integer: {exc}") from exc
-
-    def get_float(self, key: str) -> float:
-        try:
-            value = float(self._get(key))
-        except ValueError as exc:
-            raise ValidationError(f"{key} must be a number: {exc}") from exc
-        if not math.isfinite(value):
-            raise ValidationError(f"{key} must be finite")
-        return value
-
-    def get_str(self, key: str) -> str:
-        return self._get(key).strip()
-
-    def get_int_list(self, key: str) -> list[int]:
-        try:
-            return [int(p) for p in self._get(key).split(",") if p.strip()]
-        except ValueError as exc:
-            raise ValidationError(f"{key} must be comma-separated integers: {exc}") from exc
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def range_grid(self) -> list[int]:
         """The T grid; every range bound accepted by the CLI must be >= 4."""
-        grid = self.get_int_list("T")
+        grid = self["T"]
         if not grid:
             raise ValidationError("T grid must be nonempty")
         if any(T < 4 for T in grid):
@@ -157,21 +171,20 @@ class RunConfig:
 
     @property
     def precision(self) -> int:
-        F = self.get_int("precision")
+        F = self["precision"]
         if F < MIN_PRECISION:
             raise ValidationError(f"precision must be >= {MIN_PRECISION}")
         return F
 
     @property
     def threads(self) -> int:
-        n = self.get_int("threads")
+        n = self["threads"]
         if n < 1:
             raise ValidationError("threads must be >= 1")
         return n
 
     def xi(self, F: Optional[int] = None) -> ShiftVector:
-        text = self.get_str("xi")
-        parts = text.split()
+        parts = (self["xi"] or "").split()
         if len(parts) != 3:
             raise ValidationError("xi needs exactly three real literals")
         F = F or self.precision
@@ -179,20 +192,20 @@ class RunConfig:
         return ShiftVector(a, b, c)
 
     def v0(self, F: Optional[int] = None) -> TorusPoint2:
-        parts = self.get_str("v0").split()
+        parts = self["v0"].split()
         if len(parts) != 2:
             raise ValidationError("v0 needs exactly two real literals")
         F = F or self.precision
         return TorusPoint2.from_values(parse_real(parts[0], F), parse_real(parts[1], F), F)
 
     def t_value(self, F: Optional[int] = None) -> FixedReal:
-        return parse_real(self.get_str("t"), F or self.precision)
+        return parse_real(self["t"], F or self.precision)
 
     def delta_for(self, T: int) -> float:
-        if self.has("delta"):
-            return self.get_float("delta")
-        if self.has("nu"):
-            nu = self.get_float("nu")
+        if self["delta"] is not None:
+            return self["delta"]
+        nu = self["nu"]
+        if nu is not None:
             if not (0.0 < nu < 0.5):
                 raise ValidationError("nu must lie in (0, 1/2)")
             return float(T) ** (-nu)
@@ -204,18 +217,15 @@ class RunConfig:
         return delta
 
     def form(self) -> Optional[TernaryForm]:
-        text = self.get_str("form")
+        text = self["form"]
         return TernaryForm.from_string(text) if text else None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
-    if args.config:
-        merged.update(parse_config_file(args.config))
+    merged = parse_config_file(args.config) if args.config else {}
     for key in DEFAULTS:
-        cli_val = getattr(args, key.replace("-", "_"), None)
-        if cli_val is not None:
-            merged[key] = str(cli_val)
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     return RunConfig(merged)
 
 
@@ -280,31 +290,30 @@ def _direction_matrix(a: int, c: int) -> isometries.SOQMatrix:
 def run_solve(cfg: RunConfig):
     F = cfg.precision
     xi = cfg.xi(F)
-    if cfg.has("a") or cfg.has("c"):
-        if not (cfg.has("a") and cfg.has("c")):
+    a, c = cfg["a"], cfg["c"]
+    if a is not None or c is not None:
+        if a is None or c is None:
             raise ValidationError("supply both a and c or neither")
-        a, c = cfg.get_int("a"), cfg.get_int("c")
         if math.gcd(abs(a), abs(c)) != 1:
             raise ValidationError("(a, c) must be coprime")
         M = _direction_matrix(a, c)
         alpha_tilde = isometries.apply(xi, M).alpha
         if alpha_tilde.exact is not None:
             raise AllRational("supplied direction produces a rational combination")
-        est = diophantine.estimate_kappa(alpha_tilde, cfg.get_int("q_max"))
+        est = diophantine.estimate_kappa(alpha_tilde, cfg["q_max"])
     else:
-        choice = diophantine.diophantine_direction(
-            xi, cfg.get_int("direction_bound"), cfg.get_int("q_max")
-        )
+        choice = diophantine.diophantine_direction(xi, cfg["direction_bound"], cfg["q_max"])
         a, c, est = choice.a, choice.c, choice.estimate
         M = _direction_matrix(a, c)
     xi_t = isometries.apply(xi, M)
 
-    T = cfg.get_int("T")
-    if T < 4:
-        raise ValidationError("T must be >= 4")
+    grid = cfg.range_grid()
+    if len(grid) != 1:
+        raise ValidationError("solve needs a single T")
+    T = grid[0]
     delta = cfg.check_delta(cfg.delta_for(T))
-    if cfg.has("nu"):
-        nu = cfg.get_float("nu")
+    nu = cfg["nu"]
+    if nu is not None:
         nu_max = 1.0 / (8.0 * est.kappa_hat)
         if nu >= nu_max:
             print(
@@ -312,8 +321,7 @@ def run_solve(cfg: RunConfig):
                 "the certified range does not cover this run",
                 file=sys.stderr,
             )
-    scan_c = cfg.get_float("scan_c")
-    bound_C = cfg.get_float("bound_C")
+    scan_c, bound_C = cfg["scan_c"], cfg["bound_C"]
     t_fix = cfg.t_value(F)
     report = solver.find_solutions(xi_t, t_fix, T, delta, scan_c, bound_C)
 
@@ -367,11 +375,8 @@ _LEMMA_ALPHAS = (("sqrt:2", "sqrt:2"), ("golden", "surd:1,1,2,5"))
 
 def run_verify_lemmas(cfg: RunConfig):
     F = cfg.precision
-    n_list = cfg.get_int_list("n_list")
-    T_list = cfg.get_int_list("T_list")
-    betas_per_case = cfg.get_int("betas")
-    M = cfg.get_int("M")
-    rng = Lcg64(cfg.get_int("seed"))
+    n_list, T_list, betas_per_case, M = cfg["n_list"], cfg["T_list"], cfg["betas"], cfg["M"]
+    rng = Lcg64(cfg["seed"])
     alphas = [(label, parse_real(lit, F)) for label, lit in _LEMMA_ALPHAS]
 
     # draw every beta up front, in config order, so threading cannot reorder them
@@ -412,15 +417,15 @@ def run_verify_lemmas(cfg: RunConfig):
 
 def run_kappa(cfg: RunConfig):
     F = cfg.precision
-    q_max = cfg.get_int("q_max")
+    q_max = cfg["q_max"]
     meta: list[str] = []
-    if cfg.has("xi"):
-        choice = diophantine.diophantine_direction(cfg.xi(F), cfg.get_int("direction_bound"), q_max)
+    if cfg["xi"] is not None:
+        choice = diophantine.diophantine_direction(cfg.xi(F), cfg["direction_bound"], q_max)
         alpha = choice.alpha_tilde
         est = choice.estimate
         meta.extend([f"a={choice.a}", f"c={choice.c}"])
-    elif cfg.has("alpha"):
-        alpha = parse_real(cfg.get_str("alpha"), F)
+    elif cfg["alpha"] is not None:
+        alpha = parse_real(cfg["alpha"], F)
         est = diophantine.estimate_kappa(alpha, q_max)
     else:
         raise ValidationError("kappa needs alpha or xi")
@@ -439,10 +444,8 @@ def run_exponent(cfg: RunConfig):
     xi = cfg.xi(F)
     grid = cfg.range_grid()
     t_fix = cfg.t_value(F)
-    mode = cfg.get_str("mode")
     rows_data = solver.estimate_critical_exponent(
-        xi, t_fix, grid, mode=mode, form=cfg.form(),
-        scan_c=cfg.get_float("scan_c"), cap=cfg.get_int("cap"),
+        xi, t_fix, grid, mode=cfg["mode"], form=cfg.form(), scan_c=cfg["scan_c"], cap=cfg["cap"],
     )
     rows = [
         (r.T, r.min_residual, "inf" if r.saturated else _fmt(r.omega_hat), 1 if r.saturated else 0)
@@ -457,14 +460,14 @@ def run_oracle_count(cfg: RunConfig):
     t_fix = cfg.t_value(F)
     form = cfg.form() or standard_form()
     grid = cfg.range_grid()
-    if not cfg.has("delta"):
-        raise ValidationError("oracle-count needs delta")
     # the oracle threshold may exceed 1/2 (saturation studies), unlike the
     # closeness parameter of solve and count-orbit
-    delta = cfg.get_float("delta")
+    delta = cfg["delta"]
+    if delta is None:
+        raise ValidationError("oracle-count needs delta")
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    cap = cfg.get_int("cap")
+    cap = cfg["cap"]
 
     def one(T):
         res = solver.count_values_bruteforce(form, xi, t_fix, T, delta, cap=cap)
@@ -502,29 +505,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--out", help="CSV output path (default: stdout)")
-        p.add_argument("--precision", type=int, help="fractional bits (>= 64)")
-        p.add_argument("--seed", type=int, help="64-bit RNG seed")
-        p.add_argument("--threads", type=int, help="worker threads for independent cells")
-        p.add_argument("--xi", help="three real literals, space separated")
-        p.add_argument("--alpha", help="single real literal")
-        p.add_argument("--v0", help="two real literals, space separated")
-        p.add_argument("--t", help="target value literal")
-        p.add_argument("--T", help="range bound, or comma-separated grid")
-        p.add_argument("--delta", type=float, help="closeness threshold")
-        p.add_argument("--nu", type=float, help="delta = T**(-nu)")
-        p.add_argument("--scan-c", dest="scan_c", type=float)
-        p.add_argument("--bound-C", dest="bound_C", type=float)
-        p.add_argument("--q-max", dest="q_max", type=int)
-        p.add_argument("--direction-bound", dest="direction_bound", type=int)
-        p.add_argument("--cap", type=int, help="brute-force enumeration cap")
-        p.add_argument("--a", type=int, help="direction numerator override")
-        p.add_argument("--c", type=int, help="direction denominator override")
-        p.add_argument("--mode", choices=("oracle", "solver"))
-        p.add_argument("--form", help="six rational gram entries: a11 a22 a33 a12 a13 a23")
-        p.add_argument("--n-list", dest="n_list")
-        p.add_argument("--T-list", dest="T_list")
-        p.add_argument("--betas", type=int)
-        p.add_argument("--M", type=int)
+        for opt in OPTIONS:
+            p.add_argument("--" + opt.key.replace("_", "-"), dest=opt.key, help=opt.help)
     return parser
 
 

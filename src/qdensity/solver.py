@@ -134,6 +134,13 @@ def _offset_at(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[int, int, int,
     return a, b, d2 + (a << F), d3 + (b << F)
 
 
+def _check_orbit_radius(xi: ShiftVector, eta: TargetLift, m_max: int, tol) -> None:
+    """Refuse a scan to m_max whose orbit radius, lift radius included, exceeds tol."""
+    E = _orbit_radius(xi.alpha, xi.beta, xi.gamma, m_max) + eta.y.err + eta.z.err
+    if Fraction(E, 1 << xi.precision) > Fraction(tol):
+        raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")
+
+
 def nearest_offset(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[Vec3, float]:
     """Nearest integer offset for step m and the achieved distance."""
     a, b, gx, gy = _offset_at(xi, m, eta)
@@ -165,10 +172,8 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
 
     eta = target_lift(xi.alpha, t)
     m_max = int(scan_c * math.sqrt(T))
+    _check_orbit_radius(xi, eta, m_max, tol)
     F = xi.precision
-    E = _orbit_radius(xi.alpha, xi.beta, xi.gamma, m_max) + eta.y.err + eta.z.err
-    if Fraction(E, 1 << F) > Fraction(tol):
-        raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")
 
     residual_cap = Fraction(bound_C * delta)
     form = standard_form()
@@ -247,10 +252,12 @@ def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta
 
     count = 0
     gmin = math.inf
-    candidates: list[Vec3] = []
+    # (float residual, v) of every point within band of the running minimum;
+    # the running minimum never rises, so this covers the final band
+    kept: list[tuple[float, Vec3]] = []
     lo_cut = delta - band
     hi_cut = delta + band
-    for i1, v1 in enumerate(range(-T, T + 1)):
+    for v1 in range(-T, T + 1):
         room = T * T - v1 * v1
         mask = ball23 <= room
         if not mask.any():
@@ -271,29 +278,12 @@ def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta
             # ambiguous at the working radius counts as a hit (closed bound)
             if not r.certainly_gt(delta_fr):
                 count += 1
-        smin = float(resid.min())
-        if smin < gmin:
-            gmin = smin
+        gmin = min(gmin, float(resid.min()))
+        for i2, i3 in np.argwhere(resid <= gmin + band):
+            kept.append((float(resid[i2, i3]), (v1, int(i2) - T, int(i3) - T)))
         del val, resid, mask
 
-    # second sweep: gather candidates for the exact minimum
-    for i1, v1 in enumerate(range(-T, T + 1)):
-        room = T * T - v1 * v1
-        mask = ball23 <= room
-        if not mask.any():
-            continue
-        u1 = v1 + ax
-        val = base23 + (
-            g[0][0] * (u1 * u1)
-            + 2.0 * g[0][1] * (u1 * u2c)
-            + 2.0 * g[0][2] * (u1 * u3r)
-        )
-        resid = np.abs(val - tf)
-        resid = np.where(mask, resid, np.inf)
-        near = np.argwhere(resid <= gmin + band)
-        for i2, i3 in near:
-            candidates.append((v1, int(i2) - T, int(i3) - T))
-
+    candidates = [v for r, v in kept if r <= gmin + band]
     if not candidates:
         raise ValidationError("empty ball; T must admit at least the origin")
     mids = {v: exact_resid(v).midpoint() for v in candidates}
@@ -318,8 +308,10 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
     """Decay exponent -log(min residual)/log(T) along an increasing T grid.
 
     Oracle mode enumerates the full ball; solver mode takes the best step of
-    the orbit scan with the norm filter still enforced.  An exactly zero
-    residual is reported as a saturated row rather than a number.
+    the orbit scan with the norm filter still enforced, and refuses like
+    find_solutions when the orbit radius at the end of the scan exceeds the
+    reduction tolerance.  An exactly zero residual is reported as a saturated
+    row rather than a number.
     """
     grid = [int(x) for x in T_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
@@ -327,6 +319,7 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
     if mode not in ("oracle", "solver"):
         raise ValidationError("mode must be oracle or solver")
     form = form or standard_form()
+    eta = target_lift(xi.alpha, t) if mode == "solver" else None
     rows: list[ExponentRow] = []
     for T in grid:
         if mode == "oracle":
@@ -334,9 +327,9 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
             min_resid = res.min_residual
             exact_zero = min_resid == 0.0
         else:
-            eta = target_lift(xi.alpha, t)
             best: Optional[FixedReal] = None
             m_max = int(scan_c * math.sqrt(T))
+            _check_orbit_radius(xi, eta, m_max, DEFAULT_REDUCTION_TOL)
             for m in range(1, m_max + 1):
                 a, b, _, _ = _offset_at(xi, m, eta)
                 v = (0, a, b - m * a)

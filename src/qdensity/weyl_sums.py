@@ -196,23 +196,23 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int,
         raise ValidationError("sum length T must be >= 1")
     alpha, beta = _align(alpha, beta)
     F = alpha.F
-    S = 1 << F
+    mask = (1 << F) - 1
     PA = n * alpha.mant
     ea = abs(n) * alpha.err
     PB = beta.mant
     eb = beta.err
-    if Fraction(ea * T * T + eb * T, S) > Fraction(phase_tol):
+    if Fraction(ea * T * T + eb * T, 1 << F) > Fraction(phase_tol):
         raise PrecisionExhausted("phase radius at m=T exceeds the phase tolerance")
 
     re = im = 0.0
     cre = cim = 0.0  # Kahan compensation
-    x = (PA + PB) % S           # phase at m = 1
-    d = (3 * PA + PB) % S
-    dd = (2 * PA) % S
+    # exact recurrences on unreduced mantissas, folded mod 2^F by one & per term
+    x = PA + PB                 # phase at m = 1
+    d = 3 * PA + PB
+    dd = 2 * PA
     cos, sin = math.cos, math.sin
-    m = 1
-    while m <= T:
-        ang = TWO_PI * _phase_to_float(x, F)
+    for _ in range(T):
+        ang = TWO_PI * _phase_to_float(x & mask, F)
         t = cos(ang) - cre
         s = re + t
         cre = (s - re) - t
@@ -221,11 +221,8 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int,
         s = im + t
         cim = (s - im) - t
         im = s
-        m += 1
-        if m > T:
-            break
-        x = (x + d) % S
-        d = (d + dd) % S
+        x += d
+        d += dd
     return WeylSumResult(re, im, T, n)
 
 
@@ -246,15 +243,16 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
     """
     S = 1 << F
     H = S >> 1
+    mask = S - 1
     total = 0.0
     comp = 0.0
-    w = 0
+    # unreduced m*step offset by H, so (w & mask) - H is its fold into [-1/2, 1/2)
+    w = H
     E = step_err * count
     fS = float(S)
-    m = 1
-    while m <= count:
-        w = (w + step_mant) % S
-        r = ((w + H) % S) - H
+    for m in range(1, count + 1):
+        w += step_mant
+        r = (w & mask) - H
         ar = -r if r < 0 else r
         if ar <= E:
             if E == 0:
@@ -271,7 +269,6 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
         s = total + t
         comp = (s - total) - t
         total = s
-        m += 1
     return total
 
 

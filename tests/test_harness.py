@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,16 +11,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdensity.errors import ValidationError
 from qdensity.harness import (
     DEFAULTS,
+    OPTIONS,
     SUBCOMMANDS,
     Lcg64,
     RunConfig,
+    _build_parser,
     _direction_matrix,
     _fmt,
+    build_config,
     main,
     parse_config_file,
 )
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def run_cli(args, out_path=None):
@@ -193,6 +200,12 @@ class TestCliRuns:
         rows = read_rows(out)
         assert len(rows) == 2 and all(float(r["min_residual"]) > 0 for r in rows)
 
+    def test_exponent_solver_mode_refuses_uncertified_digits(self, capsys):
+        code = run_cli(["exponent", "--mode", "solver", "--precision", "64", "--xi", "sqrt:2 0/1 0/1",
+                        "--t=1/3", "--T", "100,10000,1000000,100000000"])
+        assert code == 2
+        assert "precision exhausted:" in capsys.readouterr().err
+
     def test_nu_beyond_certified_range_warns_not_rejects(self, tmp_path, capsys):
         out = tmp_path / "warn.csv"
         code = run_cli(
@@ -347,3 +360,69 @@ class TestCliFuzz:
         if code:
             assert any(line.startswith(("error:", "precision exhausted:"))
                        for line in err.splitlines()), err
+
+
+class TestOptionTable:
+    def test_table_argparse_and_readme_agree(self):
+        keys = [opt.key for opt in OPTIONS]
+        assert len(set(keys)) == len(keys)
+        assert list(DEFAULTS) == keys
+        sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
+        for name in SUBCOMMANDS:
+            dests = {a.dest for a in sub.choices[name]._actions} - {"help", "config", "out"}
+            assert dests == set(keys), name
+        text = open(README, encoding="utf-8").read()
+        listed = re.search(r"Keys: (.*?)\.", text, re.S).group(1).replace("`", "").split()
+        assert listed == keys
+        table = re.search(r"\| subcommand .*?\n\n", text, re.S).group(0)
+        flags = {f.replace("-", "_") for f in re.findall(r"--([A-Za-z][\w-]*)", table)}
+        assert flags and flags <= set(keys)
+
+
+# per value parser: a value that fails it, and one it accepts
+_BAD = {"int": "1.5", "_finite": "nan", "_int_list": "4,x", "_mode": "magic"}
+_GOOD = {"int": "7", "_finite": "0.125", "_int_list": "4,8", "_mode": "solver", "str": "1/3 0 sqrt:2"}
+# a quick run; a malformed value fails it whether or not kappa reads the key
+_KAPPA = ["kappa", "--alpha", "sqrt:2"]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestOptionParsing:
+    @pytest.mark.parametrize("opt", [o for o in OPTIONS if o.parse is not str], ids=lambda o: o.key)
+    def test_malformed_value_exits_1_from_flag_and_file(self, opt, tmp_path):
+        bad = _BAD[opt.parse.__name__]
+        code, err = _run_quiet(_KAPPA + [f"{_flag(opt.key)}={bad}"])
+        assert code == 1 and f"error: bad {opt.key} value" in err, err
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"{opt.key} = {bad}\n")
+        code, err = _run_quiet(_KAPPA + ["--config", str(cfg_file)])
+        assert code == 1 and f"error: bad {opt.key} value" in err, err
+
+    @pytest.mark.parametrize("opt", OPTIONS, ids=lambda o: o.key)
+    def test_flag_and_file_build_the_same_config(self, opt, tmp_path):
+        good = _GOOD[opt.parse.__name__]
+        cfg_file = tmp_path / "good.cfg"
+        cfg_file.write_text(f"{opt.key} = {good}\n")
+        parser = _build_parser()
+        from_flag = build_config(parser.parse_args(["kappa", f"{_flag(opt.key)}={good}"]))
+        from_file = build_config(parser.parse_args(["kappa", "--config", str(cfg_file)]))
+        assert from_flag.values == from_file.values
+        assert from_flag[opt.key] == opt.parse(good) != RunConfig({})[opt.key]
+
+    def test_unread_keys_are_still_validated(self, tmp_path):
+        assert _run_quiet(_KAPPA)[0] == 0
+        cfg_file = tmp_path / "unread.cfg"
+        cfg_file.write_text("betas = abc\n")
+        assert _run_quiet(_KAPPA + ["--config", str(cfg_file)])[0] == 1
+        argv = ["oracle-count", "--xi", "0 0 0", "--T", "4", "--delta", "0.1"]
+        assert _run_quiet(argv)[0] == 0
+        assert _run_quiet(argv + ["--n-list", "x"])[0] == 1
+
+    def test_blank_value_unsets_keys_without_default(self):
+        cfg = RunConfig({"delta": " ", "n_list": ""})
+        assert cfg["delta"] is None and cfg["n_list"] == []
+        with pytest.raises(ValidationError):
+            RunConfig({"precision": ""})

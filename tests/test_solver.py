@@ -27,6 +27,7 @@ from qdensity import (
     target_lift,
     unipotent,
 )
+from qdensity.forms import TernaryForm
 
 STD = standard_form()
 
@@ -34,24 +35,46 @@ STD = standard_form()
 MISS_AT_ONE = 0.4483415291679651181143935253888
 
 
-def oracle_recount(xi_vals, t, T, delta):
-    """Independent exact enumeration with reversed loop order.
+def exact_residuals(xi_vals, t, T, gram=STD.gram):
+    """(v, |Q(v + xi) - t|) over the ball ||v|| <= T in reversed loop order, exactly.
 
-    xi_vals are exact Fractions, so the closed threshold comparison is exact.
+    xi_vals and t are exact Fractions, so every residual is exact.
     """
-    a, b, c = (Fraction(x) for x in xi_vals)
+    u0 = [Fraction(x) for x in xi_vals]
     t = Fraction(t)
-    delta = Fraction(delta)
-    count = 0
     for v3 in range(T, -T - 1, -1):
         for v2 in range(T, -T - 1, -1):
             for v1 in range(T, -T - 1, -1):
                 if v1 * v1 + v2 * v2 + v3 * v3 > T * T:
                     continue
-                val = (v2 + b) ** 2 - 4 * (v1 + a) * (v3 + c)
-                if abs(val - t) <= delta:
-                    count += 1
-    return count
+                u = (v1 + u0[0], v2 + u0[1], v3 + u0[2])
+                val = sum(gram[i][j] * u[i] * u[j] for i in range(3) for j in range(3))
+                yield (v1, v2, v3), abs(val - t)
+
+
+def oracle_recount(xi_vals, t, T, delta, gram=STD.gram):
+    """Independent exact count of |Q(v + xi) - t| <= delta (closed comparison)."""
+    delta = Fraction(delta)
+    return sum(1 for _, r in exact_residuals(xi_vals, t, T, gram) if r <= delta)
+
+
+def oracle_min(xi_vals, t, T, gram=STD.gram):
+    """Independent exact minimum residual and its lexicographically least argmin."""
+    r, v = min((r, v) for v, r in exact_residuals(xi_vals, t, T, gram))
+    return r, v
+
+
+# exact ties at T = 4 whose least argmin has the larger float64 residual:
+# across v1 slices under the standard form, and within one slice under a
+# general form
+SYM_FORM = "1 -1 -1 1 1 0"
+TIES = [
+    ("0 1 0 0 -2 0", (Fraction(380254189, 1 << 29), 0, Fraction(380254189, 1 << 29)),
+     Fraction(33, 16), [(-1, 0, 1), (0, -2, 0), (0, 2, 0), (1, 0, -1)]),
+    (SYM_FORM, (Fraction(86025915, 1 << 28), Fraction(119373215, 1 << 29),
+                Fraction(119373215, 1 << 29)),
+     Fraction(-21, 8), [(3, -2, 0), (3, 0, -2)]),
+]
 
 
 def offset_reference(xi, m, eta):
@@ -295,6 +318,27 @@ class TestOracle:
         with pytest.raises(CapExceeded):
             count_values_bruteforce(STD, xi_sqrt2, 0, 301, 0.1)
 
+    @pytest.mark.parametrize("form_lit", ["0 1 0 0 -2 0", SYM_FORM])
+    @pytest.mark.parametrize("xi_vals, t", [
+        ((Fraction(1, 4), 0, Fraction(1, 2)), 0),
+        ((Fraction(3, 8), Fraction(5, 16), Fraction(-7, 32)), Fraction(5, 8)),
+        *((xi_vals, t) for _, xi_vals, t, _ in TIES),
+    ])
+    @pytest.mark.parametrize("T", [0, 1, 4, 8])
+    def test_min_and_argmin_match_exact_enumeration(self, form_lit, xi_vals, t, T):
+        form = TernaryForm.from_string(form_lit)
+        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, T, 0.0)
+        r, v = oracle_min(xi_vals, t, T, form.gram)
+        assert (res.min_residual, res.argmin) == (float(r), v)
+
+    @pytest.mark.parametrize("form_lit, xi_vals, t, ties", TIES)
+    def test_exact_tie_takes_least_argmin(self, form_lit, xi_vals, t, ties):
+        form = TernaryForm.from_string(form_lit)
+        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, 4, 0.0)
+        r, _ = oracle_min(xi_vals, t, 4, form.gram)
+        assert sorted(v for v, rv in exact_residuals(xi_vals, t, 4, form.gram) if rv == r) == ties
+        assert res.argmin == ties[0]
+
     def test_solver_dominated_by_oracle(self, xi_sqrt2):
         for t in (0, Fraction(1, 3)):
             rep = find_solutions(xi_sqrt2, t, 50, 0.3, scan_c=2.0, bound_C=32.0)
@@ -323,6 +367,14 @@ class TestExponent:
         rows = estimate_critical_exponent(xi_sqrt2, math.pi, (10**6, 10**8), mode="solver")
         assert len(rows) == 2
         assert all(r.min_residual > 0 for r in rows)
+
+    def test_solver_mode_refuses_where_find_solutions_does(self):
+        xi = ShiftVector.from_values(parse_real("sqrt:2", 64), 0, 0, F=64)
+        t = Fraction(1, 3)
+        with pytest.raises(PrecisionExhausted):
+            find_solutions(xi, t, 100, 0.2)
+        with pytest.raises(PrecisionExhausted):
+            estimate_critical_exponent(xi, t, (100,), mode="solver")
 
     def test_monotone_grid_required(self, xi_sqrt2):
         with pytest.raises(ValidationError):
