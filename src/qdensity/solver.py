@@ -10,9 +10,12 @@ solutions are re-filtered unconditionally: certified Euclidean norm at most T
 and certified residual at most bound_C * delta, so every reported row is
 correct regardless of how the scan constants were chosen.
 
-A vectorized lattice enumeration over the full ball serves as the independent
-oracle.  It prefilters in float64 with a conservative guard band and resolves
-every near-threshold point in certified fixed point, so counts and minima are
+The independent oracle counts the ball one (v1, v2) chord at a time.  On a
+chord Q(v + xi) - t is a polynomial of degree at most 2 in v3, so the v3 with
+|Q(v + xi) - t| <= delta form at most two intervals, counted in closed form
+from float64 roots that carry a derived error bound.  Only the integers
+within that bound of an interval endpoint, and those whose residual may be
+the minimum, are resolved in certified fixed point, so counts and minima are
 exact up to explicitly ambiguous intervals (which count as hits; with exact
 rational data there is no ambiguity at all).
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -134,6 +137,23 @@ def _offset_at(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[int, int, int,
     return a, b, d2 + (a << F), d3 + (b << F)
 
 
+def _scan_length(xi: ShiftVector, eta: TargetLift, T: int, scan_c: float) -> int:
+    """Last step to scan: scan_c*sqrt(T), cut where no step can pass the norm filter.
+
+    A hit step has a = -round(d2 / 2^F) with d2 = 2*A*m + B - Y in the
+    mantissas of alpha, beta and eta.y, so |a| >= |d2| / 2^F - 1/2, and the
+    norm filter needs |a| <= T.  Past the cut 2|A|m - |B - Y| > (2T+1)*2^(F-1),
+    so |a| > T.  There is no cut when A = 0.
+    """
+    m_max = scan_c * math.sqrt(T)
+    A = abs(xi.alpha.mant)
+    if A:
+        cut = (((2 * T + 1) << (xi.precision - 1)) + abs(xi.beta.mant - eta.y.mant)) // (2 * A) + 1
+        if m_max >= cut:
+            return cut
+    return int(m_max)
+
+
 def _check_orbit_radius(xi: ShiftVector, eta: TargetLift, m_max: int, tol) -> None:
     """Refuse a scan to m_max whose orbit radius, lift radius included, exceeds tol."""
     E = _orbit_radius(xi.alpha, xi.beta, xi.gamma, m_max) + eta.y.err + eta.z.err
@@ -153,6 +173,8 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
                    tol=DEFAULT_REDUCTION_TOL) -> SolveReport:
     """Orbit hit test over 1 <= m <= scan_c*sqrt(T), then exact norm and residual filter.
 
+    The scan stops early where no step can pass the norm filter (_scan_length).
+
     A step survives the orbit hit test when the torus distance from the orbit
     point to the lift (eta.y, eta.z), i.e. its gap, is certifiably at most
     scan_c*delta; steps the scan cannot decide are dropped.  The resulting
@@ -171,7 +193,7 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
         raise ValidationError("bound_C must be >= 1")
 
     eta = target_lift(xi.alpha, t)
-    m_max = int(scan_c * math.sqrt(T))
+    m_max = _scan_length(xi, eta, T, scan_c)
     _check_orbit_radius(xi, eta, m_max, tol)
     F = xi.precision
 
@@ -209,14 +231,171 @@ def _float_gram(form: TernaryForm) -> list[list[float]]:
     return [[float(x) for x in row] for row in form.gram]
 
 
+# Twice the float64 unit roundoff: each float64 operation below is off by at
+# most _EPS times the magnitude of its operands.
+_EPS = 2.0 ** -52
+# Chords per block of the oracle; this caps the size of its numpy temporaries.
+_BLOCK_SLICES = 4096
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(x)) of an array of nonnegative integers below 2^52, as floats."""
+    r = np.floor(np.sqrt(x))
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
+def _disc_blocks(T: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(v1, v2, R) of the chords v1^2 + v2^2 <= T^2, a block of v1 rows at a time.
+
+    The chords come in lexicographic order and R = isqrt(T^2 - v1^2 - v2^2)
+    is the half-length of the chord |v3| <= R; all three hold integers as
+    float64, which is exact far beyond any T the oracle accepts.
+    """
+    rows = max(1, _BLOCK_SLICES // (2 * T + 1))
+    for first in range(-T, T + 1, rows):
+        v1 = np.arange(first, min(first + rows, T + 1), dtype=np.float64)
+        W = _isqrt(T * T - v1 * v1)
+        width = (2 * W + 1).astype(np.int64)
+        v2 = np.arange(int(width.sum()), dtype=np.float64) - np.repeat(np.cumsum(width) - W - 1, width)
+        v1 = np.repeat(v1, width)
+        yield v1, v2, _isqrt(T * T - v1 * v1 - v2 * v2)
+
+
+def _sublevel(A: float, B: np.ndarray, C: np.ndarray, level: np.ndarray,
+              outer: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Interval [lo, hi] of the real n with A*n^2 + B*n + C <= level.
+
+    A >= 0, and B >= 0 wherever A == 0; the coefficients and the level are
+    exact reals.  The rounding of the root formula is bounded, and the
+    interval is widened by that bound (outer: it contains the set) or shrunk
+    by it (inner: it lies inside the set).  An empty interval has lo > hi.
+    """
+    c = C - level
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if A == 0:
+            r = -c / B
+            eta = 4 * _EPS * np.abs(r)
+            hi = np.where(B > 0, r + eta if outer else r - eta,
+                          np.where(c <= 0, np.inf, -np.inf))
+            lo = np.full_like(hi, -np.inf)
+        else:
+            D = B * B - 4 * A * c
+            dD = 4 * _EPS * (B * B + 4 * A * np.abs(c))
+            s = np.sqrt(np.maximum(D, 0))
+            # |s - sqrt(true discriminant)| <= min(sqrt(dD), dD / s) plus its rounding
+            err_s = np.where(D > dD, dD / s, np.sqrt(dD)) + 2 * _EPS * s
+            mid = -B / (2 * A)
+            half = s / (2 * A)
+            eta = err_s / A + 8 * _EPS * (np.abs(mid) + half)
+            half = half + eta if outer else half - eta
+            empty = D + dD < 0 if outer else half < 0
+            lo = np.where(empty, np.inf, mid - half)
+            hi = np.where(empty, -np.inf, mid + half)
+        # an overflow leaves NaN: nothing certain there
+        bad = np.isnan(lo) | np.isnan(hi)
+    lo = np.where(bad, -np.inf if outer else np.inf, lo)
+    hi = np.where(bad, np.inf if outer else -np.inf, hi)
+    return lo, hi
+
+
+def _n_between(lo: np.ndarray, hi: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Number of integers in [lo, hi] with |n| <= R."""
+    return np.maximum(np.minimum(np.floor(hi), R) - np.maximum(np.ceil(lo), -R) + 1, 0)
+
+
+def _gaps(outer, inner, R: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Integer ranges [lo, hi] covering outer minus inner with |n| <= R; lo > hi is empty."""
+    lo = np.maximum(np.ceil(outer[0]), -R)
+    hi = np.minimum(np.floor(outer[1]), R)
+    return [(lo, np.minimum(np.ceil(inner[0]) - 1, hi)),
+            (np.maximum(np.floor(inner[1]) + 1, lo), hi)]
+
+
+def _gap_points(ranges) -> Iterator[tuple[int, list[int]]]:
+    """(chord index, sorted integers) for each chord where some range is nonempty."""
+    for i in np.flatnonzero(np.any([hi >= lo for lo, hi in ranges], axis=0)):
+        pts: set[int] = set()
+        for lo, hi in ranges:
+            if lo[i] <= hi[i]:
+                pts.update(range(int(lo[i]), int(hi[i]) + 1))
+        yield int(i), sorted(pts)
+
+
+def _radius(x: FixedReal) -> float:
+    """Upper bound on the distance from x's mantissa to the value x stands for."""
+    if x.exact is not None:
+        d = abs(Fraction(x.mant, 1 << x.F) - x.exact)
+    else:
+        d = x.err_fraction()
+    return float(d) * (1 + _EPS)
+
+
+def _chord_polynomials(form: TernaryForm, xi: ShiftVector, t_fix: FixedReal, delta: float):
+    """The float64 polynomials of the chords and a bound on their error.
+
+    On the chord through (v1, v2), s*(Q(v + xi) - t) = A*n^2 + B*n + C at
+    v3 = n, with the sign s = +-1 chosen so that A = |g33| >= 0 and, when
+    A = 0, B >= 0.  Returns A and chord(v1, v2, R), which gives the float64
+    B and C of a block of chords and a bound E on the distance from
+    A*n^2 + B*n + C to every point of the certified interval of
+    s*(Q(v + xi) - t) at v = (v1, v2, n), for every |n| <= R.
+    """
+    F = xi.precision
+    g = _float_gram(form)
+    G = sum(abs(x) for row in g for x in row)
+    inputs = (*xi.components(), t_fix)
+    al, be, ga, tf = (x.to_float() for x in inputs)
+    r = max(_radius(x) for x in inputs[:3])
+    r_t = _radius(t_fix)
+    sign = -1.0 if g[2][2] < 0 else 1.0
+    A = abs(g[2][2])
+    shift = max(abs(al), abs(be), abs(ga))
+
+    def chord(v1: np.ndarray, v2: np.ndarray, R: np.ndarray):
+        u1 = v1 + al
+        u2 = v2 + be
+        b = 2 * (g[0][2] * u1 + g[1][2] * u2)
+        B = sign * (2 * g[2][2] * ga + b)
+        C = sign * ((g[2][2] * ga + b) * ga
+                    + g[0][0] * u1 * u1 + 2 * g[0][1] * u1 * u2 + g[1][1] * u2 * u2 - tf)
+        if A == 0:
+            flip = np.where(B < 0, -1.0, 1.0)
+            B, C = B * flip, C * flip
+        # U bounds every coordinate of u = (u1, u2, n + ga) and of the shift.
+        # The float64 inputs are off by 2^-52 of their size (_mant_to_float)
+        # plus the radius r (r_t for t), and u1, u2 by 2^-53 of theirs more:
+        # at most 2^-51*U + r per coordinate, which moves Q by at most
+        # 2^-50*G*U^2 + 2*G*U*r and a square of those.  Computing B, C and
+        # then C - level in _sublevel rounds by below 2^-48*(G*U^2 + |tf| +
+        # delta).  The certified interval is at most 4*G*U*r + 2*r_t plus a
+        # few ulps per term of the fixed-point evaluation wide.
+        U = np.maximum(np.maximum(np.abs(u1), np.abs(u2)), np.maximum(R + abs(ga), shift)) + r
+        E = 2.0 ** -46 * (G * U * U + abs(tf) + delta) + 8 * (r * G * U + r_t) + 2.0 ** (6 - F) * (1 + G)
+        return B, C, E
+
+    return A, chord
+
+
 def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta: float,
                             cap: int = 300) -> OracleCount:
-    """Exhaustive scan of the ball ||v|| <= T.
+    """Exact count over the ball ||v|| <= T, one (v1, v2) chord at a time.
 
     Returns the number of v with |Q(v + xi) - t| <= delta (closed comparison),
     the minimum residual over the ball, and its lexicographically least
-    argmin.  The float64 sweep only classifies points far from the threshold;
-    anything within the guard band is resolved in certified fixed point.
+    argmin.  On the chord through (v1, v2), Q(v + xi) - t is a polynomial
+    A*v3^2 + B*v3 + C in v3, with A = g33 on every chord.  Its float64
+    coefficients come with a bound E on the distance from their value to the
+    certified one at every point of the chord (_chord_polynomials), so the
+    sublevel sets at +-delta -+ 2E give in closed form the v3 that certainly
+    count and those that certainly do not.  Only the v3 between them, next
+    to an interval endpoint, are resolved in certified fixed point
+    (ambiguous counts as a hit).  The minimum is bounded above at the
+    integers next to the roots and the vertex; every v3 whose residual may
+    lie below that bound is resolved the same way, and the least exact value
+    (the certified midpoint when the value is not known exactly) wins, ties
+    going to the least v.
     """
     if T < 0:
         raise ValidationError("T must be >= 0")
@@ -225,71 +404,61 @@ def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta
     if T > cap:
         raise CapExceeded(f"T={T} exceeds the enumeration cap {cap}")
 
-    g = _float_gram(form)
-    ax, bx, cx = (xi.alpha.to_float(), xi.beta.to_float(), xi.gamma.to_float())
     t_fix = as_fixed(t, xi.precision)
-    tf = t_fix.to_float()
     delta_fr = Fraction(delta)
-
-    scale = sum(abs(x) for row in g for x in row) * (T + abs(ax) + abs(bx) + abs(cx) + 1) ** 2
-    band = 1e-11 * (scale + abs(tf) + 1.0)
-
-    rng = np.arange(-T, T + 1, dtype=np.float64)
-    u2 = rng + bx
-    u3 = rng + cx
-    sq = rng * rng
-    u2c = u2[:, None]
-    u3r = u3[None, :]
-    base23 = (
-        g[1][1] * (u2c * u2c)
-        + g[2][2] * (u3r * u3r)
-        + 2.0 * g[1][2] * (u2c * u3r)
-    )
-    ball23 = sq[:, None] + sq[None, :]
+    A, chord = _chord_polynomials(form, xi, t_fix, delta)
 
     def exact_resid(v: Vec3) -> FixedReal:
         return abs(evaluate_shifted(form, xi, v) - t_fix)
 
     count = 0
-    gmin = math.inf
-    # (float residual, v) of every point within band of the running minimum;
-    # the running minimum never rises, so this covers the final band
-    kept: list[tuple[float, Vec3]] = []
-    lo_cut = delta - band
-    hi_cut = delta + band
-    for v1 in range(-T, T + 1):
-        room = T * T - v1 * v1
-        mask = ball23 <= room
-        if not mask.any():
-            continue
-        u1 = v1 + ax
-        val = base23 + (
-            g[0][0] * (u1 * u1)
-            + 2.0 * g[0][1] * (u1 * u2c)
-            + 2.0 * g[0][2] * (u1 * u3r)
-        )
-        resid = np.abs(val - tf)
-        resid = np.where(mask, resid, np.inf)
-        count += int(np.count_nonzero(resid <= lo_cut))
-        near = np.argwhere((resid > lo_cut) & (resid <= hi_cut))
-        for i2, i3 in near:
-            v = (v1, int(i2) - T, int(i3) - T)
-            r = exact_resid(v)
-            # ambiguous at the working radius counts as a hit (closed bound)
-            if not r.certainly_gt(delta_fr):
-                count += 1
-        gmin = min(gmin, float(resid.min()))
-        for i2, i3 in np.argwhere(resid <= gmin + band):
-            kept.append((float(resid[i2, i3]), (v1, int(i2) - T, int(i3) - T)))
-        del val, resid, mask
+    mu = math.inf   # certified upper bound on the minimum residual
+    best: Optional[tuple[Fraction, Vec3]] = None
+    for v1, v2, R in _disc_blocks(T):
+        B, C, E = chord(v1, v2, R)
 
-    candidates = [v for r, v in kept if r <= gmin + band]
-    if not candidates:
+        # certain hits lie in `low` and outside `high`, where every certified
+        # value y has -delta < y <= delta: |A*n^2 + B*n + C - y| <= E, and the
+        # levels delta - 2E and 2E - delta leave one more E for the rounding
+        # of C - level; the unsure points lie within about E / slope of the
+        # level crossings
+        low = _sublevel(A, B, C, delta - 2 * E, False)
+        high = _sublevel(A, B, C, 2 * E - delta, True)
+        count += int(_n_between(*low, R).sum() - _n_between(
+            np.maximum(low[0], high[0]), np.minimum(low[1], high[1]), R).sum())
+        unsure = (_gaps(_sublevel(A, B, C, delta + 2 * E, True), low, R)
+                  + _gaps(high, _sublevel(A, B, C, -delta - 2 * E, False), R))
+        for i, pts in _gap_points(unsure):
+            v1i, v2i = int(v1[i]), int(v2[i])
+            count += sum(not exact_resid((v1i, v2i, n)).certainly_gt(delta_fr) for n in pts)
+
+        # the integers next to the roots and the vertex bound the least key
+        # from above by mu; a point whose key may be at most mu has
+        # |A*n^2 + B*n + C| at most mu + E of its own chord, and the band
+        # takes one more E of that chord for the rounding of C - level
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if A:
+                mid = -B / (2 * A)
+                half = np.sqrt(np.maximum(B * B - 4 * A * C, 0)) / (2 * A)
+                marks = (mid - half, mid, mid + half)
+            else:
+                marks = (np.where(B > 0, -C / B, 0.0),)
+            near = [np.clip(np.floor(m) + d, -R, R) for m in marks for d in (0.0, 1.0)]
+            least = np.min([np.abs((A * n + B) * n + C) for n in near], axis=0)
+        mu = min(mu, float(np.fmin.reduce(least + 2 * E)))
+        level = mu * (1 + 2 * _EPS) + 2 * E
+        band = _gaps(_sublevel(A, B, C, level, True), _sublevel(A, B, C, -level, False), R)
+        for i, pts in _gap_points(band):
+            v1i, v2i = int(v1[i]), int(v2[i])
+            for n in pts:
+                res = exact_resid((v1i, v2i, n))
+                key = res.exact if res.exact is not None else res.midpoint()
+                if best is None or (key, (v1i, v2i, n)) < best:
+                    best = (key, (v1i, v2i, n))
+
+    if best is None:
         raise ValidationError("empty ball; T must admit at least the origin")
-    mids = {v: exact_resid(v).midpoint() for v in candidates}
-    true_min = min(mids.values())
-    argmin = min(v for v, r in mids.items() if r == true_min)
-    return OracleCount(count, float(true_min), argmin)
+    return OracleCount(count, float(best[0]), best[1])
 
 
 @dataclass
@@ -328,7 +497,7 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
             exact_zero = min_resid == 0.0
         else:
             best: Optional[FixedReal] = None
-            m_max = int(scan_c * math.sqrt(T))
+            m_max = _scan_length(xi, eta, T, scan_c)
             _check_orbit_radius(xi, eta, m_max, DEFAULT_REDUCTION_TOL)
             for m in range(1, m_max + 1):
                 a, b, _, _ = _offset_at(xi, m, eta)

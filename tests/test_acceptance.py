@@ -209,6 +209,24 @@ def test_criterion_8_exponent_floor():
     report(8, "decay exponent floor 1/8 on every grid point", started)
 
 
+def test_criterion_8_exponent_floor_large_T():
+    started = time.perf_counter()
+    sqrt2 = FixedReal.sqrt_int(2)
+    sqrt3 = FixedReal.sqrt_int(3)
+    shifts = (
+        ShiftVector.from_values(sqrt2, 0, 0),
+        ShiftVector.from_values(sqrt2, sqrt3, Fraction(1, 2)),
+    )
+    for xi in shifts:
+        for t in (0, math.pi):
+            rows = estimate_critical_exponent(xi, t, (200, 300), mode="oracle")
+            for r in rows:
+                assert r.saturated or r.omega_hat >= 0.125, (t, r.T, r.omega_hat)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 60.0
+    report(8, "decay exponent floor 1/8 at T = 200 and 300", started)
+
+
 def test_criterion_9_precision_tripwire():
     started = time.perf_counter()
     z64 = FixedReal.zero(64)

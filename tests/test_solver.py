@@ -1,7 +1,9 @@
 import contextlib
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,81 @@ def oracle_min(xi_vals, t, T, gram=STD.gram):
     """Independent exact minimum residual and its lexicographically least argmin."""
     r, v = min((r, v) for v, r in exact_residuals(xi_vals, t, T, gram))
     return r, v
+
+
+def exact_answer(xi_vals, t, T, delta, gram=STD.gram):
+    """Independent exact (count, minimum residual, least argmin) over the ball.
+
+    With u = v + xi = w / L, g = h / M and K = L^2 * M * den(t), every
+    residual times K is the integer |den(t) * sum h_ij w_i w_j - t*K|.
+    """
+    xi_vals = [Fraction(x) for x in xi_vals]
+    t, delta = Fraction(t), Fraction(delta)
+    L = math.lcm(*(x.denominator for x in xi_vals))
+    M = math.lcm(*(g.denominator for row in gram for g in row))
+    K = L * L * M * t.denominator
+    h = [[int(g * M) for g in row] for row in gram]
+    p = [int(x * L) for x in xi_vals]
+    tK = int(t * K)
+    count, best = 0, None
+    for v1 in range(-T, T + 1):
+        for v2 in range(-T, T + 1):
+            room = T * T - v1 * v1 - v2 * v2
+            if room < 0:
+                continue
+            R = math.isqrt(room)
+            for v3 in range(-R, R + 1):
+                w = (L * v1 + p[0], L * v2 + p[1], L * v3 + p[2])
+                S = sum(h[i][j] * w[i] * w[j] for i in range(3) for j in range(3))
+                r = abs(S * t.denominator - tK)
+                count += r <= delta * K
+                if best is None or (r, (v1, v2, v3)) < best:
+                    best = (r, (v1, v2, v3))
+    return count, Fraction(best[0], K), best[1]
+
+
+def bruteforce_reference(form, xi, t, T, delta):
+    """The O(T^3) float64 sweep of the whole ball that the oracle replaced.
+
+    Points within a heuristic guard band of delta or of the minimum are
+    resolved in certified fixed point; ties of the minimum go by midpoint.
+    """
+    g = [[float(x) for x in row] for row in form.gram]
+    ax, bx, cx = (xi.alpha.to_float(), xi.beta.to_float(), xi.gamma.to_float())
+    t_fix = as_fixed(t, xi.precision)
+    tf = t_fix.to_float()
+    delta_fr = Fraction(delta)
+    scale = sum(abs(x) for row in g for x in row) * (T + abs(ax) + abs(bx) + abs(cx) + 1) ** 2
+    band = 1e-11 * (scale + abs(tf) + 1.0)
+
+    rng = np.arange(-T, T + 1, dtype=np.float64)
+    u2c = (rng + bx)[:, None]
+    u3r = (rng + cx)[None, :]
+    base23 = g[1][1] * u2c * u2c + g[2][2] * u3r * u3r + 2.0 * g[1][2] * u2c * u3r
+    ball23 = (rng * rng)[:, None] + (rng * rng)[None, :]
+
+    def exact_resid(v):
+        return abs(evaluate_shifted(form, xi, v) - t_fix)
+
+    count = 0
+    resid_rows = []
+    for v1 in range(-T, T + 1):
+        u1 = v1 + ax
+        val = base23 + g[0][0] * u1 * u1 + 2.0 * g[0][1] * u1 * u2c + 2.0 * g[0][2] * u1 * u3r
+        resid = np.where(ball23 <= T * T - v1 * v1, np.abs(val - tf), np.inf)
+        count += int(np.count_nonzero(resid <= delta - band))
+        for i2, i3 in np.argwhere((resid > delta - band) & (resid <= delta + band)):
+            if not exact_resid((v1, int(i2) - T, int(i3) - T)).certainly_gt(delta_fr):
+                count += 1
+        resid_rows.append((v1, resid))
+    gmin = min(float(resid.min()) for _, resid in resid_rows)
+    mids = {}
+    for v1, resid in resid_rows:
+        for i2, i3 in np.argwhere(resid <= gmin + band):
+            v = (v1, int(i2) - T, int(i3) - T)
+            mids[v] = exact_resid(v).midpoint()
+    true_min = min(mids.values())
+    return count, float(true_min), min(v for v, r in mids.items() if r == true_min)
 
 
 # exact ties at T = 4 whose least argmin has the larger float64 residual:
@@ -173,7 +250,8 @@ class TestOffsetDifferential:
     @settings(max_examples=80, deadline=None)
     def test_scan_steps_are_orbit_hits(self, lits, t_lit, T, delta, scan_c, F):
         # the steps find_solutions offsets are exactly the certified orbit hits
-        # around the lift, before the norm and residual filters
+        # around the lift up to the norm cut, before the norm and residual
+        # filters; the hits past the cut are ones the norm filter drops
         xi, eta = shift_and_lift(lits, t_lit, F)
         m_max = int(scan_c * math.sqrt(T))
         assume(scan_c * delta < 0.5 and m_max >= 1)
@@ -185,7 +263,9 @@ class TestOffsetDifferential:
                 find_solutions(xi, eta.t, T, delta, scan_c)
         except PrecisionExhausted:
             assume(False)
-        assert steps == hits
+        cut = solver_mod._scan_length(xi, eta, T, scan_c)
+        assert steps == [m for m in hits if m <= cut]
+        assert all(abs(solver_mod._offset_at(xi, m, eta)[0]) > T for m in hits if m > cut)
 
 
 class TestFindSolutions:
@@ -203,6 +283,19 @@ class TestFindSolutions:
         xi = ShiftVector.from_values(0, 0, Fraction(1, 4))
         assert find_solutions(xi, 0, 100, 0.25).count == 1
         assert find_solutions(xi, 0, 100, 0.2499999).count == 0
+
+    def test_huge_scan_c_stops_at_the_norm_cut(self, xi_sqrt2):
+        eta = target_lift(xi_sqrt2.alpha, 0)
+        cut = solver_mod._scan_length(xi_sqrt2, eta, 100, 1e15)
+        assert cut < 100
+        # every step from the cut on fails the norm filter |a| <= T
+        assert all(abs(solver_mod._offset_at(xi_sqrt2, m, eta)[0]) > 100 for m in range(cut, 5 * cut))
+        started = time.perf_counter()
+        rep = find_solutions(xi_sqrt2, 0, 100, 0.1, scan_c=1e15)
+        assert time.perf_counter() - started < 1.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_scan_length", lambda xi, eta, T, scan_c: 5 * cut)
+            assert find_solutions(xi_sqrt2, 0, 100, 0.1, scan_c=1e15).to_dict() == rep.to_dict()
 
     def test_degenerate_rational_shift(self):
         xi = ShiftVector.from_values(0, 0, 0)
@@ -352,6 +445,156 @@ class TestOracle:
                 assert r.certainly_le(Fraction(thr))
 
 
+# the standard form, a general form, A != 0 with two intervals per chord, and
+# two forms with a33 = 0 whose chords are constant where g13*u1 + g23*u2 = 0
+ORACLE_FORMS = ["0 1 0 0 -2 0", SYM_FORM, "1 1 -1 0 0 0", "1 -1 0 0 0 1", "1 1 0 0 1 -1"]
+
+# denominators 2-12, and integers, which give u1 = 0 or u2 = 0 chords
+rationals = st.one_of(
+    st.integers(-2, 2).map(Fraction),
+    st.tuples(st.integers(-30, 30), st.integers(2, 12)).map(lambda p: Fraction(*p)),
+)
+
+
+@contextlib.contextmanager
+def exact_evaluations():
+    """Record the points the oracle evaluates in certified fixed point."""
+    points = []
+
+    def recording(form, xi, v, tol=None):
+        points.append(tuple(v))
+        return evaluate_shifted(form, xi, v, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_mod, "evaluate_shifted", recording)
+        yield points
+
+
+class TestOracleDifferential:
+    @given(data=st.data(), form_lit=st.sampled_from(ORACLE_FORMS),
+           xi_vals=st.tuples(rationals, rationals, rationals), T=st.integers(0, 10),
+           mode=st.sampled_from(["zero", "tie", "quarter", "saturate"]))
+    @settings(max_examples=120, deadline=None)
+    def test_rational_shift_matches_exact_enumeration(self, data, form_lit, xi_vals, T, mode):
+        form = TernaryForm.from_string(form_lit)
+        v = data.draw(st.tuples(*[st.integers(-T, T)] * 3).filter(
+            lambda v: v[0] ** 2 + v[1] ** 2 + v[2] ** 2 <= T * T))
+        q = form.evaluate_exact([v[i] + xi_vals[i] for i in range(3)])
+        t = data.draw(rationals)
+        delta = {"zero": 0.0, "tie": 0.5, "quarter": 0.25, "saturate": 1e6}[mode]
+        if mode == "zero":
+            t = q
+        elif mode == "tie":
+            # |Q(v + xi) - t| = delta exactly at v
+            t = q + data.draw(st.sampled_from([-delta, delta]))
+        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, T, delta)
+        count, r, w = exact_answer(xi_vals, t, T, delta, form.gram)
+        assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
+
+    @given(lits=st.tuples(literals, literals, literals), t_lit=literals,
+           form_lit=st.sampled_from(ORACLE_FORMS), T=st.integers(0, 16),
+           delta=st.sampled_from([0.0, 0.25, 5.0]), F=st.sampled_from([64, 256]))
+    @settings(max_examples=60, deadline=None)
+    def test_irrational_shift_matches_ball_sweep(self, lits, t_lit, form_lit, T, delta, F):
+        form = TernaryForm.from_string(form_lit)
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        t = parse_real(t_lit, F)
+        res = count_values_bruteforce(form, xi, t, T, delta)
+        assert (res.count, res.min_residual, res.argmin) == bruteforce_reference(form, xi, t, T, delta)
+
+    @pytest.mark.parametrize("form_lit", ORACLE_FORMS)
+    def test_exact_work_stays_near_endpoints_and_minimum(self, form_lit, xi_mixed):
+        # 38k chords and 5.6M points, of which a handful are evaluated exactly
+        form = TernaryForm.from_string(form_lit)
+        with exact_evaluations() as points:
+            res = count_values_bruteforce(form, xi_mixed, Fraction(-21, 64), 110, 0.25)
+        assert res.argmin in points
+        assert len(points) <= 20
+
+    def test_constant_chords_match_exact_enumeration(self):
+        # standard form, alpha = 0: each v1 = 0 chord has Q = u2^2 for every v3,
+        # and the chord v2 = -1 is a zero of Q - 4/9 along its 19 points
+        xi_vals = (0, Fraction(1, 3), Fraction(1, 2))
+        t = Fraction(4, 9)
+        res = count_values_bruteforce(STD, ShiftVector.from_values(*xi_vals), t, 10, 0.0)
+        assert (res.count, res.min_residual, res.argmin) == (23, 0.0, (-2, -7, -6))
+        count, r, w = exact_answer(xi_vals, t, 10, 0, STD.gram)
+        assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
+
+    @given(data=st.data(), T=st.integers(1, 10), at_rim=st.booleans(),
+           mode=st.sampled_from(["zero", "1e-6", "1e-9"]))
+    @settings(max_examples=100, deadline=None)
+    def test_near_integer_shift_small_delta(self, data, T, at_rim, mode):
+        # xi = -v + (small fractions): u = v + xi is tiny at v while the
+        # float64 shift is near an integer as large as T, so the rounding of
+        # the shift itself, not of u, bounds the float64 error there; at the
+        # rim (R = 0) nothing else in the bound covers it
+        ball = [(a, b, c) for a in range(-T, T + 1) for b in range(-T, T + 1)
+                for c in range(-T, T + 1) if a * a + b * b + c * c <= T * T]
+        rim = [p for p in ball if p[0] ** 2 + p[1] ** 2 == T * T]
+        v = data.draw(st.sampled_from(rim if at_rim else ball))
+        small = st.tuples(st.integers(-3, 3), st.integers(2, 1000)).map(lambda p: Fraction(*p))
+        xi_vals = tuple(data.draw(small) - v[i] for i in range(3))
+        form = TernaryForm.from_string(data.draw(st.sampled_from(ORACLE_FORMS)))
+        q = form.evaluate_exact([v[i] + xi_vals[i] for i in range(3)])
+        if mode == "zero":
+            t, delta = q, 0.0
+        else:
+            # |Q(v + xi) - t| = 10^-k exactly, just above the float64 delta
+            t, delta = q + data.draw(st.sampled_from([-1, 1])) * Fraction(mode), float(mode)
+        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, T, delta)
+        count, r, w = exact_answer(xi_vals, t, T, delta, form.gram)
+        assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
+
+    @given(data=st.data(), form_lit=st.sampled_from(ORACLE_FORMS),
+           xi_vals=st.tuples(rationals, rationals, rationals), T=st.integers(0, 10),
+           delta=st.sampled_from([0.0, 0.25, 5.0]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_answer_holds_for_any_valid_bound(self, data, form_lit, xi_vals, T, delta, seed):
+        # E + w bounds the distance from C + c to the certified values whenever
+        # |c| <= w, so the oracle must give the exact answer for any such
+        # chord polynomials; the chord of the argmin gets w = 1 and is pushed
+        # away from zero, so its band reaches the argmin only through the
+        # margin of its own bound, not the one that set the running minimum
+        form = TernaryForm.from_string(form_lit)
+        t = data.draw(rationals)
+        count, r, w = exact_answer(xi_vals, t, T, delta, form.gram)
+        rng = np.random.default_rng(seed)
+        chord_polynomials = solver_mod._chord_polynomials
+
+        def loosened(*args):
+            A, chord = chord_polynomials(*args)
+
+            def moved(v1, v2, R):
+                B, C, E = chord(v1, v2, R)
+                on = (v1 == w[0]) & (v2 == w[1])
+                away = np.where((A * w[2] + B) * w[2] + C < 0, -1.0, 1.0)
+                width = np.where(on, 1.0, 1e-3 * rng.random(len(C)))
+                push = np.where(on, 0.8 * away, rng.uniform(-0.8, 0.8, len(C)))
+                return B, C + push * width, E + width
+
+            return A, moved
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_chord_polynomials", loosened)
+            res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, T, delta)
+        assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
+
+    @pytest.mark.parametrize("form_lit, xi_vals, t, delta, expected", [
+        # exact zero that the rounded midpoint reported as 8.6e-78
+        ("1 1 -1 0 0 0", (0, Fraction(2, 9), Fraction(2, 9)), Fraction(-19, 3), 0.0, 0),
+        # exact tie whose least argmin (-2, -3, -3) lost to (1, 1, 0) by midpoint
+        ("0 1 0 0 -2 0", (Fraction(8, 9), Fraction(1, 3), Fraction(2, 3)), Fraction(-10, 3), 0.25,
+         Fraction(2, 27)),
+    ])
+    def test_non_dyadic_minimum_is_decided_exactly(self, form_lit, xi_vals, t, delta, expected):
+        form = TernaryForm.from_string(form_lit)
+        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, 5, delta)
+        count, r, w = exact_answer(xi_vals, t, 5, delta, form.gram)
+        assert r == expected
+        assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
+
+
 class TestExponent:
     def test_rational_shift_saturates(self):
         xi = ShiftVector.from_values(0, 0, 0)
@@ -375,6 +618,17 @@ class TestExponent:
             find_solutions(xi, t, 100, 0.2)
         with pytest.raises(PrecisionExhausted):
             estimate_critical_exponent(xi, t, (100,), mode="solver")
+
+    def test_solver_mode_huge_scan_c_stops_at_the_norm_cut(self, xi_sqrt2):
+        started = time.perf_counter()
+        rows = estimate_critical_exponent(xi_sqrt2, Fraction(1, 3), (100, 10000), mode="solver",
+                                          scan_c=1e15)
+        assert time.perf_counter() - started < 1.0
+        cut = solver_mod._scan_length
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_scan_length", lambda *args: 3 * cut(*args))
+            assert estimate_critical_exponent(xi_sqrt2, Fraction(1, 3), (100, 10000), mode="solver",
+                                              scan_c=1e15) == rows
 
     def test_monotone_grid_required(self, xi_sqrt2):
         with pytest.raises(ValidationError):
