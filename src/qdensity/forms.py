@@ -137,7 +137,9 @@ class TernaryForm:
         return total
 
 
-_STANDARD = TernaryForm.from_rows([[0, 0, -2], [0, 1, 0], [-2, 0, 0]])
+# integer Gram rows of the standard form: M*G*M^T stays in integer arithmetic
+_STANDARD_ROWS = ((0, 0, -2), (0, 1, 0), (-2, 0, 0))
+_STANDARD = TernaryForm.from_rows(_STANDARD_ROWS)
 
 
 def standard_form() -> TernaryForm:
@@ -244,9 +246,9 @@ def verify_equivalence(form_prime: TernaryForm, m: int, M: Sequence[Sequence[int
     rows = [[int(x) for x in row] for row in M]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValidationError("equivalence matrix must be 3x3")
-    g = _STANDARD.gram
+    g = _STANDARD_ROWS
     # rhs = M * G * M^T
     mg = [[sum(rows[i][k] * g[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     rhs = [[sum(mg[i][k] * rows[j][k] for k in range(3)) for j in range(3)] for i in range(3)]
-    lhs = [[m * form_prime.gram[i][j] for j in range(3)] for i in range(3)]
-    return all(lhs[i][j] == rhs[i][j] for i in range(3) for j in range(3))
+    return all(rhs[i][j] * q.denominator == m * q.numerator
+               for i, row in enumerate(form_prime.gram) for j, q in enumerate(row))

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .forms import ShiftVector, standard_form
-
-_G = tuple(tuple(int(x) for x in row) for row in standard_form().gram)
+from .forms import ShiftVector, _det3, standard_form, verify_equivalence
 
 Rows = tuple[tuple[int, int, int], ...]
 
@@ -45,23 +43,6 @@ class SL2Matrix:
         return SL2Matrix(self.d, -self.b, -self.c, self.a)
 
 
-def _preserves_form(rows: Rows) -> bool:
-    mg = [[sum(rows[i][k] * _G[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if sum(mg[i][k] * rows[j][k] for k in range(3)) != _G[i][j]:
-                return False
-    return True
-
-
-def _det3(r: Rows) -> int:
-    return (
-        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-        - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-        + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-    )
-
-
 @dataclass(frozen=True)
 class SOQMatrix:
     """Integer 3x3 matrix preserving the standard form, determinant one."""
@@ -75,7 +56,7 @@ class SOQMatrix:
             raise ValidationError("matrix must be 3x3")
         if _det3(rows) != 1:
             raise ValidationError("determinant must be 1")
-        if not _preserves_form(rows):
+        if not verify_equivalence(standard_form(), 1, rows):
             raise ValidationError("matrix does not preserve the standard form")
 
     @classmethod

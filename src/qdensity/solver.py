@@ -10,6 +10,14 @@ solutions are re-filtered unconditionally: certified Euclidean norm at most T
 and certified residual at most bound_C * delta, so every reported row is
 correct regardless of how the scan constants were chosen.
 
+Solver-mode estimate_critical_exponent walks the same lattice points
+(_lattice_steps) over every step of the scan, not only the hits.  The exact
+residual of the fixed-point mantissas, an integer in units of 2^-2F, bounds
+the midpoint of each step's form evaluation within a derived window; the form
+is evaluated only at the steps whose windows can hold the least midpoint (one
+per T unless steps tie or nearly tie), so the reported minimum is the
+certified form evaluation with the least midpoint.
+
 The independent oracle counts the ball one (v1, v2) chord at a time.  On a
 chord Q(v + xi) - t is a polynomial of degree at most 2 in v3, so the v3 with
 |Q(v + xi) - t| <= delta form at most two intervals, counted in closed form
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -140,18 +148,27 @@ def _offset_at(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[int, int, int,
 def _scan_length(xi: ShiftVector, eta: TargetLift, T: int, scan_c: float) -> int:
     """Last step to scan: scan_c*sqrt(T), cut where no step can pass the norm filter.
 
-    A hit step has a = -round(d2 / 2^F) with d2 = 2*A*m + B - Y in the
-    mantissas of alpha, beta and eta.y, so |a| >= |d2| / 2^F - 1/2, and the
-    norm filter needs |a| <= T.  Past the cut 2|A|m - |B - Y| > (2T+1)*2^(F-1),
-    so |a| > T.  There is no cut when A = 0.
+    A step has a = -round(d2 / 2^F) with d2 = 2*A*m + B - Y in the mantissas
+    of alpha, beta and eta.y, and the norm filter needs |a| <= T and
+    |v3| <= T.  With A != 0, |a| >= |d2| / 2^F - 1/2, so past the cut
+    2|A|m - |B - Y| > (2T+1)*2^(F-1) gives |a| > T.  With A = 0, a is the
+    same at every step and v3*2^F lies within 2^(F-1) of -(m*G + C - Z), with
+    G = B + a*2^F and C, Z the mantissas of gamma and eta.z, so past the cut
+    m|G| - |C - Z| > (2T+1)*2^(F-1) gives |v3| > T.  With G = 0 the steps
+    repeat with period at most 2 (ties to even), so no step past the second
+    adds output, and the cut is that of the largest gap, |G| = 2^(F-1), the
+    earliest any gap gives: past step 2T + 1.
     """
-    m_max = scan_c * math.sqrt(T)
-    A = abs(xi.alpha.mant)
+    F = xi.precision
+    A, B = xi.alpha.mant, xi.beta.mant
+    reach = (2 * T + 1) << (F - 1)
     if A:
-        cut = (((2 * T + 1) << (xi.precision - 1)) + abs(xi.beta.mant - eta.y.mant)) // (2 * A) + 1
-        if m_max >= cut:
-            return cut
-    return int(m_max)
+        cut = (reach + abs(B - eta.y.mant)) // (2 * abs(A)) + 1
+    else:
+        G = abs(B - (_round_shift(B - eta.y.mant, F) << F))
+        cut = (reach + abs(xi.gamma.mant - eta.z.mant)) // (G or 1 << (F - 1)) + 1
+    m_max = scan_c * math.sqrt(T)
+    return cut if m_max >= cut else int(m_max)
 
 
 def _check_orbit_radius(xi: ShiftVector, eta: TargetLift, m_max: int, tol) -> None:
@@ -166,6 +183,21 @@ def nearest_offset(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[Vec3, floa
     a, b, gx, gy = _offset_at(xi, m, eta)
     F = xi.precision
     return (0, a, b), math.hypot(_mant_to_float(gx, F), _mant_to_float(gy, F))
+
+
+def _lattice_steps(xi: ShiftVector, eta: TargetLift, T: int,
+                   steps: Iterable[int]) -> Iterator[tuple[int, Vec3, Vec3, int, int]]:
+    """(m, u, v, gx, gy) for each orbit step m whose lattice point passes ||v|| <= T.
+
+    The offset u = (0, a, b) pulled back through the inverse orbit matrix is
+    v = (0, a, b - m*a); gx, gy are the gap mantissas of _offset_at.
+    """
+    T_sq = T * T
+    for m in steps:
+        a, b, gx, gy = _offset_at(xi, m, eta)
+        v3 = b - m * a
+        if a * a + v3 * v3 <= T_sq:
+            yield m, (0, a, b), (0, a, v3), gx, gy
 
 
 def find_solutions(xi: ShiftVector, t, T: int, delta: float,
@@ -199,24 +231,18 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
 
     residual_cap = Fraction(bound_C * delta)
     form = standard_form()
-    T_sq = T * T
+    hits = (m for m, certain in _scan_orbit(xi.alpha, xi.beta, xi.gamma, eta.y, eta.z,
+                                            m_max, scan_c * delta) if certain)
     seen: set[Vec3] = set()
     out: list[Solution] = []
-    for m, certain in _scan_orbit(xi.alpha, xi.beta, xi.gamma, eta.y, eta.z,
-                                  m_max, scan_c * delta):
-        if not certain:
-            continue
-        a, b, gx, gy = _offset_at(xi, m, eta)
-        v: Vec3 = (0, a, b - m * a)
-        if a * a + v[2] * v[2] > T_sq:
-            continue
+    for m, u, v, gx, gy in _lattice_steps(xi, eta, T, hits):
         qv = evaluate_shifted(form, xi, v)
         resid = abs(qv - eta.t)
         if not resid.certainly_le(residual_cap) or v in seen:
             continue
         seen.add(v)
         miss = math.hypot(_mant_to_float(gx, F), _mant_to_float(gy, F))
-        out.append(Solution(m, (0, a, b), v, qv.to_float(), resid.to_float(), miss))
+        out.append(Solution(m, u, v, qv.to_float(), resid.to_float(), miss))
     return SolveReport(out, T, delta, scan_c, bound_C)
 
 
@@ -461,6 +487,27 @@ def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta
     return OracleCount(count, float(best[0]), best[1])
 
 
+def _midpoint_window(xi: ShiftVector, eta: TargetLift, v: Vec3) -> tuple[int, int]:
+    """Bounds, in units of 2^-2F, on the midpoint of |Q(v + xi) - t| as evaluate_shifted rounds it.
+
+    With the mantissas M1 = A, M2 = (a<<F) + B, M3 = (v3<<F) + C of the shifted
+    point v = (0, a, v3) and the radii h1, h2, h3 of alpha, beta and gamma, the
+    midpoint is the sum of the terms x2*x2 and -4*x1*x3, each rounded to 2^-F
+    either from the mantissas (M2^2 within 1/2 ulp, -4*M1*M3 within 2 ulps) or
+    from the exact product when both factors are exact (within 1/2 ulp of it,
+    which is within h2*(2|M2| + h2), resp. 4*(h1*|M3| + h3*|M1| + h1*h3), of
+    the mantissa product), less the mantissa of t.  So it lies within
+    s = (5/2)*2^F + those input terms of R = |M2^2 - 4*M1*M3 - (t<<F)|.
+    """
+    F = xi.precision
+    A, h1, h2, h3 = xi.alpha.mant, xi.alpha.err, xi.beta.err, xi.gamma.err
+    M2 = (v[1] << F) + xi.beta.mant
+    M3 = (v[2] << F) + xi.gamma.mant
+    R = abs(M2 * M2 - 4 * A * M3 - (eta.t.mant << F))
+    s = (5 << (F - 1)) + h2 * (2 * abs(M2) + h2) + 4 * (h1 * abs(M3) + h3 * abs(A) + h1 * h3)
+    return R - s, R + s
+
+
 @dataclass
 class ExponentRow:
     T: int
@@ -476,11 +523,17 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
                                cap: int = 300) -> list[ExponentRow]:
     """Decay exponent -log(min residual)/log(T) along an increasing T grid.
 
-    Oracle mode enumerates the full ball; solver mode takes the best step of
-    the orbit scan with the norm filter still enforced, and refuses like
-    find_solutions when the orbit radius at the end of the scan exceeds the
-    reduction tolerance.  An exactly zero residual is reported as a saturated
-    row rather than a number.
+    Oracle mode enumerates the full ball.  Solver mode walks the orbit steps
+    1 <= m <= scan_c*sqrt(T) (cut at the norm filter, _scan_length) through
+    the same lattice points as find_solutions, with the norm filter still
+    enforced, and refuses like find_solutions when the orbit radius at the end
+    of the scan exceeds the reduction tolerance.  It reports the certified
+    form evaluation |Q(v + xi) - t| with the least midpoint, ties going to the
+    smallest m.  The exact residual of the mantissa inputs bounds every
+    step's midpoint (_midpoint_window), and only the steps whose bounds reach
+    below the least upper bound are evaluated: one per T unless steps tie or
+    nearly tie.  An exactly zero residual is reported as a saturated row
+    rather than a number.
     """
     grid = [int(x) for x in T_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
@@ -492,25 +545,30 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
     rows: list[ExponentRow] = []
     for T in grid:
         if mode == "oracle":
+            # a zero float minimum is saturated below
             res = count_values_bruteforce(form, xi, t, T, 0.0, cap=cap)
-            min_resid = res.min_residual
-            exact_zero = min_resid == 0.0
+            min_resid, exact_zero = res.min_residual, False
         else:
-            best: Optional[FixedReal] = None
             m_max = _scan_length(xi, eta, T, scan_c)
             _check_orbit_radius(xi, eta, m_max, DEFAULT_REDUCTION_TOL)
-            for m in range(1, m_max + 1):
-                a, b, _, _ = _offset_at(xi, m, eta)
-                v = (0, a, b - m * a)
-                if a * a + v[2] * v[2] > T * T:
-                    continue
-                r = abs(evaluate_shifted(standard_form(), xi, v) - eta.t)
-                if best is None or r.midpoint() < best.midpoint():
-                    best = r
-            if best is None:
+            # the least midpoint is at most every upper bound, so only steps whose
+            # window reaches below the least one (least_hi) can hold it; the steps
+            # kept against the running least_hi are a superset of those
+            least_hi, kept = math.inf, []
+            for _, _, v, _, _ in _lattice_steps(xi, eta, T, range(1, m_max + 1)):
+                lo, hi = _midpoint_window(xi, eta, v)
+                if lo <= least_hi:
+                    kept.append((lo, v))
+                    least_hi = min(least_hi, hi)
+            if not kept:
                 raise ValidationError(f"no step survived the norm filter at T={T}")
-            min_resid = best.to_float()
-            exact_zero = best.exact == 0
+            # each v is evaluated once, at its smallest m, and min keeps the first
+            # of equal midpoints
+            near = dict.fromkeys(v for lo, v in kept if lo <= least_hi)
+            r = min((abs(evaluate_shifted(standard_form(), xi, v) - eta.t) for v in near),
+                    key=FixedReal.midpoint)
+            min_resid = r.to_float()
+            exact_zero = r.exact == 0
         if exact_zero or min_resid == 0.0:
             rows.append(ExponentRow(T, 0.0, math.inf, True))
         else:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,16 @@ class TestCliRuns:
                         "--t=1/3", "--T", "100,10000,1000000,100000000"])
         assert code == 2
         assert "precision exhausted:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scan_c", ["1e308", "1e15"])
+    def test_exponent_zero_alpha_huge_scan_c_ends(self, scan_c, capsys):
+        started = time.perf_counter()
+        code = run_cli(["exponent", "--mode", "solver", "--xi", "0/1 1/2 0/1", "--t", "0/1",
+                        "--T", "100", "--scan-c", scan_c])
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        assert out.splitlines() == ["T,min_residual,omega_hat,saturated", "100,0.25,0.30102999566398114,0"]
 
     def test_nu_beyond_certified_range_warns_not_rejects(self, tmp_path, capsys):
         out = tmp_path / "warn.csv"

@@ -112,6 +112,10 @@ class TestSOQInvariants:
         with pytest.raises(ValidationError):
             SOQMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 2)))
 
+    def test_unit_determinant_non_isometry_rejected(self):
+        with pytest.raises(ValidationError, match="does not preserve the standard form"):
+            SOQMatrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+
     def test_sl2_determinant_enforced(self):
         with pytest.raises(ValidationError):
             SL2Matrix(1, 1, 1, 1)

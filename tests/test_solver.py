@@ -177,6 +177,46 @@ def offset_steps():
         yield steps
 
 
+def exponent_reference(xi, t, T_grid, scan_c=1.0, midpoints=None):
+    """Solver-mode estimate_critical_exponent through a form evaluation at every step.
+
+    Appends the least midpoint of each T to ``midpoints`` when it is given.
+    """
+    grid = [int(x) for x in T_grid]
+    eta = target_lift(xi.alpha, t)
+    rows = []
+    for T in grid:
+        best = None
+        m_max = solver_mod._scan_length(xi, eta, T, scan_c)
+        solver_mod._check_orbit_radius(xi, eta, m_max, solver_mod.DEFAULT_REDUCTION_TOL)
+        for m in range(1, m_max + 1):
+            a, b, _, _ = solver_mod._offset_at(xi, m, eta)
+            v = (0, a, b - m * a)
+            if a * a + v[2] * v[2] > T * T:
+                continue
+            r = abs(evaluate_shifted(STD, xi, v) - eta.t)
+            if best is None or r.midpoint() < best.midpoint():
+                best = r
+        if best is None:
+            raise ValidationError(f"no step survived the norm filter at T={T}")
+        if midpoints is not None:
+            midpoints.append(best.midpoint())
+        min_resid = best.to_float()
+        if best.exact == 0 or min_resid == 0.0:
+            rows.append(solver_mod.ExponentRow(T, 0.0, math.inf, True))
+        else:
+            rows.append(solver_mod.ExponentRow(T, min_resid, -math.log(min_resid) / math.log(T), False))
+    return rows
+
+
+def outcome(fn, *args, **kwargs):
+    """The value of fn(*args, **kwargs), or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 # sqrt:, surd: and rational literals, both signs
 literals = st.one_of(
     st.integers(2, 10**6).map(lambda d: f"sqrt:{d}"),
@@ -639,3 +679,105 @@ class TestExponent:
     def test_bad_mode(self, xi_sqrt2):
         with pytest.raises(ValidationError):
             estimate_critical_exponent(xi_sqrt2, 0, (20,), mode="magic")
+
+    def test_solver_mode_evaluates_the_form_once_per_T(self, xi_sqrt2):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return evaluate_shifted(*args, **kwargs)
+
+        grid = (100, 10**4, 10**6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "evaluate_shifted", counting)
+            rows = estimate_critical_exponent(xi_sqrt2, Fraction(1, 3), grid, mode="solver")
+        assert len(calls) == len(grid)
+        assert rows == exponent_reference(xi_sqrt2, Fraction(1, 3), grid)
+
+    @pytest.mark.parametrize("lits", [("0/1", "1/2", "0/1"), ("0/1", "1/3", "1/5"),
+                                      ("0/1", "1/1", "1/2"), ("0/1", "-5/2", "7/3")])
+    @pytest.mark.parametrize("scan_c", [1e15, 1e308])
+    def test_zero_alpha_huge_scan_c_ends(self, lits, scan_c):
+        # with alpha = 0 the offset a is the same at every step, and v3 grows
+        # like m*G for the gap G of a, or repeats with period 2 when G = 0;
+        # with t = 0 every step has the same residual, so the exponent
+        # evaluates the form at each distinct v, about 10^4 of them at T = 10^4
+        xi = ShiftVector(*(parse_real(lit) for lit in lits))
+        grid = (4, 100, 10**4)
+        started = time.perf_counter()
+        rows = estimate_critical_exponent(xi, 0, grid, mode="solver", scan_c=scan_c)
+        rep = find_solutions(xi, 0, 100, 0.3, scan_c=scan_c)
+        assert time.perf_counter() - started < 5.0
+        cut = solver_mod._scan_length
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_scan_length", lambda *args: 3 * cut(*args))
+            assert estimate_critical_exponent(xi, 0, grid, mode="solver", scan_c=scan_c) == rows
+            assert find_solutions(xi, 0, 100, 0.3, scan_c=scan_c).to_dict() == rep.to_dict()
+
+
+# dyadic rationals, whose mantissas are exact
+dyadics = st.tuples(st.integers(-3000, 3000), st.integers(0, 12)).map(lambda p: f"{p[0]}/{1 << p[1]}")
+# small denominators, whose orbit residuals repeat, so that many steps tie
+small_fractions = st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(lambda p: f"{p[0]}/{p[1]}")
+
+
+class TestExponentDifferential:
+    @given(lits=st.tuples(st.one_of(literals, dyadics, small_fractions, st.just("0/1")),
+                          st.one_of(literals, dyadics, small_fractions),
+                          st.one_of(literals, dyadics, small_fractions)),
+           t_lit=st.one_of(literals, dyadics, small_fractions, st.just("0/1")),
+           grid=st.lists(st.sampled_from([4, 10, 100, 1000, 10**4, 10**5]), min_size=1, max_size=3,
+                         unique=True).map(sorted),
+           scan_c=st.floats(0.5, 5), F=st.sampled_from([64, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_solver_mode_matches_per_step_reference(self, lits, t_lit, grid, scan_c, F):
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        t = parse_real(t_lit, F)
+        got = outcome(estimate_critical_exponent, xi, t, grid, mode="solver", scan_c=scan_c)
+        assert got == outcome(exponent_reference, xi, t, grid, scan_c)
+
+    def test_saturated_rows_match(self):
+        # exact zeros with non-dyadic and dyadic data
+        for lits, t in ((("1/3", "1/2", "0/1"), "1/4"), (("1/2", "0/1", "1/2"), "-1/1")):
+            xi = ShiftVector(*(parse_real(lit) for lit in lits))
+            rows = estimate_critical_exponent(xi, parse_real(t), (10, 100), mode="solver")
+            assert all(r.saturated for r in rows)
+            assert rows == exponent_reference(xi, parse_real(t), (10, 100))
+
+    @pytest.mark.parametrize("lits, t_lit, F, scan_c, grid", [
+        (("1/3", "1/3", "1/7"), "1/7", 128, 1.0, (100, 10**4, 10**6)),
+        (("2/7", "3/5", "1/3"), "1/3", 128, 5.0, (100, 10**4, 10**6)),
+        # refused: at F = 64 the radius of a non-dyadic input is the whole tolerance
+        (("1/3", "1/3", "1/7"), "1/7", 64, 1.0, (100, 10**4, 10**6)),
+        (("2/7", "3/5", "1/3"), "1/3", 64, 5.0, (100,)),
+        # tied exact residuals whose form evaluations differ in the last ulp
+        (("-19/10", "-28/5", "-21/8"), "21/8", 128, 4.049255080109809, (10**4,)),
+        (("35/12", "30/9", "-33/5"), "-16/4", 96, 2.844849526576636, (10**4,)),
+        (("-13/12", "21/9", "-17/1"), "28/6", 128, 3.402789249467379, (100,)),
+        (("28/5", "1/10", "26/2"), "16/4", 128, 2.6671988706743917, (100,)),
+    ])
+    def test_small_denominators_pick_the_least_midpoint(self, lits, t_lit, F, scan_c, grid):
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        t = parse_real(t_lit, F)
+        eta_t = target_lift(xi.alpha, t).t
+        want = []
+        expected = outcome(exponent_reference, xi, t, grid, scan_c, want)
+        got_rows, got = [], []
+        for T in grid:
+            seen = []
+
+            def recording(*args, **kwargs):
+                q = evaluate_shifted(*args, **kwargs)
+                seen.append(abs(q - eta_t).midpoint())
+                return q
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver_mod, "evaluate_shifted", recording)
+                rows = outcome(estimate_critical_exponent, xi, t, (T,), mode="solver", scan_c=scan_c)
+            if not isinstance(rows, list):
+                got_rows = rows
+                break
+            got_rows += rows
+            got.append(min(seen))
+        assert got_rows == expected
+        assert got == want

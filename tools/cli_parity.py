@@ -1,0 +1,167 @@
+"""Compare the CLI output of the working tree with that of a git revision.
+
+    python tools/cli_parity.py [REV]
+
+Extracts ``src/`` of REV (default HEAD) with ``git archive`` into a temporary
+directory and runs a fixed list of ``python -m qdensity`` calls once against
+it and once against the working tree's ``src/``, each call in its own
+subprocess and its own empty working directory, JOBS calls at a time.  For
+every call it compares the stdout bytes, the stderr text and the exit code; a
+call that outlives TIMEOUT_S seconds is killed and reads as exit code
+``timeout``.  It prints a summary and every difference, and exits 1 if any
+call differs.
+
+The call list:
+  - the examples in README.md, written to stdout instead of ``--out``
+  - ``perfbench.workloads.calls_for`` for every workload and seeds 0-3
+    (perfbench is only imported, never run or written to)
+  - solve and solver-mode exponent configs drawn with a fixed seed
+  - two zero-alpha solver-mode exponent calls with a huge ``--scan-c``
+
+Needs only the standard library and git; about two minutes on 2 cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import re
+import shlex
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 30
+JOBS = 2
+SEEDS = range(4)
+DRAW_SEED = 20240805
+DRAWN_CALLS = 60   # of each of solve and solver-mode exponent
+
+ZERO_ALPHA_CALLS = [
+    ["exponent", "--mode", "solver", "--xi", "0/1 1/2 0/1", "--t", "0/1", "--T", "100",
+     "--scan-c", scan_c]
+    for scan_c in ("1e308", "1e15")
+]
+
+
+def readme_calls() -> list[list[str]]:
+    """The `qdensity <subcommand> ...` example lines of README.md, without --out."""
+    calls = []
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        for line in fh:
+            if not re.match(r"qdensity [a-z]", line):
+                continue
+            argv = shlex.split(line)[1:]
+            while "--out" in argv:
+                i = argv.index("--out")
+                del argv[i:i + 2]
+            calls.append(argv)
+    return calls
+
+
+def perfbench_calls() -> list[list[str]]:
+    sys.dont_write_bytecode = True   # leave perfbench/ as it is
+    sys.path.insert(0, ROOT)
+    from perfbench import workloads
+
+    return [argv for seed in SEEDS for w in workloads.WORKLOADS
+            for argv in workloads.calls_for(w, seed, 2)]
+
+
+def drawn_calls() -> list[list[str]]:
+    """Random solve and solver-mode exponent configs from a fixed seed."""
+    rng = random.Random(DRAW_SEED)
+
+    def real() -> str:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return f"sqrt:{rng.randrange(2, 10**6)}"
+        if kind == 1:
+            return "surd:{},{},{},{}".format(rng.randint(-50, 50), rng.randint(-50, 50),
+                                             rng.randint(1, 50), rng.randint(2, 1000))
+        if kind == 2:
+            return f"{rng.randint(-300, 300)}/{1 << rng.randint(0, 10)}"
+        if kind == 3:
+            return f"dec:{rng.uniform(-3, 3):.{rng.randint(1, 12)}f}"
+        return f"{rng.randint(-12, 12)}/{rng.randint(1, 12)}"
+
+    def common() -> list[str]:
+        return ["--xi", " ".join(real() for _ in range(3)), f"--t={real()}",
+                "--precision", rng.choice(["64", "256", "512"]),
+                "--scan-c", f"{rng.uniform(0.5, 5):.3g}"]
+
+    calls = []
+    for _ in range(DRAWN_CALLS):
+        T = rng.choice([10**4, 10**5, 10**6, 10**7, 10**8])
+        gap = ["--nu", "0.1"] if rng.random() < 0.5 else ["--delta", f"{rng.uniform(0.01, 0.45):.3g}"]
+        calls.append(["solve", *common(), "--T", str(T), *gap, "--q-max", "1000"])
+    for _ in range(DRAWN_CALLS):
+        grid = sorted(rng.sample([4, 100, 10**4, 10**5, 10**6, 10**7], rng.randint(1, 3)))
+        calls.append(["exponent", "--mode", "solver", *common(), "--T", ",".join(map(str, grid))])
+    return calls
+
+
+def run(src: str, argv: list[str]) -> tuple[str, bytes, str]:
+    """(exit code, stdout bytes, stderr text) of one CLI call against src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    with tempfile.TemporaryDirectory() as cwd:
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qdensity", *argv], cwd=cwd, env=env,
+                                  capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired as exc:
+            return "timeout", exc.stdout or b"", (exc.stderr or b"").decode(errors="replace")
+    # a traceback names the files of its own src/
+    return str(proc.returncode), proc.stdout, proc.stderr.decode(errors="replace").replace(src, "<src>")
+
+
+def extract_src(rev: str, dest: str) -> str:
+    archive = os.path.join(dest, "src.tar")
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "-C", ROOT, "archive", rev, "src"], stdout=fh, check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    return os.path.join(dest, "src")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("rev", nargs="?", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+
+    calls: list[list[str]] = []
+    for argv_ in readme_calls() + perfbench_calls() + drawn_calls() + ZERO_ALPHA_CALLS:
+        if argv_ not in calls:
+            calls.append(argv_)
+
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        old_src = extract_src(args.rev, tmp)
+        new_src = os.path.join(ROOT, "src")
+        jobs = [(src, c) for c in calls for src in (old_src, new_src)]
+        with ThreadPoolExecutor(JOBS) as pool:
+            results = list(pool.map(lambda job: run(*job), jobs))
+
+    diffs = 0
+    exits: dict[str, int] = {}
+    for i, call in enumerate(calls):
+        old, new = results[2 * i], results[2 * i + 1]
+        exits[new[0]] = exits.get(new[0], 0) + 1
+        if old == new:
+            continue
+        diffs += 1
+        print(f"DIFF qdensity {shlex.join(call)}")
+        for side, (code, out, err) in (("rev", old), ("tree", new)):
+            print(f"  {side}: exit {code}, stdout {out[:200]!r}, stderr {err[-300:]!r}")
+    exit_list = ", ".join(f"{n} exit {c}" for c, n in sorted(exits.items()))
+    print(f"{len(calls)} calls against {args.rev}: {len(calls) - diffs} identical, {diffs} differ "
+          f"(working tree: {exit_list}); {time.perf_counter() - started:.0f} s")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
