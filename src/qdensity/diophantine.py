@@ -177,7 +177,7 @@ def estimate_kappa(alpha: FixedReal, q_max: int) -> DiophantineEstimate:
     cf, conv = _expand_until(alpha, q_max)
     if cf.rational:
         raise RationalDetected("continued fraction terminated")
-    if conv[-1].q <= q_max:
+    if not conv or conv[-1].q <= q_max:
         raise PrecisionExhausted("could not certify convergents through q_max")
     all_pts = [(c.q, c.dist.to_float()) for c in conv if c.q <= q_max]
     pts = [(q, d) for q, d in all_pts if q >= 2]
@@ -195,9 +195,15 @@ def estimate_kappa(alpha: FixedReal, q_max: int) -> DiophantineEstimate:
         sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
         slope = sxy / sxx
     kappa_hat = max(1.0, slope)
+    def term(q: int, d: float) -> float:
+        e = kappa_hat * math.log(q)
+        # past e^700 the power overflows: take logs and cap at 1, above the
+        # q = 1 term (below 1), so a capped term is never the minimum
+        return d * q**kappa_hat if e <= 700 else math.exp(min(math.log(d) + e, 0.0))
+
     # the constant covers every convergent in range, q = 1 included, shaved by
     # one part in 1e12 so float rounding cannot break the certificate
-    c_hat = min(d * q**kappa_hat for q, d in all_pts) * (1.0 - 1e-12)
+    c_hat = min(term(q, d) for q, d in all_pts) * (1.0 - 1e-12)
     return DiophantineEstimate(kappa_hat, c_hat, q_max, local)
 
 

@@ -11,8 +11,8 @@ congruential generator with Knuth's MMIX constants
 so runs are reproducible across platforms from the seed alone.  CSV output is
 RFC-4180 style (CRLF, header row, '.' decimal separator) with floats printed
 to 17 significant digits; identical configurations produce byte-identical
-files regardless of the thread count, because cells are dispatched in config
-order and reassembled in that order.
+files.  Every subcommand computes its cells in config order on the calling
+thread; ``threads`` is accepted for compatibility and selects nothing.
 
 Exit codes: 0 success, 1 usage, validation or rational-input error, 2
 precision exhausted, 3 internal soundness tripwire.
@@ -24,7 +24,6 @@ import argparse
 import csv
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -82,6 +81,16 @@ def _int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p.strip()]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+_positive_int.__name__ = "int"  # named by the type it parses, like the plain int rows
+
+
 def _mode(text: str) -> str:
     if text not in ("oracle", "solver"):
         raise ValueError("expected oracle or solver")
@@ -91,7 +100,7 @@ def _mode(text: str) -> str:
 OPTIONS = (
     Option("precision", int, "256", "fractional bits (>= 64)"),
     Option("seed", int, "2025", "64-bit RNG seed"),
-    Option("threads", int, "1", "worker threads for independent cells"),
+    Option("threads", _positive_int, "1", "accepted for compatibility; runs use one thread"),
     Option("xi", str, "", "three real literals, space separated"),
     Option("v0", str, "0/1 0/1", "two real literals, space separated"),
     Option("t", str, "0/1", "target value literal"),
@@ -176,13 +185,6 @@ class RunConfig:
             raise ValidationError(f"precision must be >= {MIN_PRECISION}")
         return F
 
-    @property
-    def threads(self) -> int:
-        n = self["threads"]
-        if n < 1:
-            raise ValidationError("threads must be >= 1")
-        return n
-
     def xi(self, F: Optional[int] = None) -> ShiftVector:
         parts = (self["xi"] or "").split()
         if len(parts) != 3:
@@ -251,14 +253,6 @@ def write_csv(out_path: Optional[str], header: Sequence[str], rows: Sequence[Seq
         emit(sys.stdout)
 
 
-def _map_cells(threads: int, fn, cells: list):
-    """Apply fn to cells, concurrently when asked, preserving config order."""
-    if threads <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with a*x + b*y = g."""
     old_r, r = a, b
@@ -294,18 +288,16 @@ def run_solve(cfg: RunConfig):
     if a is not None or c is not None:
         if a is None or c is None:
             raise ValidationError("supply both a and c or neither")
-        if math.gcd(abs(a), abs(c)) != 1:
-            raise ValidationError("(a, c) must be coprime")
         M = _direction_matrix(a, c)
-        alpha_tilde = isometries.apply(xi, M).alpha
-        if alpha_tilde.exact is not None:
+        xi_t = isometries.apply(xi, M)
+        if xi_t.alpha.exact is not None:
             raise AllRational("supplied direction produces a rational combination")
-        est = diophantine.estimate_kappa(alpha_tilde, cfg["q_max"])
+        est = diophantine.estimate_kappa(xi_t.alpha, cfg["q_max"])
     else:
         choice = diophantine.diophantine_direction(xi, cfg["direction_bound"], cfg["q_max"])
         a, c, est = choice.a, choice.c, choice.estimate
         M = _direction_matrix(a, c)
-    xi_t = isometries.apply(xi, M)
+        xi_t = isometries.apply(xi, M)
 
     grid = cfg.range_grid()
     if len(grid) != 1:
@@ -353,20 +345,13 @@ def run_count_orbit(cfg: RunConfig):
     F = cfg.precision
     xi = cfg.xi(F)
     v0 = cfg.v0(F)
-    cells = []
-    for T in cfg.range_grid():
-        delta = cfg.check_delta(cfg.delta_for(T))
-        cells.append((T, delta))
-
+    # every delta is checked before the first scan, so a bad one costs no kernel work
+    cells = [(T, cfg.check_delta(cfg.delta_for(T))) for T in cfg.range_grid()]
     rational = 1 if xi.alpha.exact is not None else 0
-
-    def one(cell):
-        T, delta = cell
+    rows = []
+    for T, delta in cells:
         n = weyl_sums.count_orbit_hits(xi.alpha, xi.beta, xi.gamma, v0, T, delta)
-        ratio = n / (math.pi * T * delta * delta)
-        return (T, delta, n, ratio, rational)
-
-    rows = _map_cells(cfg.threads, one, cells)
+        rows.append((T, delta, n, n / (math.pi * T * delta * delta), rational))
     return [], ("T", "delta", "n_phi", "ratio", "rational"), rows
 
 
@@ -376,17 +361,9 @@ _LEMMA_ALPHAS = (("sqrt:2", "sqrt:2"), ("golden", "surd:1,1,2,5"))
 def run_verify_lemmas(cfg: RunConfig):
     F = cfg.precision
     n_list, T_list, betas_per_case, M = cfg["n_list"], cfg["T_list"], cfg["betas"], cfg["M"]
-    rng = Lcg64(cfg["seed"])
     alphas = [(label, parse_real(lit, F)) for label, lit in _LEMMA_ALPHAS]
 
-    # draw every beta up front, in config order, so threading cannot reorder them
-    cells = []
-    for label, alpha in alphas:
-        for n in n_list:
-            for T in T_list:
-                for _ in range(betas_per_case):
-                    cells.append((label, alpha, n, T, rng.next_unit(F)))
-
+    # every bound is computed before the first Weyl sum, so a bad n, T or M costs no sum
     bound_cache: dict[tuple[str, int, int], float] = {}
     summin_cache: dict[tuple[str, int], tuple[float, float]] = {}
     for label, alpha in alphas:
@@ -400,17 +377,18 @@ def run_verify_lemmas(cfg: RunConfig):
             )
 
     rel = 1e-6
-
-    def one(cell):
-        label, alpha, n, T, beta = cell
-        s = weyl_sums.weyl_sum(n, alpha, beta, T)
-        s2 = s.magnitude() ** 2
-        bound = bound_cache[(label, n, T)]
-        sm, sm_bound = summin_cache[(label, T)]
-        ok = s2 <= bound * (1.0 + rel) and sm <= sm_bound * (1.0 + rel)
-        return (label, n, T, beta.to_float(), s2, bound, sm, sm_bound, 1 if ok else 0)
-
-    rows = _map_cells(cfg.threads, one, cells)
+    rng = Lcg64(cfg["seed"])
+    rows = []
+    for label, alpha in alphas:
+        for n in n_list:
+            for T in T_list:
+                bound = bound_cache[(label, n, T)]
+                sm, sm_bound = summin_cache[(label, T)]
+                for _ in range(betas_per_case):
+                    beta = rng.next_unit(F)
+                    s2 = weyl_sums.weyl_sum(n, alpha, beta, T).magnitude() ** 2
+                    ok = s2 <= bound * (1.0 + rel) and sm <= sm_bound * (1.0 + rel)
+                    rows.append((label, n, T, beta.to_float(), s2, bound, sm, sm_bound, int(ok)))
     header = ("alpha", "n", "T", "beta", "s2", "differencing_bound", "sum_min", "explicit_bound", "pass")
     return [], header, rows
 
@@ -467,13 +445,10 @@ def run_oracle_count(cfg: RunConfig):
         raise ValidationError("oracle-count needs delta")
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    cap = cfg["cap"]
-
-    def one(T):
-        res = solver.count_values_bruteforce(form, xi, t_fix, T, delta, cap=cap)
-        return (T, delta, res.count, res.min_residual, *res.argmin)
-
-    rows = _map_cells(cfg.threads, one, list(grid))
+    rows = []
+    for T in grid:
+        res = solver.count_values_bruteforce(form, xi, t_fix, T, delta, cap=cfg["cap"])
+        rows.append((T, delta, res.count, res.min_residual, *res.argmin))
     return [], ("T", "delta", "count", "min_residual", "v1", "v2", "v3"), rows
 
 

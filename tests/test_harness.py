@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -279,6 +280,80 @@ class TestDeterminism:
         assert b"\r\n" in out.read_bytes()
 
 
+# a quick valid run of each subcommand
+_QUICK = {
+    "solve": ["--xi", "sqrt:2 0/1 0/1", "--T", "100", "--delta", "0.2", "--q-max", "1000"],
+    "count-orbit": ["--xi", "sqrt:2 0/1 0/1", "--T", "100,200", "--delta", "0.2"],
+    "verify-lemmas": ["--n-list", "1", "--T-list", "10", "--betas", "2"],
+    "kappa": ["--alpha", "sqrt:2", "--q-max", "1000"],
+    "exponent": ["--xi", "sqrt:2 0/1 0/1", "--T", "10,20"],
+    "oracle-count": ["--xi", "sqrt:2 0/1 0/1", "--T", "5,6", "--delta", "0.25"],
+}
+
+
+class TestOneThread:
+    def test_cells_run_on_the_calling_thread(self, monkeypatch):
+        from qdensity import harness
+
+        seen = []
+
+        def record(fn):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((harness.solver, "count_values_bruteforce"),
+                             (harness.weyl_sums, "count_orbit_hits"),
+                             (harness.weyl_sums, "weyl_sum")):
+            monkeypatch.setattr(module, name, record(getattr(module, name)))
+        for sub in ("count-orbit", "verify-lemmas", "oracle-count"):
+            assert _run_quiet([sub, *_QUICK[sub], "--threads", "4"])[0] == 0
+        names = [name for name, _ in seen]
+        assert all(names.count(n) >= 2 for n in ("count_values_bruteforce", "count_orbit_hits", "weyl_sum"))
+        assert {ident for _, ident in seen} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_threads_below_one_exits_1(self, sub):
+        assert _run_quiet([sub, *_QUICK[sub]])[0] == 0
+        code, err = _run_quiet([sub, *_QUICK[sub], "--threads", "0"])
+        assert code == 1 and "error: bad threads value '0'" in err, err
+
+
+# shifts whose direction scan certifies no convergent: exit 2, not an IndexError
+_NO_CONVERGENT = [
+    ["kappa", "--xi", "dec:-1.4259 dec:-2.0 sqrt:490512"],
+    ["solve", "--xi", "dec:-1.4259 dec:-2.0 sqrt:490512", "--t", "0/1", "--T", "10", "--delta", "0.1"],
+    ["solve", "--xi", "dec:-1.4259 dec:-2.0 sqrt:490512", "--t=-9/8", "--precision", "512",
+     "--scan-c", "1.08", "--T", "10000000", "--delta", "0.362", "--q-max", "1000"],
+    ["solve", "--xi", "-25/512 sqrt:418413 dec:-2.6", "--t=-4/8", "--precision", "512",
+     "--T", "100000000", "--nu", "0.1", "--q-max", "1000"],
+]
+
+# shifts with a direction whose fitted slope is steep enough to overflow q**kappa_hat
+_STEEP_SLOPE = [
+    ["solve", "--xi", "surd:15,50,15,142 surd:45,-18,8,677 sqrt:240107", "--t=dec:-2.5936",
+     "--precision", "256", "--scan-c", "4.72", "--T", "1000000", "--nu", "0.1", "--q-max", "1000"],
+    ["solve", "--xi", "dec:0.85525417918 dec:-0.74146473108 sqrt:679852", "--t=11/11",
+     "--precision", "64", "--T", "100000", "--nu", "0.1", "--q-max", "1000"],
+    ["solve", "--xi", "sqrt:2 sqrt:3 1/2", "--t", "dec:0.7", "--T", "2000", "--delta", "0.1",
+     "--direction-bound", "10", "--q-max", "1000"],
+]
+
+
+class TestKappaRefusals:
+    @pytest.mark.parametrize("argv", _NO_CONVERGENT, ids=["kappa", "solve", "found-1", "found-2"])
+    def test_no_certified_convergent_exits_2(self, argv):
+        code, err = _run_quiet(argv)
+        assert code == 2 and "Traceback" not in err, err
+        assert any(line.startswith("precision exhausted:") for line in err.splitlines()), err
+
+    @pytest.mark.parametrize("argv", _STEEP_SLOPE, ids=["found-1", "found-2", "sqrt2-sqrt3"])
+    def test_steep_slope_exits_cleanly(self, argv):
+        code, err = _run_quiet(argv)
+        assert code in (0, 1, 2) and "Traceback" not in err, err
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
@@ -294,7 +369,8 @@ def test_module_entry_point(tmp_path):
 # flag -> candidate values, valid and malformed; sizes stay small so each call is quick
 _FUZZ_VALUES = {
     "--xi": ["sqrt:2 0/1 0/1", "sqrt:2 sqrt:3 1/2", "1/3 1/5 2/7", "0 0 0", "sqrt:2 0",
-             "sqrt:-2 0 0", "1/0 0 0", "x y z", "surd:1,1,0,5 0 0", "dec:1.5e3 0 0", ""],
+             "sqrt:-2 0 0", "1/0 0 0", "x y z", "surd:1,1,0,5 0 0", "dec:1.5e3 0 0", "",
+             "dec:-1.4259 dec:-2.0 sqrt:490512", "dec:0.85525417918 dec:-0.74146473108 sqrt:679852"],
     "--alpha": ["sqrt:2", "surd:1,1,2,5", "dec:0.5", "0", "1/0", "sqrt:x", ""],
     "--v0": ["0/1 0/1", "3/10 7/10", "1/0 0", "a b", "0"],
     "--t": ["0/1", "1/3", "dec:3.14", "sqrt:2", "nan", "1/0", "-21/64", "=-21/64"],
@@ -364,6 +440,18 @@ class TestCliFuzz:
     @example(sub="solve", flags=[("--xi", "sqrt:2 0/1 0/1"), ("--scan-c", "inf")])
     @example(sub="solve", flags=[("--bogus", None)])
     @example(sub="solve", flags=[("--t", "-21/64")])
+    @example(sub="solve", flags=[
+        ("--xi", "dec:-1.4259 dec:-2.0 sqrt:490512"), ("--t", "=-9/8"), ("--precision", "512"),
+        ("--scan-c", "1.08"), ("--T", "10000000"), ("--delta", "0.362")])
+    @example(sub="solve", flags=[
+        ("--xi", "=-25/512 sqrt:418413 dec:-2.6"), ("--t", "=-4/8"), ("--precision", "512"),
+        ("--T", "100000000"), ("--nu", "0.1")])
+    @example(sub="solve", flags=[
+        ("--xi", "surd:15,50,15,142 surd:45,-18,8,677 sqrt:240107"), ("--t", "=dec:-2.5936"),
+        ("--scan-c", "4.72"), ("--T", "1000000"), ("--nu", "0.1")])
+    @example(sub="solve", flags=[
+        ("--xi", "dec:0.85525417918 dec:-0.74146473108 sqrt:679852"), ("--t", "=11/11"),
+        ("--precision", "64"), ("--T", "100000"), ("--nu", "0.1")])
     @settings(max_examples=60, deadline=None)
     def test_every_input_exits_cleanly(self, sub, flags):
         code, err = _run_quiet(_fuzz_argv(sub, flags))
