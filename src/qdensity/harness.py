@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -470,6 +471,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qdensity",

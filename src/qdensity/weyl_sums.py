@@ -3,8 +3,9 @@
 Everything phase-like is reduced mod 1 in integer mantissa arithmetic before
 any floating-point call: for a polynomial phase at m ~ 1e6 a double loses the
 entire fractional part, while mantissa addition mod 2**F is exact, so the only
-uncertainty is the propagated input radius.  The hot loops run on raw
-mantissas with exact second-difference recurrences.
+uncertainty is the propagated input radius.  The orbit scan runs a uint64
+block filter, then the bigint per-step test; the sums run on raw mantissas
+with exact second-difference recurrences.
 
 Hit tests against a threshold are three-valued: certainly inside, certainly
 outside, or ambiguous within the certified radius.  One orbit scan makes
@@ -21,12 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .errors import PrecisionExhausted, ValidationError
 from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_REDUCTION_TOL = Fraction(1, 1 << 64)
 DEFAULT_PHASE_TOL = Fraction(1, 1 << 30)
+# Steps per block of the orbit filter; this caps the size of its numpy temporaries.
+_BLOCK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,12 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
 
     Yields (m, True) for each step certainly within thr (closed comparison)
     and (m, False) for each ambiguous step, in increasing m; certain misses
-    are skipped.  Steps the whole-scan margin cannot decide are redone with
-    the per-m radius, then exactly when every input carries its exact value;
-    what is still undecided is left to the caller's policy.  The reference
-    point need not be reduced mod 1.
+    are skipped.  A uint64 block filter drops the steps it can prove to be
+    certain misses; every other step takes the bigint test.  Steps the
+    whole-scan margin cannot decide are redone with the per-m radius, then
+    exactly when every input carries its exact value; what is still undecided
+    is left to the caller's policy.  The reference point need not be reduced
+    mod 1.
     """
     F = alpha.F
     S = 1 << F
@@ -121,32 +128,70 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
         ry = min(ry, 1 - ry)
         return rx * rx + ry * ry <= thr_sq
 
+    # The filter works in units of 2^-64 on the top 64 bits of each value mod
+    # 2^F: top64(v) = (v mod 2^F) / 2^s rounded down, with s = F - 64.
+    s = F - 64
+
+    def top64(v: int) -> np.uint64:
+        v &= mask
+        return np.uint64(v >> s if s >= 0 else v << -s)
+
+    # base > miss_lim follows from lo^2 > q for the lower bound lo of the
+    # folded differences in units of 2^-64; a lower bound of at most 2^127
+    # never passes the cap 2^128, so a threshold past the whole torus drops nothing
+    q = min((miss_lim >> 2 * s if s >= 0 else miss_lim << -2 * s) + 1, 1 << 128)
+    # lx*lx + ly*ly below overstates lo^2 by a factor under (1 + 2^-53)^4 (a
+    # conversion, a square and the sum on each term), and float(q) may round
+    # down by 2^-53; the factor 1 + 2^-48 covers both
+    cut = float(q) * (1.0 + 2.0 ** -48)
+
     # exact integer recurrences on unreduced mantissas, offset by H so that
     # (x & mask) - H is the difference to the reference folded into [-1/2, 1/2)
     x = 2 * A + B + H - vx.mant     # 2*alpha*m + beta at m = 1
     y = A + B + C + H - vy.mant     # alpha*m^2 + beta*m + gamma at m = 1
     dy = 3 * A + B                  # second coordinate first difference
     step = 2 * A                    # first coordinate step = second difference
-    for m in range(1, T + 1):
-        gx = (x & mask) - H
-        gy = (y & mask) - H
-        base = gx * gx + gy * gy
-        if base <= hit_lim:
-            yield m, True
-        elif base <= miss_lim:
-            # near the boundary: redo the margin with the per-m radius
-            Em = _orbit_radius(alpha, beta, gamma, m) + ev
-            gm = 2 * Em * (abs(gx) + abs(gy)) + 2 * Em * Em
-            if (base + gm) * den <= num:
+
+    n = min(_BLOCK_STEPS, T)
+    k = np.arange(n, dtype=np.uint64)
+    tri = (k * (k - 1)) >> np.uint64(1)
+    # truncating x0, y0, dy and step to 64 bits leaves the block values short
+    # by less than k + 1 (x) and k(k-1)/2 + k + 1 (y) units of 2^-64
+    x_err = k + np.uint64(1)
+    y_err = tri + x_err
+    half = np.uint64(1 << 63)
+    P = top64(step)
+    for m0 in range(1, T + 1, n):
+        cnt = min(n, T + 1 - m0)
+        # fold u - 2^63 onto the 64-bit circle: min(a, 2^64 - a) is |u - 2^63|
+        u = (top64(x) + P * k[:cnt]) ^ half
+        w = (top64(y) + top64(dy) * k[:cnt] + P * tri[:cnt]) ^ half
+        u = np.minimum(u, -u)
+        w = np.minimum(w, -w)
+        # the circle norm is 1-Lipschitz, so the fold stays short by the same error
+        lx = np.where(u > x_err[:cnt], u - x_err[:cnt], 0).astype(np.float64)
+        ly = np.where(w > y_err[:cnt], w - y_err[:cnt], 0).astype(np.float64)
+        for j in np.flatnonzero(lx * lx + ly * ly <= cut).tolist():
+            m = m0 + j
+            gx = ((x + j * step) & mask) - H
+            gy = ((y + j * dy + (j * (j - 1) >> 1) * step) & mask) - H
+            base = gx * gx + gy * gy
+            if base <= hit_lim:
                 yield m, True
-            elif (base - gm) * den <= num:
-                if not all_exact:
-                    yield m, False
-                elif exact_hit(m):
+            elif base <= miss_lim:
+                # near the boundary: redo the margin with the per-m radius
+                Em = _orbit_radius(alpha, beta, gamma, m) + ev
+                gm = 2 * Em * (abs(gx) + abs(gy)) + 2 * Em * Em
+                if (base + gm) * den <= num:
                     yield m, True
-        x += step
-        y += dy
-        dy += step
+                elif (base - gm) * den <= num:
+                    if not all_exact:
+                        yield m, False
+                    elif exact_hit(m):
+                        yield m, True
+        x += cnt * step
+        y += cnt * dy + (cnt * (cnt - 1) >> 1) * step
+        dy += cnt * step
 
 
 def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,

@@ -477,6 +477,22 @@ class TestOptionTable:
         flags = {f.replace("-", "_") for f in re.findall(r"--([A-Za-z][\w-]*)", table)}
         assert flags and flags <= set(keys)
 
+    def test_main_calls_share_one_parser_and_no_state(self, monkeypatch):
+        from qdensity import harness
+
+        seeds = []
+
+        def record(cfg):
+            seeds.append(cfg["seed"])
+            return [], ["seed"], []
+
+        monkeypatch.setitem(harness.RUNNERS, "kappa", record)
+        _build_parser.cache_clear()
+        assert _run_quiet(_KAPPA + ["--seed", "3"])[0] == 0
+        assert _run_quiet(_KAPPA)[0] == 0
+        assert _build_parser.cache_info().misses == 1
+        assert seeds == [3, int(DEFAULTS["seed"])]
+
 
 # per value parser: a value that fails it, and one it accepts
 _BAD = {"int": "1.5", "_finite": "nan", "_int_list": "4,x", "_mode": "magic"}

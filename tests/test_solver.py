@@ -30,6 +30,8 @@ from qdensity import (
     unipotent,
 )
 from qdensity.forms import TernaryForm
+from qdensity.weyl_sums import _BLOCK_STEPS
+from test_weyl_sums import scan_orbit_reference
 
 STD = standard_form()
 
@@ -317,6 +319,19 @@ class TestFindSolutions:
             rep = find_solutions(xi, 0, 1100**2, 0.25 + 2.0**-30, tol=Fraction(1, 1 << 20))
         assert steps == list(range(1, 1024))
         assert [s.v for s in rep.solutions] == [(0, 0, 0)]
+
+    def test_threshold_past_the_torus_matches_reference_scan(self, xi_mixed):
+        # scan_c*delta = 0.75 >= 1/sqrt(2): every step is a certain hit, the
+        # block filter drops none, and the scan crosses a block edge
+        T, delta, scan_c = 10**7, 0.3, 2.5
+        eta = target_lift(xi_mixed.alpha, Fraction(1, 3))
+        assert solver_mod._scan_length(xi_mixed, eta, T, scan_c) > _BLOCK_STEPS
+        rep = find_solutions(xi_mixed, Fraction(1, 3), T, delta, scan_c)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_scan_orbit", scan_orbit_reference)
+            ref = find_solutions(xi_mixed, Fraction(1, 3), T, delta, scan_c)
+        assert rep.count > 0
+        assert rep.to_dict() == ref.to_dict()
 
     def test_exact_boundary_tie(self):
         # the orbit sits at distance exactly 1/4 from the lift at every step

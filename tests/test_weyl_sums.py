@@ -25,10 +25,71 @@ from qdensity import (
     weyl_sum,
 )
 from qdensity.harness import Lcg64
+from qdensity.weyl_sums import _BLOCK_STEPS, _orbit_radius, _scan_orbit
 
 # frozen from 45-digit evaluations
 TWO_SQRT2_MOD1 = 0.8284271247461900976033774484194
 SQRT2_MOD1 = 0.4142135623730950488016887242097
+
+
+def scan_orbit_reference(alpha, beta, gamma, vx, vy, T, thr):
+    """Per-step bigint reference for weyl_sums._scan_orbit: the same yields, no block filter."""
+    F = alpha.F
+    S = 1 << F
+    H = S >> 1
+    mask = S - 1
+    A, B, C = alpha.mant, beta.mant, gamma.mant
+    ev = max(vx.err, vy.err)
+    # the reference radius only shifts the comparison, so it joins the margins
+    E = _orbit_radius(alpha, beta, gamma, T) + ev
+
+    thr_sq = Fraction(thr) ** 2
+    # dist^2 <= thr^2  <=>  (gx^2 + gy^2) * den <= num for the folded ulp differences gx, gy
+    scaled = thr_sq * S * S
+    num, den = scaled.numerator, scaled.denominator
+    # margin covers |true^2 - mid^2| for both coordinates at radius E; the
+    # integer gx^2 + gy^2 is certainly in at <= hit_lim, certainly out above miss_lim
+    margin = 2 * E * S + 2 * E * E
+    hit_lim = num // den - margin
+    miss_lim = num // den + margin
+
+    exacts = (alpha.exact, beta.exact, gamma.exact, vx.exact, vy.exact)
+    all_exact = all(e is not None for e in exacts)
+
+    def exact_hit(m: int) -> bool:
+        ae, be, ce, vxe, vye = exacts
+        rx = (2 * ae * m + be - vxe) % 1
+        ry = (ae * m * m + be * m + ce - vye) % 1
+        rx = min(rx, 1 - rx)
+        ry = min(ry, 1 - ry)
+        return rx * rx + ry * ry <= thr_sq
+
+    # exact integer recurrences on unreduced mantissas, offset by H so that
+    # (x & mask) - H is the difference to the reference folded into [-1/2, 1/2)
+    x = 2 * A + B + H - vx.mant     # 2*alpha*m + beta at m = 1
+    y = A + B + C + H - vy.mant     # alpha*m^2 + beta*m + gamma at m = 1
+    dy = 3 * A + B                  # second coordinate first difference
+    step = 2 * A                    # first coordinate step = second difference
+    for m in range(1, T + 1):
+        gx = (x & mask) - H
+        gy = (y & mask) - H
+        base = gx * gx + gy * gy
+        if base <= hit_lim:
+            yield m, True
+        elif base <= miss_lim:
+            # near the boundary: redo the margin with the per-m radius
+            Em = _orbit_radius(alpha, beta, gamma, m) + ev
+            gm = 2 * Em * (abs(gx) + abs(gy)) + 2 * Em * Em
+            if (base + gm) * den <= num:
+                yield m, True
+            elif (base - gm) * den <= num:
+                if not all_exact:
+                    yield m, False
+                elif exact_hit(m):
+                    yield m, True
+        x += step
+        y += dy
+        dy += step
 
 
 class TestPhi:
@@ -139,6 +200,13 @@ class TestOrbitCounting:
         assert count_orbit_hits(alpha, zero, quarter, v0, 1023, thr, tol=tol) == 1023
         with pytest.raises(PrecisionExhausted, match="ambiguous at m=1024"):
             count_orbit_hits(alpha, zero, quarter, v0, 1024, thr, tol=tol)
+        # alpha = 0 +- 2**-55 certifies m <= 5791, so the first ambiguous step
+        # lies in the second block of the scan
+        alpha = FixedReal(0, 1 << 201, 256)
+        assert _BLOCK_STEPS < 5792 <= 2 * _BLOCK_STEPS
+        assert count_orbit_hits(alpha, zero, quarter, v0, 5791, thr, tol=tol) == 5791
+        with pytest.raises(PrecisionExhausted, match="ambiguous at m=5792;"):
+            count_orbit_hits(alpha, zero, quarter, v0, 3 * _BLOCK_STEPS, thr, tol=tol)
 
     def test_monotone_in_delta(self, sqrt2, zero):
         v0 = TorusPoint2.from_values(Fraction(1, 3), Fraction(1, 7))
@@ -156,6 +224,51 @@ class TestOrbitCounting:
             count_orbit_hits(sqrt2, zero, zero, v0, 10, 0.5)
         with pytest.raises(ValidationError):
             count_orbit_hits(sqrt2, zero, zero, v0, 10, 0.0)
+
+
+# every literal kind of parse_real: surd, rational, dec: and dyadic
+real_literals = st.one_of(
+    st.integers(2, 10**6).map(lambda d: f"sqrt:{d}"),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50), st.integers(2, 1000))
+    .map(lambda p: "surd:{},{},{},{}".format(*p)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**6).map(
+        lambda f: f"{f.numerator}/{f.denominator}"),
+    st.tuples(st.floats(-3, 3), st.integers(1, 12)).map(lambda p: f"dec:{p[0]:.{p[1]}f}"),
+    st.tuples(st.integers(-3000, 3000), st.integers(0, 12)).map(lambda p: f"{p[0]}/{1 << p[1]}"),
+)
+# one step, the edges of the first block, and a partial fourth block
+scan_lengths = st.sampled_from([1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1,
+                                3 * _BLOCK_STEPS + 5])
+
+
+class TestScanOrbitDifferential:
+    # F = 32 is below the CLI's minimum, where the filter widens values instead of truncating
+    @given(lits=st.lists(real_literals, min_size=5, max_size=5),
+           F=st.sampled_from([32, 64, 256, 512]), T=scan_lengths,
+           thr=st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.001, 0.99)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, lits, F, T, thr):
+        # the reference point (the last two literals) is not reduced mod 1
+        args = [parse_real(lit, F) for lit in lits]
+        assert list(_scan_orbit(*args, T, thr)) == list(scan_orbit_reference(*args, T, thr))
+
+    @given(coeffs=st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=40),
+                           min_size=3, max_size=3),
+           F=st.sampled_from([64, 256, 512]), T=scan_lengths, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_ties_match_reference(self, coeffs, F, T, data):
+        # the reference point sits exactly 1/4 from the orbit point of a drawn
+        # step, shifted by integers: that step, and every later one the
+        # rational orbit repeats it at, is a tie the exact test decides
+        a, b, c = coeffs
+        m = data.draw(st.integers(1, T))
+        vx = 2 * a * m + b + Fraction(3, 20) + 2
+        vy = a * m * m + b * m + c + Fraction(1, 5) - 1
+        args = [as_fixed(v, F) for v in (a, b, c, vx, vy)]
+        for thr in (0.25, 0.2499999999):
+            got = list(_scan_orbit(*args, T, thr))
+            assert got == list(scan_orbit_reference(*args, T, thr))
+            assert ((m, True) in got) == (thr == 0.25)
 
 
 class TestWeylSum:

@@ -15,7 +15,8 @@ The call list:
   - the examples in README.md, written to stdout instead of ``--out``
   - ``perfbench.workloads.calls_for`` for every workload and seeds 0-3
     (perfbench is only imported, never run or written to)
-  - solve and solver-mode exponent configs drawn with a fixed seed
+  - solve, solver-mode exponent and count-orbit configs drawn with a fixed seed;
+    the count-orbit T grids cross multiples of the orbit scan's 4096-step block
   - two zero-alpha solver-mode exponent calls with a huge ``--scan-c``
 
 Needs only the standard library and git; about two minutes on 2 cores.
@@ -41,6 +42,7 @@ JOBS = 2
 SEEDS = range(4)
 DRAW_SEED = 20240805
 DRAWN_CALLS = 60   # of each of solve and solver-mode exponent
+DRAWN_ORBIT_CALLS = 40
 
 ZERO_ALPHA_CALLS = [
     ["exponent", "--mode", "solver", "--xi", "0/1 1/2 0/1", "--t", "0/1", "--T", "100",
@@ -74,7 +76,7 @@ def perfbench_calls() -> list[list[str]]:
 
 
 def drawn_calls() -> list[list[str]]:
-    """Random solve and solver-mode exponent configs from a fixed seed."""
+    """Random solve, solver-mode exponent and count-orbit configs from a fixed seed."""
     rng = random.Random(DRAW_SEED)
 
     def real() -> str:
@@ -90,10 +92,19 @@ def drawn_calls() -> list[list[str]]:
             return f"dec:{rng.uniform(-3, 3):.{rng.randint(1, 12)}f}"
         return f"{rng.randint(-12, 12)}/{rng.randint(1, 12)}"
 
+    def precision() -> list[str]:
+        return ["--precision", rng.choice(["64", "256", "512"])]
+
     def common() -> list[str]:
-        return ["--xi", " ".join(real() for _ in range(3)), f"--t={real()}",
-                "--precision", rng.choice(["64", "256", "512"]),
+        return ["--xi", " ".join(real() for _ in range(3)), f"--t={real()}", *precision(),
                 "--scan-c", f"{rng.uniform(0.5, 5):.3g}"]
+
+    def scannable() -> str:
+        """A real() literal other than dec:, whose radius refuses orbits of a few thousand steps."""
+        lit = real()
+        while lit.startswith("dec:"):
+            lit = real()
+        return lit
 
     calls = []
     for _ in range(DRAWN_CALLS):
@@ -103,6 +114,15 @@ def drawn_calls() -> list[list[str]]:
     for _ in range(DRAWN_CALLS):
         grid = sorted(rng.sample([4, 100, 10**4, 10**5, 10**6, 10**7], rng.randint(1, 3)))
         calls.append(["exponent", "--mode", "solver", *common(), "--T", ",".join(map(str, grid))])
+    block_edges = [4096 * j + d for j in (1, 2, 3) for d in (-1, 0, 1)]
+    for _ in range(DRAWN_ORBIT_CALLS):
+        v0 = " ".join(f"{rng.randint(-2048, 2048)}/1024" if rng.random() < 0.5 else real()
+                      for _ in range(2))
+        grid = sorted(rng.sample(block_edges + [10**5, 3 * 10**5], rng.randint(1, 3)))
+        gap = (["--nu", f"{rng.uniform(0.1, 0.5):.3g}"] if rng.random() < 0.5
+               else ["--delta", f"{rng.uniform(0.01, 0.45):.3g}"])
+        calls.append(["count-orbit", "--xi", " ".join(scannable() for _ in range(3)), "--v0", v0,
+                      *precision(), "--T", ",".join(map(str, grid)), *gap])
     return calls
 
 
