@@ -1,10 +1,14 @@
 """Continued fractions, best rational approximation and badness exponents.
 
-Partial quotients of an inexact value are certified by running the Gauss map
-on the exact dyadic interval endpoints: a quotient is emitted only while both
-endpoints share the same floor, and extraction additionally stops once
-``q_k^2 * err > 1/4``, before the interval can flip a quotient.  Exactly
-rational inputs expand by the Euclidean algorithm and terminate.
+Partial quotients come from one Euclid loop on integer endpoint pairs: on a
+rational endpoint ``n/d`` the Gauss map ``x -> 1/(x - a)`` is Euclid's step
+on ``(n, d)``.  An inexact value brackets its dyadic interval with the pairs
+``(mant -+ err, 2^F)``; a quotient is emitted only while both endpoints share
+the same floor, and extraction additionally stops once ``q_k^2 * err > 1/4``,
+before the interval can flip a quotient.  An exact rational uses its own
+numerator and denominator as both endpoints, so it expands and terminates.
+Each search for a denominator range expands once, to a length sized from the
+range.
 
 The badness exponent of an irrational is estimated from its convergents,
 which witness the minima of ``|q*alpha - p|``: local exponents
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import AllRational, PrecisionExhausted, RationalDetected, ValidationError
@@ -47,40 +50,35 @@ def continued_fraction(alpha: FixedReal, n_terms: int) -> CFExpansion:
     """Partial quotients of alpha, each one certified at the working precision."""
     if n_terms < 1:
         raise ValidationError("need at least one partial quotient")
-
-    if alpha.exact is not None:
-        qs: list[int] = []
-        x = alpha.exact
-        a = math.floor(x)
-        qs.append(a)
-        r = x - a
-        while r != 0 and len(qs) < n_terms:
-            x = 1 / r
-            a = math.floor(x)
-            qs.append(a)
-            r = x - a
-        return CFExpansion(qs, rational=(r == 0), exhausted=False)
-
+    # the Gauss map x -> 1/(x - a) on an endpoint n/d is Euclid's step on (n, d);
+    # lo = nl/dl and hi = nh/dh bracket the value, dl and dh stay positive
+    exact = alpha.exact
     S = 1 << alpha.F
-    err0 = Fraction(alpha.err, S)
-    lo = Fraction(alpha.mant - alpha.err, S)
-    hi = Fraction(alpha.mant + alpha.err, S)
-    qs = []
+    if exact is not None:
+        err = 0
+        nl = nh = exact.numerator
+        dl = dh = exact.denominator
+    else:
+        err = alpha.err
+        nl, nh, dl, dh = alpha.mant - err, alpha.mant + err, S, S
+    qs: list[int] = []
     q_prev, q_cur = 1, 0  # denominator recurrence seeds q_{-2}, q_{-1}
     while len(qs) < n_terms:
-        a = math.floor(lo)
-        if math.floor(hi) != a:
+        a = nl // dl
+        if nh // dh != a:
             return CFExpansion(qs, exhausted=True)
         q_next = a * q_cur + q_prev
-        if len(qs) > 0 and q_next * q_next * err0 > Fraction(1, 4):
+        # q_next^2 * err/S > 1/4: the interval could flip this quotient
+        if qs and 4 * q_next * q_next * err > S:
             return CFExpansion(qs, exhausted=True)
         qs.append(a)
         q_prev, q_cur = q_cur, q_next
-        lo_f, hi_f = lo - a, hi - a
-        if lo_f == 0:
-            # the interval touches the integer boundary; nothing further is certifiable
-            return CFExpansion(qs, exhausted=True)
-        lo, hi = 1 / hi_f, 1 / lo_f
+        rl = nl - a * dl
+        if rl == 0:
+            # an exact value terminates; an interval touching the integer
+            # boundary certifies nothing further
+            return CFExpansion(qs, rational=exact is not None, exhausted=exact is None)
+        nl, dl, nh, dh = dh, nh - a * dh, dl, rl
     return CFExpansion(qs)
 
 
@@ -114,18 +112,13 @@ def convergents(cf: CFExpansion | list[int], alpha: FixedReal) -> list[Convergen
 
 
 def _expand_until(alpha: FixedReal, stop_q: int) -> tuple[CFExpansion, list[Convergent]]:
-    """Grow the expansion until some convergent denominator exceeds stop_q."""
-    n_terms = 32
-    while True:
-        cf = continued_fraction(alpha, n_terms)
-        conv = convergents(cf, alpha)
-        if conv and conv[-1].q > stop_q:
-            return cf, conv
-        if cf.rational or cf.exhausted:
-            return cf, conv
-        if n_terms > 1 << 20:
-            raise PrecisionExhausted("continued fraction did not reach the requested range")
-        n_terms *= 2
+    """Expand until some convergent denominator exceeds stop_q, or the expansion stops.
+
+    The k-th convergent denominator is at least the k-th Fibonacci number,
+    itself at least phi^(k-2), so 3*bits/2 + 3 quotients pass any stop_q below 2^bits.
+    """
+    cf = continued_fraction(alpha, 3 * stop_q.bit_length() // 2 + 3)
+    return cf, convergents(cf, alpha)
 
 
 def convergents_up_to(alpha: FixedReal, q_max: int) -> list[Convergent]:
@@ -167,16 +160,14 @@ def estimate_kappa(alpha: FixedReal, q_max: int) -> DiophantineEstimate:
     """Empirical badness exponent of alpha over denominators up to q_max.
 
     Convergents suffice as sample points since they minimize the circle
-    distance among all smaller denominators; a terminating expansion raises
+    distance among all smaller denominators; an exact rational raises
     RationalDetected because rational values admit no such exponent.
     """
     if q_max < 2:
         raise ValidationError("q_max must be >= 2")
     if alpha.exact is not None:
         raise RationalDetected("value is rational; badness exponent undefined")
-    cf, conv = _expand_until(alpha, q_max)
-    if cf.rational:
-        raise RationalDetected("continued fraction terminated")
+    _, conv = _expand_until(alpha, q_max)
     if not conv or conv[-1].q <= q_max:
         raise PrecisionExhausted("could not certify convergents through q_max")
     all_pts = [(c.q, c.dist.to_float()) for c in conv if c.q <= q_max]

@@ -214,11 +214,17 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
         raise PrecisionExhausted(
             f"orbit radius at m={T} exceeds the reduction tolerance; raise the precision"
         )
+    vx, vy = v0.x.with_precision(F), v0.y.with_precision(F)
     count = 0
     hits: list[int] = []
-    for m, certain in _scan_orbit(alpha, beta, gamma, v0.x.with_precision(F),
-                                  v0.y.with_precision(F), T, delta):
+    for m, certain in _scan_orbit(alpha, beta, gamma, vx, vy, T, delta):
         if not certain:
+            if Fraction(max(vx.err, vy.err), 1 << F) > Fraction(tol):
+                # the reference radius is fixed by v0's literals, not by F
+                raise PrecisionExhausted(
+                    f"hit test ambiguous at m={m}; the radius of the reference point v0 "
+                    "exceeds the reduction tolerance, so more precision cannot help"
+                )
             raise PrecisionExhausted(f"hit test ambiguous at m={m}; raise the precision")
         count += 1
         if return_hits:

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdensity import diophantine
 from qdensity import (
     AllRational,
     FixedReal,
@@ -20,6 +21,99 @@ from qdensity import (
     estimate_kappa,
     parse_real,
 )
+from qdensity.diophantine import CFExpansion
+
+
+def continued_fraction_reference(alpha: FixedReal, n_terms: int) -> CFExpansion:
+    """The Gauss map x -> 1/(x - floor(x)) on Fraction endpoints, one quotient at a time.
+
+    An exact value expands by the map on itself; an inexact one runs it on the
+    dyadic interval endpoints and stops where they disagree, where q_next^2 *
+    err > 1/4, or where the interval touches an integer.
+    """
+    if alpha.exact is not None:
+        qs: list[int] = []
+        x = alpha.exact
+        a = math.floor(x)
+        qs.append(a)
+        r = x - a
+        while r != 0 and len(qs) < n_terms:
+            x = 1 / r
+            a = math.floor(x)
+            qs.append(a)
+            r = x - a
+        return CFExpansion(qs, rational=(r == 0), exhausted=False)
+
+    S = 1 << alpha.F
+    err0 = Fraction(alpha.err, S)
+    lo = Fraction(alpha.mant - alpha.err, S)
+    hi = Fraction(alpha.mant + alpha.err, S)
+    qs = []
+    q_prev, q_cur = 1, 0
+    while len(qs) < n_terms:
+        a = math.floor(lo)
+        if math.floor(hi) != a:
+            return CFExpansion(qs, exhausted=True)
+        q_next = a * q_cur + q_prev
+        if len(qs) > 0 and q_next * q_next * err0 > Fraction(1, 4):
+            return CFExpansion(qs, exhausted=True)
+        qs.append(a)
+        q_prev, q_cur = q_cur, q_next
+        lo_f, hi_f = lo - a, hi - a
+        if lo_f == 0:
+            return CFExpansion(qs, exhausted=True)
+        lo, hi = 1 / hi_f, 1 / lo_f
+    return CFExpansion(qs)
+
+
+_PRECISIONS = st.sampled_from([64, 256, 512])
+_N_TERMS = st.sampled_from([1, 2, 5, 1 << 20])
+
+
+@st.composite
+def _intervals(draw):
+    """Inexact dyadic intervals (mant +- err) / 2^F.
+
+    Some touch or straddle an integer, some have an endpoint on a short dyadic
+    (which reaches an integer a few steps later) and some are wider than half
+    an integer cell.
+    """
+    F = draw(_PRECISIONS)
+    S = 1 << F
+    err = draw(st.one_of(st.just(0), st.just(1), st.integers(0, S),
+                         st.integers(0, 64).map(lambda b: 1 << b)))
+    kind = draw(st.sampled_from(["random", "integer", "short", "wide"]))
+    if kind == "random":
+        return FixedReal(draw(st.integers(-16 * S, 16 * S)), err, F)
+    if kind == "wide":
+        k = draw(st.integers(-16, 16))
+        return FixedReal(k * S + S // 2, draw(st.integers(S // 4 - 2, S // 2)), F)
+    if kind == "integer":
+        # an endpoint on, or the interval across, the integer k
+        point = draw(st.integers(-16, 16)) * S
+    else:
+        point = draw(st.integers(-64, 64)) << (F - draw(st.integers(0, 6)))
+    return FixedReal(point + draw(st.sampled_from([-err, err, 0])) + draw(st.integers(-1, 1)), err, F)
+
+
+@st.composite
+def _exact_values(draw):
+    """Exact rationals: negative, integer, non-dyadic (err = 1) and 40-digit."""
+    F = draw(_PRECISIONS)
+    kind = draw(st.sampled_from(["small", "integer", "forty", "dec"]))
+    if kind == "small":
+        fr = draw(st.fractions(min_value=-100, max_value=100, max_denominator=10**6))
+    elif kind == "integer":
+        fr = Fraction(draw(st.integers(-10**6, 10**6)))
+    elif kind == "forty":
+        fr = Fraction(draw(st.integers(-10**40, 10**40)), draw(st.integers(1, 10**40)))
+    else:
+        digits = draw(st.integers(0, 20))
+        value = draw(st.integers(-10**(digits + 2), 10**(digits + 2)))
+        sign = "-" if value < 0 else ""
+        whole, frac = divmod(abs(value), 10**digits)
+        return parse_real(f"dec:{sign}{whole}.{frac:0{digits}d}" if digits else f"dec:{sign}{whole}", F)
+    return FixedReal.from_fraction(fr, F)
 
 
 class TestContinuedFraction:
@@ -49,6 +143,41 @@ class TestContinuedFraction:
         cf = continued_fraction(parse_real("-7/3"), 10)
         # -7/3 = -3 + 2/3 = [-3; 1, 2]
         assert cf.quotients == [-3, 1, 2] and cf.rational
+
+
+class TestEuclidAgainstGaussMap:
+    """continued_fraction is Euclid on integer endpoint pairs; the reference is the Fraction Gauss map."""
+
+    @staticmethod
+    def _same(alpha, n_terms):
+        got = continued_fraction(alpha, n_terms)
+        ref = continued_fraction_reference(alpha, n_terms)
+        assert (got.quotients, got.rational, got.exhausted) == (ref.quotients, ref.rational, ref.exhausted)
+
+    @given(alpha=_intervals(), n_terms=_N_TERMS)
+    @settings(max_examples=300, deadline=None)
+    # the q_next^2 * err > 1/4 guard, not the floor test, ends these expansions
+    @example(alpha=FixedReal(-13588365945905638694, 1 << 18, 64), n_terms=1 << 20)
+    @example(alpha=FixedReal(19335487138732723491, 1 << 38, 64), n_terms=1 << 20)
+    @example(alpha=FixedReal(8518073683768219023, 1 << 4, 64), n_terms=1 << 20)
+    # the upper endpoint 1/2 reaches the integer 2 after one step
+    @example(alpha=FixedReal((1 << 63) - (1 << 40), 1 << 40, 64), n_terms=1 << 20)
+    # [1.125, 1.875]: the guard does not apply to the first quotient
+    @example(alpha=FixedReal(3 << 63, 3 << 61, 64), n_terms=1 << 20)
+    def test_intervals(self, alpha, n_terms):
+        self._same(alpha, n_terms)
+
+    @given(alpha=_exact_values(), n_terms=_N_TERMS)
+    @settings(max_examples=300, deadline=None)
+    def test_exact_values(self, alpha, n_terms):
+        self._same(alpha, n_terms)
+
+    @pytest.mark.parametrize("F", [64, 256, 512])
+    @pytest.mark.parametrize("lit", ["sqrt:2", "sqrt:999983", "surd:1,1,2,5", "surd:-7,3,11,13",
+                                     "dec:-2.71828", "-7/3", "1/3", "5", "0"])
+    def test_literals(self, lit, F):
+        for n_terms in (1, 2, 5, 1 << 20):
+            self._same(parse_real(lit, F), n_terms)
 
 
 class TestConvergents:
@@ -123,6 +252,40 @@ class TestDirichlet:
     def test_bad_range(self, sqrt2):
         with pytest.raises(ValidationError):
             dirichlet_approx(sqrt2, 0)
+
+
+class TestExpansionSizing:
+    """One sized expansion answers like the long reference expansion, filtered to q <= q_max.
+
+    The golden ratio is the tight case: its denominators are the Fibonacci numbers.
+    """
+
+    def test_golden_f512_every_q_max(self, monkeypatch):
+        alpha = parse_real("surd:1,1,2,5", 512)
+        ref_cf = continued_fraction_reference(alpha, 1 << 20)
+        ref_conv = convergents(ref_cf, alpha)
+        q_range = range(2, 3001)
+        with monkeypatch.context() as m:
+            m.setattr(diophantine, "_expand_until", lambda a, stop_q: (ref_cf, ref_conv))
+            expected = [estimate_kappa(alpha, q) for q in q_range]
+
+        def key(c):
+            return c.p, c.q, c.dist.mant, c.dist.err, c.dist.exact
+
+        for q, est in zip(q_range, expected):
+            within = [key(c) for c in ref_conv if c.q <= q]
+            assert [key(c) for c in convergents_up_to(alpha, q)] == within
+            assert key(dirichlet_approx(alpha, q)) == within[-1]
+            assert estimate_kappa(alpha, q) == est
+
+    def test_sizing_bound_on_fibonacci(self):
+        # 3*bits/2 + 3 quotients pass stop_q when it sits on or just below a
+        # Fibonacci denominator; F=512 certifies all 200 quotients
+        alpha = parse_real("surd:1,1,2,5", 512)
+        for c in convergents(continued_fraction(alpha, 200), alpha)[2:]:
+            for stop_q in (c.q - 1, c.q):
+                cf, conv = diophantine._expand_until(alpha, stop_q)
+                assert conv[-1].q > stop_q and not cf.exhausted
 
 
 class TestKappaEstimate:

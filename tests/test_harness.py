@@ -354,6 +354,36 @@ class TestKappaRefusals:
         assert code in (0, 1, 2) and "Traceback" not in err, err
 
 
+    def test_huge_q_max_expands_once(self):
+        # one expansion sized from the bit length of q_max, not a loop over its magnitude
+        started = time.perf_counter()
+        code, err = _run_quiet(["kappa", "--alpha", "sqrt:2", "--q-max", "1" + "0" * 1000])
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and err == "precision exhausted: could not certify convergents through q_max\n"
+
+
+class TestOrbitRefusals:
+    @pytest.mark.parametrize("precision", ["256", "1024"])
+    def test_inexact_reference_point_is_named(self, precision):
+        # dec:2.27 carries a radius of 0.005 whatever the precision
+        code, err = _run_quiet(["count-orbit", "--xi", "sqrt:189586 203/32 sqrt:32732",
+                                "--v0", "dec:2.27 1746/1024", "--precision", precision,
+                                "--T", "4095", "--nu", "0.358"])
+        assert code == 2
+        assert err == ("precision exhausted: hit test ambiguous at m=100; the radius of the reference "
+                       "point v0 exceeds the reduction tolerance, so more precision cannot help\n")
+
+    def test_exact_reference_point_asks_for_precision(self):
+        # alpha = sqrt(10^40 + 1) / (4*10^20) = 1/4 + 1.25e-41 puts phi(1) = (1/2, 1/4) + O(1e-41)
+        # at distance 1/4 from (1/2, 0): ambiguous at F=128, a certain miss at F=256
+        argv = ["count-orbit", "--xi", f"surd:0,1,{4 * 10**20},{10**40 + 1} 0/1 0/1",
+                "--v0", "1/2 0/1", "--T", "5", "--delta", "0.25", "--precision"]
+        code, err = _run_quiet(argv + ["128"])
+        assert code == 2
+        assert err == "precision exhausted: hit test ambiguous at m=1; raise the precision\n"
+        assert _run_quiet(argv + ["256"]) == (0, "")
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "cli.csv"
     proc = subprocess.run(

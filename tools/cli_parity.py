@@ -15,8 +15,11 @@ The call list:
   - the examples in README.md, written to stdout instead of ``--out``
   - ``perfbench.workloads.calls_for`` for every workload and seeds 0-3
     (perfbench is only imported, never run or written to)
-  - solve, solver-mode exponent and count-orbit configs drawn with a fixed seed;
-    the count-orbit T grids cross multiples of the orbit scan's 4096-step block
+  - solve, solver-mode exponent, count-orbit and kappa configs drawn with a
+    fixed seed; the count-orbit T grids cross multiples of the orbit scan's
+    4096-step block, and the kappa calls take an ``--alpha`` literal or an
+    ``--xi`` shift with a ``--q-max`` next to a Fibonacci number up to 10^12
+    (the golden ratio's denominators, where the expansion length is tightest)
   - two zero-alpha solver-mode exponent calls with a huge ``--scan-c``
 
 Needs only the standard library and git; about two minutes on 2 cores.
@@ -43,6 +46,7 @@ SEEDS = range(4)
 DRAW_SEED = 20240805
 DRAWN_CALLS = 60   # of each of solve and solver-mode exponent
 DRAWN_ORBIT_CALLS = 40
+DRAWN_KAPPA_CALLS = 30
 
 ZERO_ALPHA_CALLS = [
     ["exponent", "--mode", "solver", "--xi", "0/1 1/2 0/1", "--t", "0/1", "--T", "100",
@@ -76,7 +80,7 @@ def perfbench_calls() -> list[list[str]]:
 
 
 def drawn_calls() -> list[list[str]]:
-    """Random solve, solver-mode exponent and count-orbit configs from a fixed seed."""
+    """Random solve, solver-mode exponent, count-orbit and kappa configs from a fixed seed."""
     rng = random.Random(DRAW_SEED)
 
     def real() -> str:
@@ -123,6 +127,14 @@ def drawn_calls() -> list[list[str]]:
                else ["--delta", f"{rng.uniform(0.01, 0.45):.3g}"])
         calls.append(["count-orbit", "--xi", " ".join(scannable() for _ in range(3)), "--v0", v0,
                       *precision(), "--T", ",".join(map(str, grid)), *gap])
+    fib = [1, 2]
+    while fib[-1] <= 10**12:
+        fib.append(fib[-1] + fib[-2])
+    for i in range(DRAWN_KAPPA_CALLS):
+        q_max = max(2, rng.choice(fib[:-1]) + rng.randint(-1, 1))
+        alpha = (["--alpha", rng.choice(["surd:1,1,2,5", real()])] if i % 3 else
+                 ["--xi", " ".join(real() for _ in range(3)), "--direction-bound", str(rng.randint(1, 3))])
+        calls.append(["kappa", *alpha, *precision(), "--q-max", str(q_max)])
     return calls
 
 
