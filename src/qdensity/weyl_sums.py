@@ -4,8 +4,11 @@ Everything phase-like is reduced mod 1 in integer mantissa arithmetic before
 any floating-point call: for a polynomial phase at m ~ 1e6 a double loses the
 entire fractional part, while mantissa addition mod 2**F is exact, so the only
 uncertainty is the propagated input radius.  The orbit scan runs a uint64
-block filter, then the bigint per-step test; the sums run on raw mantissas
-with exact second-difference recurrences.
+block filter, then the bigint per-step test.  The Weyl sum takes each phase's
+top 53 bits from uint64 blocks with a proven truncation bound, and from the
+bigint phase where that bound cannot decide them; math.cos and math.sin and
+one Kahan summation in order of m follow.  The sum-min kernel runs on raw
+mantissas with an exact recurrence.
 
 Hit tests against a threshold are three-valued: certainly inside, certainly
 outside, or ambiguous within the certified radius.  One orbit scan makes
@@ -30,7 +33,8 @@ from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed
 TWO_PI = 2.0 * math.pi
 DEFAULT_REDUCTION_TOL = Fraction(1, 1 << 64)
 DEFAULT_PHASE_TOL = Fraction(1, 1 << 30)
-# Steps per block of the orbit filter; this caps the size of its numpy temporaries.
+# Steps per block of the orbit filter and of the Weyl sum; this caps the size
+# of their numpy temporaries.
 _BLOCK_STEPS = 4096
 
 
@@ -85,6 +89,30 @@ def _orbit_radius(alpha: FixedReal, beta: FixedReal, gamma: FixedReal, m: int) -
     return alpha.err * (m * m + 2 * m) + beta.err * (m + 1) + gamma.err
 
 
+def _top_bits(v: int, F: int, bits: int) -> int:
+    """The top `bits` bits of v mod 2^F: floor((v mod 2^F) / 2^(F - bits)), exact for F <= bits."""
+    v &= (1 << F) - 1
+    s = F - bits
+    return v >> s if s >= 0 else v << -s
+
+
+def _top64(v: int, F: int) -> np.uint64:
+    """The top 64 bits of v mod 2^F as a uint64."""
+    return np.uint64(_top_bits(v, F, 64))
+
+
+def _top96(v: int, F: int) -> tuple[np.uint64, np.uint64]:
+    """The top 96 bits of v mod 2^F as a uint64 word (the top 64) and a 32-bit sub-limb."""
+    t = _top_bits(v, F, 96)
+    return np.uint64(t >> 32), np.uint64(t & 0xFFFFFFFF)
+
+
+def _block_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block offsets k = 0..n-1 and k(k-1)/2 in uint64: a block's closed form is v0 + d*k + dd*tri."""
+    k = np.arange(n, dtype=np.uint64)
+    return k, (k * (k - 1)) >> np.uint64(1)
+
+
 def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
                 vx: FixedReal, vy: FixedReal, T: int, thr: float) -> Iterator[tuple[int, bool]]:
     """Classify 1 <= m <= T by the torus distance from phi(m) to (vx, vy).
@@ -129,12 +157,8 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
         return rx * rx + ry * ry <= thr_sq
 
     # The filter works in units of 2^-64 on the top 64 bits of each value mod
-    # 2^F: top64(v) = (v mod 2^F) / 2^s rounded down, with s = F - 64.
+    # 2^F: _top64(v, F) = (v mod 2^F) / 2^s rounded down, with s = F - 64.
     s = F - 64
-
-    def top64(v: int) -> np.uint64:
-        v &= mask
-        return np.uint64(v >> s if s >= 0 else v << -s)
 
     # base > miss_lim follows from lo^2 > q for the lower bound lo of the
     # folded differences in units of 2^-64; a lower bound of at most 2^127
@@ -153,19 +177,18 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
     step = 2 * A                    # first coordinate step = second difference
 
     n = min(_BLOCK_STEPS, T)
-    k = np.arange(n, dtype=np.uint64)
-    tri = (k * (k - 1)) >> np.uint64(1)
+    k, tri = _block_offsets(n)
     # truncating x0, y0, dy and step to 64 bits leaves the block values short
     # by less than k + 1 (x) and k(k-1)/2 + k + 1 (y) units of 2^-64
     x_err = k + np.uint64(1)
     y_err = tri + x_err
     half = np.uint64(1 << 63)
-    P = top64(step)
+    P = _top64(step, F)
     for m0 in range(1, T + 1, n):
         cnt = min(n, T + 1 - m0)
         # fold u - 2^63 onto the 64-bit circle: min(a, 2^64 - a) is |u - 2^63|
-        u = (top64(x) + P * k[:cnt]) ^ half
-        w = (top64(y) + top64(dy) * k[:cnt] + P * tri[:cnt]) ^ half
+        u = (_top64(x, F) + P * k[:cnt]) ^ half
+        w = (_top64(y, F) + _top64(dy, F) * k[:cnt] + P * tri[:cnt]) ^ half
         u = np.minimum(u, -u)
         w = np.minimum(w, -w)
         # the circle norm is 1-Lipschitz, so the fold stays short by the same error
@@ -240,14 +263,46 @@ def _phase_to_float(x: int, F: int) -> float:
     return math.ldexp(float(x), -F)
 
 
+def _weyl_phases(PA: int, PB: int, m0: int, cnt: int, F: int) -> np.ndarray:
+    """_phase_to_float((PA*m*m + PB*m) mod 2^F, F) for m0 <= m < m0 + cnt, as float64.
+
+    The exact phase and its differences at m0, cut to their top 96 bits,
+    give each phase's top 96 bits in uint64 closed form: a word wrapping mod
+    2^64 and a 32-bit sub-limb whose carry joins it.  Cutting leaves the phase
+    at offset k short by less than k + tri + 1 units of 2^-96, tri = k(k-1)/2,
+    so its top 53 bits are exact unless the 43 bits below them are at least
+    2^43 - (k + tri); those phases are taken from the bigint phase.
+    """
+    x = PA * m0 * m0 + PB * m0          # phase at m0
+    d = PA * (2 * m0 + 1) + PB          # first difference at m0
+    Xh, Xl = _top96(x, F)
+    Dh, Dl = _top96(d, F)
+    DDh, DDl = _top96(2 * PA, F)       # second difference
+    k, tri = _block_offsets(cnt)
+    # the sub-limb stays below 2^32 * (1 + k + tri) < 2^56 in a 4096-step block
+    lo = Xl + Dl * k + DDl * tri
+    hi = Xh + Dh * k + DDh * tri + (lo >> np.uint64(32))
+    # the top 53 bits are a float64 integer, so the scaling is exact
+    ph = np.ldexp((hi >> np.uint64(11)).astype(np.float64), -53)
+    below = ((hi & np.uint64(0x7FF)) << np.uint64(32)) | (lo & np.uint64(0xFFFFFFFF))
+    mask = (1 << F) - 1
+    for j in np.flatnonzero(below >= np.uint64(1 << 43) - (k + tri)).tolist():
+        m = m0 + j
+        ph[j] = _phase_to_float((PA * m * m + PB * m) & mask, F)
+    return ph
+
+
 def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int,
              phase_tol=DEFAULT_PHASE_TOL) -> WeylSumResult:
-    """Sum of e(n*alpha*m^2 + beta*m) for 1 <= m <= T, phases reduced in fixed point."""
+    """Sum of e(n*alpha*m^2 + beta*m) for 1 <= m <= T, phases reduced in fixed point.
+
+    Each phase is the top 53 bits of the exact mantissa phase mod 1; cos and
+    sin are libm's, summed by Kahan's method in order of m.
+    """
     if T < 1:
         raise ValidationError("sum length T must be >= 1")
     alpha, beta = _align(alpha, beta)
     F = alpha.F
-    mask = (1 << F) - 1
     PA = n * alpha.mant
     ea = abs(n) * alpha.err
     PB = beta.mant
@@ -257,23 +312,18 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int,
 
     re = im = 0.0
     cre = cim = 0.0  # Kahan compensation
-    # exact recurrences on unreduced mantissas, folded mod 2^F by one & per term
-    x = PA + PB                 # phase at m = 1
-    d = 3 * PA + PB
-    dd = 2 * PA
     cos, sin = math.cos, math.sin
-    for _ in range(T):
-        ang = TWO_PI * _phase_to_float(x & mask, F)
-        t = cos(ang) - cre
-        s = re + t
-        cre = (s - re) - t
-        re = s
-        t = sin(ang) - cim
-        s = im + t
-        cim = (s - im) - t
-        im = s
-        x += d
-        d += dd
+    for m0 in range(1, T + 1, _BLOCK_STEPS):
+        ang = (TWO_PI * _weyl_phases(PA, PB, m0, min(_BLOCK_STEPS, T + 1 - m0), F)).tolist()
+        for c, sn in zip(map(cos, ang), map(sin, ang)):
+            t = c - cre
+            s = re + t
+            cre = (s - re) - t
+            re = s
+            t = sn - cim
+            s = im + t
+            cim = (s - im) - t
+            im = s
     return WeylSumResult(re, im, T, n)
 
 

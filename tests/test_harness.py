@@ -257,6 +257,19 @@ class TestCliRuns:
         assert [r["beta"] for r in rows1] != [r["beta"] for r in rows2]
         assert all(r["pass"] == "1" for r in rows1 + rows2)
 
+    def test_verify_lemmas_bytes_match_per_term_weyl_sum(self, tmp_path, monkeypatch):
+        from test_weyl_sums import weyl_sum_reference
+
+        from qdensity import weyl_sums
+
+        # T on both sides of the first block edge of the Weyl-sum kernel
+        argv = ["verify-lemmas", "--T-list", "4095,4097", "--precision", "96", "--betas", "3"]
+        block, per_term = tmp_path / "block.csv", tmp_path / "per_term.csv"
+        assert run_cli(argv, block) == 0
+        monkeypatch.setattr(weyl_sums, "weyl_sum", weyl_sum_reference)
+        assert run_cli(argv, per_term) == 0
+        assert block.read_bytes() == per_term.read_bytes()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

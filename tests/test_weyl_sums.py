@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -24,8 +25,19 @@ from qdensity import (
     weyl_differencing_bound,
     weyl_sum,
 )
+from qdensity import weyl_sums
 from qdensity.harness import Lcg64
-from qdensity.weyl_sums import _BLOCK_STEPS, _orbit_radius, _scan_orbit
+from qdensity.weyl_sums import (
+    _BLOCK_STEPS,
+    DEFAULT_PHASE_TOL,
+    TWO_PI,
+    WeylSumResult,
+    _align,
+    _orbit_radius,
+    _phase_to_float,
+    _scan_orbit,
+    _weyl_phases,
+)
 
 # frozen from 45-digit evaluations
 TWO_SQRT2_MOD1 = 0.8284271247461900976033774484194
@@ -90,6 +102,42 @@ def scan_orbit_reference(alpha, beta, gamma, vx, vy, T, thr):
         x += step
         y += dy
         dy += step
+
+
+def weyl_sum_reference(n, alpha, beta, T, phase_tol=DEFAULT_PHASE_TOL):
+    """Per-term bigint reference for weyl_sums.weyl_sum: the same floats in the same order, no blocks."""
+    if T < 1:
+        raise ValidationError("sum length T must be >= 1")
+    alpha, beta = _align(alpha, beta)
+    F = alpha.F
+    mask = (1 << F) - 1
+    PA = n * alpha.mant
+    ea = abs(n) * alpha.err
+    PB = beta.mant
+    eb = beta.err
+    if Fraction(ea * T * T + eb * T, 1 << F) > Fraction(phase_tol):
+        raise PrecisionExhausted("phase radius at m=T exceeds the phase tolerance")
+
+    re = im = 0.0
+    cre = cim = 0.0  # Kahan compensation
+    # exact recurrences on unreduced mantissas, folded mod 2^F by one & per term
+    x = PA + PB                 # phase at m = 1
+    d = 3 * PA + PB
+    dd = 2 * PA
+    cos, sin = math.cos, math.sin
+    for _ in range(T):
+        ang = TWO_PI * _phase_to_float(x & mask, F)
+        t = cos(ang) - cre
+        s = re + t
+        cre = (s - re) - t
+        re = s
+        t = sin(ang) - cim
+        s = im + t
+        cim = (s - im) - t
+        im = s
+        x += d
+        d += dd
+    return WeylSumResult(re, im, T, n)
 
 
 class TestPhi:
@@ -308,6 +356,88 @@ class TestWeylSum:
             acc += mpmath.expjpi(2 * mpmath.frac(2 * a * m * m + b * m))
         assert s.re == pytest.approx(float(acc.real), abs=1e-9)
         assert s.im == pytest.approx(float(acc.imag), abs=1e-9)
+
+
+def weyl_outcome(fn, n, alpha, beta, T):
+    """The bits of (re, im), or the type and message of the refusal."""
+    try:
+        res = fn(n, alpha, beta, T)
+    except (PrecisionExhausted, ValidationError) as exc:
+        return type(exc), str(exc)
+    return res.re.hex(), res.im.hex()
+
+
+def fixed_reals(F):
+    """parse_real literals, and raw mantissas whose radius is zero or up to F bits."""
+    radii = st.one_of(st.just(0), st.integers(0, F).flatmap(lambda b: st.integers(1, 1 << b)))
+    raw = st.builds(lambda mant, err: FixedReal(mant, err, F),
+                    st.integers(-(1 << (F + 2)), 1 << (F + 2)), radii)
+    return st.one_of(real_literals.map(lambda lit: parse_real(lit, F)), raw)
+
+
+# a single term, the edges of the first block and one term into the third
+weyl_lengths = st.one_of(
+    st.sampled_from([1, 2, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 1]),
+    st.integers(1, 3 * _BLOCK_STEPS))
+
+
+def reference_phases(PA, PB, m0, cnt, F):
+    mask = (1 << F) - 1
+    return [_phase_to_float((PA * m * m + PB * m) & mask, F) for m in range(m0, m0 + cnt)]
+
+
+class TestWeylSumDifferential:
+    # F = 32 and 64 are below the 96 bits the kernel keeps, where it widens values
+    @given(F=st.sampled_from([32, 64, 96, 128, 256, 512]), data=st.data(), T=weyl_lengths,
+           n=st.one_of(st.sampled_from([0, 1, -2, 50]), st.integers(-100, 100)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, F, data, T, n):
+        alpha, beta = data.draw(fixed_reals(F)), data.draw(fixed_reals(F))
+        assert (weyl_outcome(weyl_sum, n, alpha, beta, T)
+                == weyl_outcome(weyl_sum_reference, n, alpha, beta, T))
+
+    @given(F=st.sampled_from([96, 128, 256, 512]), top=st.integers(0, (1 << 53) - 1),
+           slack=st.integers(0, 4), data=st.data(),
+           T=st.sampled_from([_BLOCK_STEPS, 2 * _BLOCK_STEPS + 7]))
+    @settings(max_examples=25, deadline=None)
+    def test_forced_fallback_matches_reference(self, F, top, slack, data, T):
+        # alpha = 0 and beta's bits 54..96 all ones, or within 4 of that, keep
+        # most phases just below a carry into their top 53 bits, where only the
+        # bigint phase decides them
+        bits = (top << 43) | ((1 << 43) - 1 - slack)
+        mant = (bits << (F - 96)) | data.draw(st.integers(0, (1 << (F - 96)) - 1))
+        alpha, beta = FixedReal(0, 0, F), FixedReal(mant, 0, F)
+        with mock.patch.object(weyl_sums, "_phase_to_float", wraps=_phase_to_float) as exact:
+            got = weyl_outcome(weyl_sum, 1, alpha, beta, T)
+        assert got == weyl_outcome(weyl_sum_reference, 1, alpha, beta, T)
+        assert exact.call_count > T // 2
+
+    @given(F=st.sampled_from([128, 256, 512]), half_k=st.integers(1, _BLOCK_STEPS // 2 - 1),
+           top=st.integers(0, (1 << 53) - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_phase_on_the_carry_bound(self, F, half_k, top):
+        # With s = F - 96, PA = 2^(s-1) - 1 and beta's low s bits at 2^(s-1),
+        # the bits below the top 96 are 2^s - 1 in the phase at m = 1, 2^s - 3
+        # in the first difference and 2^s - 2 in the second, whose top 96 bits
+        # are 0.  Cutting them leaves the phase at offset k short by e in
+        # [k + tri, k + tri + 1) units of 2^-96.  beta's bits 54..96 put the 43
+        # bits below the top 53 of the cut phase at exactly 2^43 - (k + tri),
+        # so the true phase carries into its top 53 bits: the first assert.
+        s, k = F - 96, 2 * half_k
+        tri = k * (k - 1) // 2
+        below = -(2 * k + tri) * pow(k + 1, -1, 1 << 43) % (1 << 43)
+        PA = (1 << (s - 1)) - 1
+        PB = (((top << 43) | below) << s) | (1 << (s - 1))
+        m = k + 1
+        assert ((PA * m * m + PB * m) >> s) % (1 << 43) == 0
+        assert _weyl_phases(PA, PB, 1, m, F).tolist() == reference_phases(PA, PB, 1, m, F)
+
+    @given(F=st.sampled_from([64, 128, 256]), data=st.data(),
+           m0=st.one_of(st.just(1), st.integers(1, 10**12)), cnt=st.integers(1, _BLOCK_STEPS))
+    @settings(max_examples=40, deadline=None)
+    def test_block_phases_match_per_term(self, F, data, m0, cnt):
+        PA, PB = (data.draw(st.integers(-(1 << (F + 8)), 1 << (F + 8))) for _ in range(2))
+        assert _weyl_phases(PA, PB, m0, cnt, F).tolist() == reference_phases(PA, PB, m0, cnt, F)
 
 
 class TestDifferencingBound:

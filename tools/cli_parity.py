@@ -15,11 +15,14 @@ The call list:
   - the examples in README.md, written to stdout instead of ``--out``
   - ``perfbench.workloads.calls_for`` for every workload and seeds 0-3
     (perfbench is only imported, never run or written to)
-  - solve, solver-mode exponent, count-orbit and kappa configs drawn with a
-    fixed seed; the count-orbit T grids cross multiples of the orbit scan's
-    4096-step block, and the kappa calls take an ``--alpha`` literal or an
-    ``--xi`` shift with a ``--q-max`` next to a Fibonacci number up to 10^12
-    (the golden ratio's denominators, where the expansion length is tightest)
+  - solve, solver-mode exponent, count-orbit, kappa and verify-lemmas configs
+    drawn with a fixed seed; the count-orbit and verify-lemmas T grids cross
+    multiples of the 4096-step block of the orbit scan and the Weyl sum, the
+    kappa calls take an ``--alpha`` literal or an ``--xi`` shift with a
+    ``--q-max`` next to a Fibonacci number up to 10^12 (the golden ratio's
+    denominators, where the expansion length is tightest), and the
+    verify-lemmas calls draw ``--precision`` 64-512, ``--n-list`` up to 100,
+    ``--betas``, ``--M`` and ``--seed``
   - two zero-alpha solver-mode exponent calls with a huge ``--scan-c``
 
 Needs only the standard library and git; about two minutes on 2 cores.
@@ -47,6 +50,7 @@ DRAW_SEED = 20240805
 DRAWN_CALLS = 60   # of each of solve and solver-mode exponent
 DRAWN_ORBIT_CALLS = 40
 DRAWN_KAPPA_CALLS = 30
+DRAWN_LEMMA_CALLS = 30
 
 ZERO_ALPHA_CALLS = [
     ["exponent", "--mode", "solver", "--xi", "0/1 1/2 0/1", "--t", "0/1", "--T", "100",
@@ -80,7 +84,7 @@ def perfbench_calls() -> list[list[str]]:
 
 
 def drawn_calls() -> list[list[str]]:
-    """Random solve, solver-mode exponent, count-orbit and kappa configs from a fixed seed."""
+    """Random solve, solver-mode exponent, count-orbit, kappa and verify-lemmas configs from a fixed seed."""
     rng = random.Random(DRAW_SEED)
 
     def real() -> str:
@@ -135,6 +139,13 @@ def drawn_calls() -> list[list[str]]:
         alpha = (["--alpha", rng.choice(["surd:1,1,2,5", real()])] if i % 3 else
                  ["--xi", " ".join(real() for _ in range(3)), "--direction-bound", str(rng.randint(1, 3))])
         calls.append(["kappa", *alpha, *precision(), "--q-max", str(q_max)])
+    for _ in range(DRAWN_LEMMA_CALLS):
+        grid = sorted(rng.sample(block_edges + [2, 100], rng.randint(1, 3)))
+        n_list = rng.sample(range(1, 101), rng.randint(1, 3))
+        calls.append(["verify-lemmas", "--precision", rng.choice(["64", "96", "256", "512"]),
+                      "--T-list", ",".join(map(str, grid)), "--n-list", ",".join(map(str, n_list)),
+                      "--betas", str(rng.randint(1, 3)), "--M", str(rng.randint(1, 3)),
+                      "--seed", str(rng.randrange(2**32))])
     return calls
 
 
