@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qdensity.solver as solver_mod
@@ -103,7 +103,8 @@ def bruteforce_reference(form, xi, t, T, delta):
     """The O(T^3) float64 sweep of the whole ball that the oracle replaced.
 
     Points within a heuristic guard band of delta or of the minimum are
-    resolved in certified fixed point; ties of the minimum go by midpoint.
+    resolved in certified fixed point; the minimum is keyed on the exact
+    residual when it is known and on the certified midpoint otherwise.
     """
     g = [[float(x) for x in row] for row in form.gram]
     ax, bx, cx = (xi.alpha.to_float(), xi.beta.to_float(), xi.gamma.to_float())
@@ -138,7 +139,8 @@ def bruteforce_reference(form, xi, t, T, delta):
     for v1, resid in resid_rows:
         for i2, i3 in np.argwhere(resid <= gmin + band):
             v = (v1, int(i2) - T, int(i3) - T)
-            mids[v] = exact_resid(v).midpoint()
+            res = exact_resid(v)
+            mids[v] = res.exact if res.exact is not None else res.midpoint()
     true_min = min(mids.values())
     return count, float(true_min), min(v for v, r in mids.items() if r == true_min)
 
@@ -550,6 +552,10 @@ class TestOracleDifferential:
            form_lit=st.sampled_from(ORACLE_FORMS), T=st.integers(0, 16),
            delta=st.sampled_from([0.0, 0.25, 5.0]), F=st.sampled_from([64, 256]))
     @settings(max_examples=60, deadline=None)
+    # an exact rational residual whose float differs by one ulp from that of
+    # its certified midpoint
+    @example(lits=("-273/1163", "-63/85", "-543/4589"), t_lit="139/290",
+             form_lit="1 1 0 0 1 -1", T=0, delta=0.0, F=64)
     def test_irrational_shift_matches_ball_sweep(self, lits, t_lit, form_lit, T, delta, F):
         form = TernaryForm.from_string(form_lit)
         xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
