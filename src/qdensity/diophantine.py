@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import AllRational, PrecisionExhausted, RationalDetected, ValidationError
-from .fixed import FixedReal, parse_real  # noqa: F401  (parse_real is this module's literal grammar)
+from .fixed import FixedReal
 from .forms import ShiftVector
 
 

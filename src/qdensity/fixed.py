@@ -117,7 +117,7 @@ class FixedReal:
         if w == 0:
             raise ValidationError("surd denominator must be nonzero")
         root = cls.sqrt_int(d, F)
-        return root.mul_int(v).add_fraction(Fraction(u)).div_int(w)
+        return root.mul_int(v).add_int(u).div_int(w)
 
     _DEC_RE = re.compile(r"^[+-]?(\d+)(?:\.(\d*))?$")
 
@@ -221,9 +221,6 @@ class FixedReal:
         exact = self.exact + k if self.exact is not None else None
         return FixedReal(self.mant + (k << self.F), self.err, self.F, exact)
 
-    def add_fraction(self, fr: Fraction) -> "FixedReal":
-        return self + FixedReal.from_fraction(fr, self.F)
-
     def mul_int(self, k: int) -> "FixedReal":
         exact = self.exact * k if self.exact is not None else None
         return FixedReal(self.mant * k, self.err * abs(k), self.F, exact)
@@ -284,10 +281,6 @@ class FixedReal:
     # ------------------------------------------------------------------
     # rounding, reduction mod 1, circle norm
     # ------------------------------------------------------------------
-
-    def floor(self) -> int:
-        """Floor of the midpoint (not certified near integers)."""
-        return self.mant >> self.F
 
     def round_nearest(self) -> int:
         """Nearest integer to the midpoint, ties to even."""

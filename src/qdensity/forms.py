@@ -4,6 +4,12 @@ Forms are stored as exact rational Gram matrices with the row-vector
 convention ``Q(v) = v * gram * v^T`` and ``B(u, v) = u * gram * v^T``; all
 matrix actions elsewhere in the package multiply row vectors on the right, so
 the identities for the unipotent orbit hold literally.
+
+A form is accepted when its Gram is symmetric, nondegenerate and indefinite.
+The signature needs no elimination: a symmetric matrix has only real
+eigenvalues, so Descartes' rule of signs on its characteristic polynomial
+counts them by sign exactly, and Sylvester's law of inertia makes those
+counts the signature of the form.
 """
 
 from __future__ import annotations
@@ -34,77 +40,55 @@ def _det3(g: Gram) -> Fraction:
 
 
 def _signature(g: Gram) -> tuple[int, int, int]:
-    """(positives, negatives, zeros) via rational congruence diagonalization."""
-    a = [list(row) for row in g]
-    n = 3
-    pos = neg = zero = 0
-    for step in range(n):
-        # find a usable pivot on the diagonal
-        piv = next((j for j in range(step, n) if a[j][j] != 0), None)
-        if piv is None:
-            piv_off = next(
-                ((i, j) for i in range(step, n) for j in range(i + 1, n) if a[i][j] != 0),
-                None,
-            )
-            if piv_off is None:
-                zero += n - step
-                break
-            i, j = piv_off
-            # v_i += v_j turns the zero diagonal entry into 2*a[i][j]
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            piv = i
-        if piv != step:
-            a[piv], a[step] = a[step], a[piv]
-            for row in a:
-                row[piv], row[step] = row[step], row[piv]
-        d = a[step][step]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for j in range(step + 1, n):
-            f = a[step][j] / d
-            if f == 0:
-                continue
-            for k in range(n):
-                a[j][k] -= f * a[step][k]
-            for k in range(n):
-                a[k][j] -= f * a[k][step]
-    return pos, neg, zero
+    """(positives, negatives, zeros) among the eigenvalues of a symmetric Gram.
+
+    By Sylvester's law of inertia these counts are the congruence signature.
+    The characteristic polynomial ``x^3 - tr*x^2 + c2*x - det``, with ``c2``
+    the sum of the principal 2x2 minors, has only real roots because g is
+    symmetric, so Descartes' rule of signs is exact for it: each trailing
+    zero coefficient is a zero root, and the sign changes of the other
+    coefficients, zeros skipped, count the positive roots.
+    """
+    c2 = sum(g[i][i] * g[j][j] - g[i][j] * g[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    coeffs = [1, -(g[0][0] + g[1][1] + g[2][2]), c2, -_det3(g)]
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    nonzero = [c for c in coeffs if c != 0]
+    pos = sum(a * b < 0 for a, b in zip(nonzero, nonzero[1:]))
+    return pos, 3 - zero - pos, zero
 
 
 @dataclass(frozen=True)
 class TernaryForm:
-    """Symmetric rational Gram matrix of a nondegenerate indefinite ternary form."""
+    """Symmetric rational Gram matrix of a nondegenerate indefinite ternary form.
+
+    The ``from_*`` constructors check symmetry, a nonzero determinant and an
+    indefinite signature; ``TernaryForm(gram)`` checks nothing and serves
+    probes such as a degenerate form for the isotropic-vector search.
+    """
 
     gram: Gram
 
     @classmethod
-    def from_rows(cls, rows, validate: bool = True) -> "TernaryForm":
+    def from_rows(cls, rows) -> "TernaryForm":
         g = _to_gram(rows)
-        if validate:
-            for i in range(3):
-                for j in range(3):
-                    if g[i][j] != g[j][i]:
-                        raise ValidationError("gram matrix must be symmetric")
-            if _det3(g) == 0:
-                raise ValidationError("gram matrix must be nondegenerate")
-            sig = _signature(g)
-            if sig not in ((2, 1, 0), (1, 2, 0)):
-                raise ValidationError(f"form must be indefinite ternary, signature {sig}")
+        if any(g[i][j] != g[j][i] for i, j in ((0, 1), (0, 2), (1, 2))):
+            raise ValidationError("gram matrix must be symmetric")
+        sig = _signature(g)
+        if sig[2]:
+            raise ValidationError("gram matrix must be nondegenerate")
+        if sig not in ((2, 1, 0), (1, 2, 0)):
+            raise ValidationError(f"form must be indefinite ternary, signature {sig}")
         return cls(g)
 
     @classmethod
-    def from_coefficients(cls, a11, a22, a33, a12, a13, a23, validate: bool = True) -> "TernaryForm":
-        return cls.from_rows(
-            [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]], validate=validate
-        )
+    def from_coefficients(cls, a11, a22, a33, a12, a13, a23) -> "TernaryForm":
+        return cls.from_rows([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
 
     @classmethod
-    def from_string(cls, text: str, validate: bool = True) -> "TernaryForm":
+    def from_string(cls, text: str) -> "TernaryForm":
         """Parse 'a11 a22 a33 a12 a13 a23' with rational entries."""
         parts = text.split()
         if len(parts) != 6:
@@ -113,7 +97,7 @@ class TernaryForm:
             vals = [Fraction(p) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad form entry in {text!r}: {exc}") from exc
-        return cls.from_coefficients(*vals, validate=validate)
+        return cls.from_coefficients(*vals)
 
     def to_string(self) -> str:
         g = self.gram

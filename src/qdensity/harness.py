@@ -89,9 +89,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-_positive_int.__name__ = "int"  # named by the type it parses, like the plain int rows
-
-
 def _mode(text: str) -> str:
     if text not in ("oracle", "solver"):
         raise ValueError("expected oracle or solver")

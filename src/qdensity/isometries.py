@@ -73,34 +73,22 @@ class SOQMatrix:
         )
 
     def inverse(self) -> "SOQMatrix":
+        """``G M^T G^-1`` with G the standard Gram, since ``M G M^T = G``.
+
+        The halved entries are exact because M preserves the form, and the
+        constructor checks the result again.
+        """
         r = self.rows
-        # adjugate transpose; determinant is one so this is the exact inverse
-        cof = [
-            [
-                r[1][1] * r[2][2] - r[1][2] * r[2][1],
-                -(r[1][0] * r[2][2] - r[1][2] * r[2][0]),
-                r[1][0] * r[2][1] - r[1][1] * r[2][0],
-            ],
-            [
-                -(r[0][1] * r[2][2] - r[0][2] * r[2][1]),
-                r[0][0] * r[2][2] - r[0][2] * r[2][0],
-                -(r[0][0] * r[2][1] - r[0][1] * r[2][0]),
-            ],
-            [
-                r[0][1] * r[1][2] - r[0][2] * r[1][1],
-                -(r[0][0] * r[1][2] - r[0][2] * r[1][0]),
-                r[0][0] * r[1][1] - r[0][1] * r[1][0],
-            ],
-        ]
-        return SOQMatrix(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)))
+        return SOQMatrix((
+            (r[2][2], -2 * r[1][2], r[0][2]),
+            (-(r[2][1] // 2), r[1][1], -(r[0][1] // 2)),
+            (r[2][0], -2 * r[1][0], r[0][0]),
+        ))
 
     def apply_int(self, v: tuple[int, int, int]) -> tuple[int, int, int]:
         """Row vector times matrix, exact."""
         r = self.rows
         return tuple(sum(v[i] * r[i][j] for i in range(3)) for j in range(3))  # type: ignore
-
-    def max_entry(self) -> int:
-        return max(abs(x) for row in self.rows for x in row)
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)

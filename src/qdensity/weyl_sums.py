@@ -292,8 +292,7 @@ def _weyl_phases(PA: int, PB: int, m0: int, cnt: int, F: int) -> np.ndarray:
     return ph
 
 
-def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int,
-             phase_tol=DEFAULT_PHASE_TOL) -> WeylSumResult:
+def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int) -> WeylSumResult:
     """Sum of e(n*alpha*m^2 + beta*m) for 1 <= m <= T, phases reduced in fixed point.
 
     Each phase is the top 53 bits of the exact mantissa phase mod 1; cos and
@@ -307,7 +306,7 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int,
     ea = abs(n) * alpha.err
     PB = beta.mant
     eb = beta.err
-    if Fraction(ea * T * T + eb * T, 1 << F) > Fraction(phase_tol):
+    if Fraction(ea * T * T + eb * T, 1 << F) > DEFAULT_PHASE_TOL:
         raise PrecisionExhausted("phase radius at m=T exceeds the phase tolerance")
 
     re = im = 0.0
@@ -373,8 +372,7 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
     return total
 
 
-def weyl_differencing_bound(n: int, alpha: FixedReal, T: int,
-                            phase_tol=DEFAULT_PHASE_TOL) -> float:
+def weyl_differencing_bound(n: int, alpha: FixedReal, T: int) -> float:
     """T + 2 * sum_{m=1}^{T} min(1/||2*n*m*alpha||, T).
 
     Classical differencing upper bound for |weyl_sum|^2; independent of the
@@ -385,12 +383,12 @@ def weyl_differencing_bound(n: int, alpha: FixedReal, T: int,
     F = alpha.F
     step = 2 * n * alpha.mant
     serr = 2 * abs(n) * alpha.err
-    if Fraction(serr * T, 1 << F) > Fraction(phase_tol):
+    if Fraction(serr * T, 1 << F) > DEFAULT_PHASE_TOL:
         raise PrecisionExhausted("linear phase radius exceeds the phase tolerance")
     return T + 2.0 * _sum_min_kernel(step, serr, T, T, F)
 
 
-def sum_min(alpha: FixedReal, M: int, T: int, phase_tol=DEFAULT_PHASE_TOL) -> float:
+def sum_min(alpha: FixedReal, M: int, T: int) -> float:
     """Sum over m = 1..M*T of min(1/||m*alpha||, T)."""
     if M < 0:
         raise ValidationError("M must be >= 0")
@@ -399,7 +397,7 @@ def sum_min(alpha: FixedReal, M: int, T: int, phase_tol=DEFAULT_PHASE_TOL) -> fl
     count = M * T
     if count == 0:
         return 0.0
-    if Fraction(alpha.err * count, 1 << alpha.F) > Fraction(phase_tol):
+    if Fraction(alpha.err * count, 1 << alpha.F) > DEFAULT_PHASE_TOL:
         raise PrecisionExhausted("linear phase radius exceeds the phase tolerance")
     return _sum_min_kernel(alpha.mant, alpha.err, count, T, alpha.F)
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdensity import (
     FixedReal,
@@ -18,8 +20,86 @@ from qdensity import (
     verify_equivalence,
     SL2Matrix,
 )
+from qdensity.forms import _signature
 
 STD = standard_form()
+
+
+def signature_reference(g):
+    """(positives, negatives, zeros) via rational congruence diagonalization."""
+    a = [[Fraction(x) for x in row] for row in g]
+    n = 3
+    pos = neg = zero = 0
+    for step in range(n):
+        # find a usable pivot on the diagonal
+        piv = next((j for j in range(step, n) if a[j][j] != 0), None)
+        if piv is None:
+            piv_off = next(
+                ((i, j) for i in range(step, n) for j in range(i + 1, n) if a[i][j] != 0),
+                None,
+            )
+            if piv_off is None:
+                zero += n - step
+                break
+            i, j = piv_off
+            # v_i += v_j turns the zero diagonal entry into 2*a[i][j]
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            piv = i
+        if piv != step:
+            a[piv], a[step] = a[step], a[piv]
+            for row in a:
+                row[piv], row[step] = row[step], row[piv]
+        d = a[step][step]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for j in range(step + 1, n):
+            f = a[step][j] / d
+            if f == 0:
+                continue
+            for k in range(n):
+                a[j][k] -= f * a[step][k]
+            for k in range(n):
+                a[k][j] -= f * a[k][step]
+    return pos, neg, zero
+
+
+# Gram entries weighted toward 0, so ranks 0 to 3 and zero diagonals occur
+_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.sampled_from([Fraction(k) for k in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 3)]),
+)
+
+
+def _symmetric(a11, a22, a33, a12, a13, a23):
+    return ((a11, a12, a13), (a12, a22, a23), (a13, a23, a33))
+
+
+class TestSignature:
+    @settings(max_examples=400, deadline=None)
+    @given(entries=st.tuples(*[_ENTRY] * 6))
+    @example(entries=(1, -1, 0, 0, 0, 0))   # diag(1, -1, 0): an interior zero coefficient
+    @example(entries=(0, 0, 0, 0, 0, 0))
+    @example(entries=(0, 1, 0, 0, -2, 0))   # the standard form
+    @example(entries=(0, 0, 0, 1, 0, 0))    # zero diagonal, rank two
+    @example(entries=(1, 1, 1, 1, 1, 1))    # rank one
+    def test_descartes_matches_elimination(self, entries):
+        g = _symmetric(*(Fraction(x) for x in entries))
+        assert _signature(g) == signature_reference(g)
+
+    @pytest.mark.parametrize("entries,sig", [
+        ((1, -1, 0, 0, 0, 0), (1, 1, 1)),
+        ((0, 0, 0, 0, 0, 0), (0, 0, 3)),
+        ((0, 1, 0, 0, -2, 0), (2, 1, 0)),
+        ((-1, -1, -1, 0, 0, 0), (0, 3, 0)),
+        ((1, 1, 0, 1, 0, 0), (1, 0, 2)),
+    ])
+    def test_known_signatures(self, entries, sig):
+        assert _signature(_symmetric(*(Fraction(x) for x in entries))) == sig
 
 # high-precision reference, frozen from a 45-digit evaluation
 MINUS_FOUR_SQRT2 = -5.656854249492380195206754896838792314278687
@@ -101,7 +181,7 @@ class TestIsotropicSearch:
 
     def test_degenerate_probe_unvalidated(self):
         # rank-two probe used only for the search path
-        g = TernaryForm.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, -2]], validate=False)
+        g = TernaryForm(_symmetric(*(Fraction(x) for x in (1, 0, -2, 0, 0, 0))))
         assert find_isotropic_vector(g, 10) == (0, 1, 0)
 
     def test_result_is_primitive_zero(self):

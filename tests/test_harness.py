@@ -192,6 +192,16 @@ class TestCliRuns:
         rows = read_rows(out)
         assert int(rows[0]["count"]) >= 1
 
+    @pytest.mark.parametrize("form,code,message", [
+        ("1 1 1 0 0 0", 1, "error: form must be indefinite ternary, signature (3, 0, 0)\n"),
+        ("1 0 -2 0 0 0", 1, "error: gram matrix must be nondegenerate\n"),
+        ("1 1 -1 0 0 0", 0, ""),
+    ])
+    def test_oracle_count_form_validation(self, form, code, message):
+        argv = ["oracle-count", "--form", form, "--xi", "0/1 0/1 sqrt:2", "--t", "0/1",
+                "--T", "5", "--delta", "0.5"]
+        assert _run_quiet(argv) == (code, message)
+
     def test_exponent_solver_mode_cli(self, tmp_path):
         out = tmp_path / "es.csv"
         assert run_cli(
@@ -538,8 +548,9 @@ class TestOptionTable:
 
 
 # per value parser: a value that fails it, and one it accepts
-_BAD = {"int": "1.5", "_finite": "nan", "_int_list": "4,x", "_mode": "magic"}
-_GOOD = {"int": "7", "_finite": "0.125", "_int_list": "4,8", "_mode": "solver", "str": "1/3 0 sqrt:2"}
+_BAD = {"int": "1.5", "_positive_int": "0", "_finite": "nan", "_int_list": "4,x", "_mode": "magic"}
+_GOOD = {"int": "7", "_positive_int": "7", "_finite": "0.125", "_int_list": "4,8", "_mode": "solver",
+         "str": "1/3 0 sqrt:2"}
 # a quick run; a malformed value fails it whether or not kappa reads the key
 _KAPPA = ["kappa", "--alpha", "sqrt:2"]
 

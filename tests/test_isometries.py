@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdensity import (
     SL2Matrix,
@@ -46,6 +48,62 @@ def _xgcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def adjugate_inverse(M: SOQMatrix) -> SOQMatrix:
+    """Adjugate transpose; the determinant is one, so this is the exact inverse."""
+    r = M.rows
+    cof = [
+        [
+            r[1][1] * r[2][2] - r[1][2] * r[2][1],
+            -(r[1][0] * r[2][2] - r[1][2] * r[2][0]),
+            r[1][0] * r[2][1] - r[1][1] * r[2][0],
+        ],
+        [
+            -(r[0][1] * r[2][2] - r[0][2] * r[2][1]),
+            r[0][0] * r[2][2] - r[0][2] * r[2][0],
+            -(r[0][0] * r[2][1] - r[0][1] * r[2][0]),
+        ],
+        [
+            r[0][1] * r[1][2] - r[0][2] * r[1][1],
+            -(r[0][0] * r[1][2] - r[0][2] * r[1][0]),
+            r[0][0] * r[1][1] - r[0][1] * r[1][0],
+        ],
+    ]
+    return SOQMatrix(tuple(tuple(cof[j][i] for j in range(3)) for i in range(3)))
+
+
+@st.composite
+def _sl2(draw, bound=10**6):
+    """SL2 element with |a|, |c| <= bound, completed by the extended gcd."""
+    a = draw(st.integers(-bound, bound))
+    c = draw(st.integers(-bound, bound))
+    if math.gcd(a, c) != 1:
+        c = 1
+    _, x, y = _xgcd(a, c)
+    return SL2Matrix(a, -y, c, x)
+
+
+_SOQ = st.one_of(
+    _sl2().map(iota),
+    st.integers(-10**30, 10**30).map(unipotent),
+)
+
+
+class TestInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(M=_SOQ, N=_SOQ)
+    def test_matches_adjugate(self, M, N):
+        identity = SOQMatrix.identity().rows
+        for X in (M, N, M @ N):
+            inv = X.inverse()
+            assert inv.rows == adjugate_inverse(X).rows
+            assert (X @ inv).rows == identity
+
+    def test_known_elements(self):
+        for g in (SL2Matrix(0, -1, 1, 0), SL2Matrix(2, 1, 1, 1), SL2Matrix(-3, 2, 1, -1)):
+            M = iota(g)
+            assert M.inverse().rows == iota(g.inverse()).rows == adjugate_inverse(M).rows
 
 
 class TestEmbedding:

@@ -23,6 +23,10 @@ The call list:
     denominators, where the expansion length is tightest), and the
     verify-lemmas calls draw ``--precision`` 64-512, ``--n-list`` up to 100,
     ``--betas``, ``--M`` and ``--seed``
+  - oracle-count and oracle-mode exponent calls at T 4-20 with a drawn
+    ``--form``: definite, degenerate (rank one or two) or indefinite, so every
+    form validation message and the oracle's answer on each accepted form
+    are compared
   - two zero-alpha solver-mode exponent calls with a huge ``--scan-c``
 
 Needs only the standard library and git; about two minutes on 2 cores.
@@ -51,6 +55,7 @@ DRAWN_CALLS = 60   # of each of solve and solver-mode exponent
 DRAWN_ORBIT_CALLS = 40
 DRAWN_KAPPA_CALLS = 30
 DRAWN_LEMMA_CALLS = 30
+DRAWN_FORM_CALLS = 30
 
 ZERO_ALPHA_CALLS = [
     ["exponent", "--mode", "solver", "--xi", "0/1 1/2 0/1", "--t", "0/1", "--T", "100",
@@ -84,7 +89,7 @@ def perfbench_calls() -> list[list[str]]:
 
 
 def drawn_calls() -> list[list[str]]:
-    """Random solve, solver-mode exponent, count-orbit, kappa and verify-lemmas configs from a fixed seed."""
+    """Random solve, exponent, count-orbit, kappa, verify-lemmas and oracle-count configs from a fixed seed."""
     rng = random.Random(DRAW_SEED)
 
     def real() -> str:
@@ -146,7 +151,35 @@ def drawn_calls() -> list[list[str]]:
                       "--T-list", ",".join(map(str, grid)), "--n-list", ",".join(map(str, n_list)),
                       "--betas", str(rng.randint(1, 3)), "--M", str(rng.randint(1, 3)),
                       "--seed", str(rng.randrange(2**32))])
+    for _ in range(DRAWN_FORM_CALLS):
+        calls.append([*rng.choice([["oracle-count", "--delta", f"{rng.uniform(0.05, 1):.3g}"],
+                                   ["exponent", "--mode", "oracle"]]),
+                      f"--form={drawn_form(rng)}", "--xi", " ".join(real() for _ in range(3)),
+                      f"--t={real()}", *precision(),
+                      "--T", ",".join(map(str, sorted(rng.sample(range(4, 21), rng.randint(1, 3)))))])
     return calls
+
+
+def drawn_form(rng: random.Random) -> str:
+    """'a11 a22 a33 a12 a13 a23' of a definite, a degenerate or an indefinite Gram."""
+    def entry() -> str:
+        return rng.choice(["1", "2", "3", "1/2", "5/3"])
+
+    kind = rng.randrange(3)
+    if kind == 0:     # definite: a diagonal of one sign
+        sign = rng.choice(["", "-"])
+        return " ".join([sign + entry() for _ in range(3)] + ["0"] * 3)
+    if kind == 1:     # degenerate: u^T u of rank one, or a diagonal with a zero
+        if rng.random() < 0.5:
+            u = [rng.randint(-2, 2) for _ in range(3)]
+            return " ".join(str(u[i] * u[j]) for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)))
+        diag = [entry(), "-" + entry(), "0"]
+        rng.shuffle(diag)
+        return " ".join(diag + ["0"] * 3)
+    # indefinite on the diagonal; the off-diagonal entries may still change that
+    diag = [entry(), entry(), "-" + entry()]
+    rng.shuffle(diag)
+    return " ".join(diag + [rng.choice(["0", "0", "1", "-1/2"]) for _ in range(3)])
 
 
 def run(src: str, argv: list[str]) -> tuple[str, bytes, str]:
