@@ -10,8 +10,11 @@ detection and exact threshold comparisons.
 
 Error propagation is conservative but tight where cheap: mantissa addition is
 exact (no extra ulp), multiplication uses the standard interval cross terms
-plus one ulp for the final rounding, and division widens to the exact rational
-interval endpoints before re-rounding.
+plus two ulps, one for rounding the product and one for flooring the cross
+term, and division widens to the exact rational interval endpoints before
+re-rounding.  For an inexact value, comparisons against a bound and the
+radius check cross-multiply integers with the bound's numerator and
+denominator, and build no Fraction.
 
 Quadratic surds ``(u + v*sqrt(d))/w`` are constructed through an integer
 square root carried to ``2F`` bits, so the initial radius is a single ulp.
@@ -43,11 +46,24 @@ def _round_shift(n: int, k: int) -> int:
     """Nearest integer to n / 2**k, ties to even."""
     if k <= 0:
         return n << (-k)
-    return _round_div(n, 1 << k)
+    q = n >> k
+    r = n - (q << k)
+    half = 1 << (k - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+    return q
 
 
 def _ceil_div(n: int, d: int) -> int:
     return -((-n) // d)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of Fraction(x), without building one for an int or Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    fr = Fraction(x)
+    return fr.numerator, fr.denominator
 
 
 def _mant_to_float(m: int, F: int) -> float:
@@ -165,10 +181,16 @@ class FixedReal:
         return Fraction(self.err, 1 << self.F)
 
     def certainly_le(self, bound) -> bool:
-        return self.hi() <= Fraction(bound)
+        if self.exact is not None:
+            return self.exact <= Fraction(bound)
+        num, den = _ratio(bound)
+        return (self.mant + self.err) * den <= num << self.F
 
     def certainly_gt(self, bound) -> bool:
-        return self.lo() > Fraction(bound)
+        if self.exact is not None:
+            return self.exact > Fraction(bound)
+        num, den = _ratio(bound)
+        return (self.mant - self.err) * den > num << self.F
 
     def contains_zero(self) -> bool:
         """True when the certified interval straddles or touches zero."""
@@ -225,15 +247,6 @@ class FixedReal:
         exact = self.exact * k if self.exact is not None else None
         return FixedReal(self.mant * k, self.err * abs(k), self.F, exact)
 
-    def mul_fraction(self, fr: Fraction) -> "FixedReal":
-        fr = Fraction(fr)
-        if self.exact is not None:
-            return FixedReal.from_fraction(self.exact * fr, self.F)
-        p, q = fr.numerator, fr.denominator
-        mant = _round_div(self.mant * p, q)
-        err = _ceil_div(self.err * abs(p), q) + 1
-        return FixedReal(mant, err, self.F, None)
-
     def __mul__(self, other) -> "FixedReal":
         o = self._coerce(other)
         if self.exact is not None and o.exact is not None:
@@ -288,7 +301,10 @@ class FixedReal:
 
     def check_radius(self, tol) -> None:
         """Refuse (PrecisionExhausted) when the radius exceeds tol; None skips."""
-        if tol is not None and self.err_fraction() > Fraction(tol):
+        if tol is None:
+            return
+        num, den = _ratio(tol)
+        if self.err * den > num << self.F:
             raise PrecisionExhausted(
                 f"error radius {float(self.err_fraction()):.3e} exceeds tolerance {float(tol):.3e}"
             )

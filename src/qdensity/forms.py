@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed
+from .fixed import DEFAULT_PRECISION, FixedReal, _ceil_div, _round_div, _round_shift, as_fixed
 
 Gram = tuple[tuple[Fraction, Fraction, Fraction], ...]
 
@@ -110,6 +111,17 @@ class TernaryForm:
     def signature(self) -> tuple[int, int, int]:
         return _signature(self.gram)
 
+    @cached_property
+    def _coefficients(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(i, j, p, q) for each nonzero coefficient p/q of x_i*x_j in Q(x).
+
+        The diagonal g_ii come first, then 2*g_ij for i < j.
+        """
+        g = self.gram
+        pairs = [(i, i, Fraction(g[i][i])) for i in range(3)]
+        pairs += [(i, j, 2 * Fraction(g[i][j])) for i, j in ((0, 1), (0, 2), (1, 2))]
+        return tuple((i, j, c.numerator, c.denominator) for i, j, c in pairs if c != 0)
+
     def evaluate_exact(self, v: Sequence) -> Fraction:
         """Q(v) for a rational triple, exact."""
         x = [Fraction(c) for c in v]
@@ -158,6 +170,53 @@ class ShiftVector:
         return all(x.exact is not None for x in self.components())
 
 
+Operand = tuple[int, int, Optional[int], int]
+
+
+def _operand(x: FixedReal, k: int = 0) -> Operand:
+    """(mant, err, num, den) of x + k; num is None when x is not known exactly."""
+    mant = x.mant + (k << x.F)
+    if x.exact is None:
+        return mant, x.err, None, 1
+    den = x.exact.denominator
+    return mant, x.err, x.exact.numerator + k * den, den
+
+
+def _evaluate(form: TernaryForm, x: Sequence[Operand], F: int, tol) -> FixedReal:
+    """Q(x) for three operands, rounded term by term as FixedReal products would be.
+
+    A term with an inexact factor rounds the mantissa product to 2^-F, radius
+    the interval cross terms plus two ulps, then scales by the coefficient p/q
+    with one more ulp.  A term with two exact factors is its exact value
+    rounded once, with radius 0 if that value sits on the 2^-F grid and 1
+    otherwise.  The exact sum is kept as an unreduced pair and becomes a
+    Fraction only when every term is exact.
+    """
+    mant = err = 0
+    num: Optional[int] = 0
+    den = 1
+    for i, j, p, q in form._coefficients:
+        mi, ei, ni, di = x[i]
+        mj, ej, nj, dj = x[j]
+        if ni is None or nj is None:
+            prod = _round_shift(mi * mj, F)
+            radius = ((abs(mi) * ej + abs(mj) * ei + ei * ej) >> F) + 2
+            mant += _round_div(prod * p, q)
+            err += _ceil_div(radius * abs(p), q) + 1
+            num = None
+        else:
+            n, d = ni * nj * p, di * dj * q
+            scaled = n << F
+            mant += _round_div(scaled, d)
+            if scaled % d:
+                err += 1
+            if num is not None:
+                num, den = num * d + n * den, den * d
+    total = FixedReal(mant, err, F, None if num is None else Fraction(num, den))
+    total.check_radius(tol)
+    return total
+
+
 def evaluate(form: TernaryForm, v: Sequence, tol=None, F: Optional[int] = None) -> FixedReal:
     """Q(v) for a real triple, with the error bound tracked.
 
@@ -166,17 +225,7 @@ def evaluate(form: TernaryForm, v: Sequence, tol=None, F: Optional[int] = None) 
     """
     if F is None:
         F = next((c.F for c in v if isinstance(c, FixedReal)), DEFAULT_PRECISION)
-    x = [as_fixed(c, F) for c in v]
-    g = form.gram
-    total = FixedReal.zero(F)
-    for i in range(3):
-        if g[i][i] != 0:
-            total = total + (x[i] * x[i]).mul_fraction(g[i][i])
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        if g[i][j] != 0:
-            total = total + (x[i] * x[j]).mul_fraction(2 * g[i][j])
-    total.check_radius(tol)
-    return total
+    return _evaluate(form, [_operand(as_fixed(c, F)) for c in v], F, tol)
 
 
 def evaluate_shifted(form: TernaryForm, xi: ShiftVector, v: Sequence[int], tol=None) -> FixedReal:
@@ -184,12 +233,8 @@ def evaluate_shifted(form: TernaryForm, xi: ShiftVector, v: Sequence[int], tol=N
     v = tuple(v)
     if any(not isinstance(c, int) for c in v) or len(v) != 3:
         raise ValidationError("shifted evaluation expects an integer triple")
-    shifted = (
-        xi.alpha.add_int(v[0]),
-        xi.beta.add_int(v[1]),
-        xi.gamma.add_int(v[2]),
-    )
-    return evaluate(form, shifted, tol=tol, F=xi.precision)
+    x = [_operand(c, k) for c, k in zip(xi.components(), v)]
+    return _evaluate(form, x, xi.precision, tol)
 
 
 def _normalize_primitive(v: tuple[int, int, int]) -> tuple[int, int, int]:

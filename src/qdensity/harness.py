@@ -117,7 +117,7 @@ OPTIONS = (
     Option("form", str, "", "six rational gram entries: a11 a22 a33 a12 a13 a23"),
     Option("n_list", _int_list, "1,3,50", "comma-separated n of verify-lemmas"),
     Option("T_list", _int_list, "100,1000,10000", "comma-separated T of verify-lemmas"),
-    Option("betas", int, "20", "linear coefficients sampled per verify-lemmas case"),
+    Option("betas", _positive_int, "20", "linear coefficients sampled per verify-lemmas case"),
     Option("M", int, "1", "multiplier of the sum-min range M*T"),
 )
 

@@ -13,6 +13,7 @@ from qdensity import (
     as_fixed,
     parse_real,
 )
+from qdensity.fixed import _round_div, _round_shift
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
 
@@ -124,6 +125,44 @@ class TestIntervalSoundness:
         assert z.lo() <= a + k <= z.hi()
 
 
+class TestIntegerComparisons:
+    """certainly_le, certainly_gt and check_radius agree with their Fraction forms."""
+
+    @given(data=st.data(), F=st.sampled_from([64, 512]))
+    @settings(max_examples=400, deadline=None)
+    def test_match_fraction_forms(self, data, F):
+        x = data.draw(st.one_of(
+            st.builds(lambda m, e: FixedReal(m, e, F, None),
+                      st.integers(-(1000 << F), 1000 << F), st.integers(0, 1 << (F + 4))),
+            rationals.map(lambda a: FixedReal.from_fraction(a, F)),
+            st.tuples(rationals, st.integers(1, 1 << 40)).map(lambda t: noisy(*t, F)),
+        ))
+        edge = st.sampled_from([x.lo(), x.hi(), x.midpoint()])
+        bound = data.draw(st.one_of(
+            st.integers(-1000, 1000), rationals, edge,
+            edge.map(float), st.floats(-1000, 1000, allow_nan=False),
+        ))
+        assert x.certainly_le(bound) == (x.hi() <= Fraction(bound))
+        assert x.certainly_gt(bound) == (x.lo() > Fraction(bound))
+        tol = data.draw(st.one_of(st.integers(-1, 2), rationals, edge, st.floats(0, 1e3)))
+        try:
+            x.check_radius(tol)
+        except PrecisionExhausted as exc:
+            assert x.err_fraction() > Fraction(tol)
+            assert str(exc) == (f"error radius {float(x.err_fraction()):.3e} "
+                                f"exceeds tolerance {float(tol):.3e}")
+        else:
+            assert not x.err_fraction() > Fraction(tol)
+
+    def test_float_bound_compares_exactly(self):
+        # x rounds to the float 0.1 but lies above it
+        x = FixedReal.from_fraction(Fraction(0.1) + Fraction(1, 10**30), 512)
+        assert float(x.exact) == 0.1
+        assert x.certainly_gt(0.1) and not x.certainly_le(0.1)
+        y = FixedReal(x.mant, 1, 512, None)
+        assert y.certainly_gt(0.1) and not y.certainly_le(0.1)
+
+
 class TestReduction:
     @given(a=rationals)
     @settings(max_examples=100, deadline=None)
@@ -152,6 +191,12 @@ class TestReduction:
             x.frac_part(tol=Fraction(1, 1 << 100))
         # generous tolerance passes
         x.frac_part(tol=Fraction(1, 2))
+
+    @given(n=st.integers(-(1 << 1100), 1 << 1100) | st.integers(-8, 8).map(lambda j: (2 * j + 1) << 200),
+           k=st.integers(-3, 600) | st.just(201))
+    @settings(max_examples=300, deadline=None)
+    def test_round_shift_matches_round_div(self, n, k):
+        assert _round_shift(n, k) == (_round_div(n, 1 << k) if k > 0 else n << -k)
 
     def test_round_nearest_ties_even(self):
         assert FixedReal.from_fraction(Fraction(3, 2)).round_nearest() == 2

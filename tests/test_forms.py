@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import qdensity.solver as solver_mod
 from qdensity import (
+    AlphaZero,
     FixedReal,
+    PrecisionExhausted,
     ShiftVector,
     TernaryForm,
     ValidationError,
@@ -15,14 +18,103 @@ from qdensity import (
     evaluate_shifted,
     find_isotropic_vector,
     iota,
+    parse_real,
     standard_form,
+    target_lift,
     unipotent,
     verify_equivalence,
     SL2Matrix,
+    as_fixed,
 )
+from qdensity.fixed import DEFAULT_PRECISION, _ceil_div, _round_div
 from qdensity.forms import _signature
+from test_solver import ORACLE_FORMS
 
 STD = standard_form()
+# non-integer Gram entries, so every off-diagonal term rounds its scaling
+FRACTION_FORM = "1/3 -2/5 1 1/2 -1/7 3"
+
+
+def mul_fraction(x, fr):
+    """x * fr for a rational fr: the exact product when x is exact, else one more ulp."""
+    fr = Fraction(fr)
+    if x.exact is not None:
+        return FixedReal.from_fraction(x.exact * fr, x.F)
+    p, q = fr.numerator, fr.denominator
+    mant = _round_div(x.mant * p, q)
+    err = _ceil_div(x.err * abs(p), q) + 1
+    return FixedReal(mant, err, x.F, None)
+
+
+def evaluate_reference(form, v, tol=None, F=None):
+    """Q(v) through FixedReal products and sums, term by term."""
+    if F is None:
+        F = next((c.F for c in v if isinstance(c, FixedReal)), DEFAULT_PRECISION)
+    x = [as_fixed(c, F) for c in v]
+    g = form.gram
+    total = FixedReal.zero(F)
+    for i in range(3):
+        if g[i][i] != 0:
+            total = total + mul_fraction(x[i] * x[i], g[i][i])
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if g[i][j] != 0:
+            total = total + mul_fraction(x[i] * x[j], 2 * g[i][j])
+    total.check_radius(tol)
+    return total
+
+
+def evaluate_shifted_reference(form, xi, v, tol=None):
+    """Q(v + xi) for an integer triple v, through add_int and evaluate_reference."""
+    shifted = tuple(c.add_int(k) for c, k in zip(xi.components(), v))
+    return evaluate_reference(form, shifted, tol=tol, F=xi.precision)
+
+
+def _dec(n: int, k: int) -> str:
+    digits = str(abs(n)).rjust(k + 1, "0")
+    return f"dec:{'-' if n < 0 else ''}{digits[:len(digits) - k]}.{digits[len(digits) - k:]}"
+
+
+# sqrt, surd, dec:, dyadic and non-dyadic rational literals
+LITERALS = st.one_of(
+    st.integers(2, 10**6).map("sqrt:{}".format),
+    st.tuples(st.integers(-99, 99), st.integers(-99, 99),
+              st.integers(1, 99) | st.integers(-99, -1), st.integers(2, 10**4)).map(
+        lambda t: "surd:%d,%d,%d,%d" % t),
+    st.tuples(st.integers(-10**6, 10**6), st.integers(0, 8)).map(lambda t: _dec(*t)),
+    st.tuples(st.integers(-999, 999), st.integers(0, 40)).map(lambda t: f"{t[0]}/{1 << t[1]}"),
+    st.tuples(st.integers(-999, 999), st.integers(1, 499), st.integers(0, 4)).map(
+        lambda t: f"{t[0]}/{(2 * t[1] + 1) << t[2]}"),
+)
+
+
+def operands(F):
+    """Literals at F, and raw FixedReals with random radii, inexact unless the radius is 0."""
+    raw = st.builds(
+        lambda m, e: FixedReal(m, e, F, None),
+        st.integers(-(1 << (F + 40)), 1 << (F + 40)),
+        st.integers(0, 4) | st.integers(0, 1 << (F + 10)),
+    )
+    return LITERALS.map(lambda s: parse_real(s, F)) | raw
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        r = fn(*args, **kwargs)
+    except PrecisionExhausted as exc:
+        return type(exc), str(exc)
+    return r.mant, r.err, r.F, r.exact
+
+
+def _draw_tol(data, radius, F):
+    """No tol, one within an ulp of the radius, or an arbitrary Fraction or float."""
+    kind = data.draw(st.sampled_from(["none", "edge", "fraction", "float"]))
+    if kind == "none":
+        return None
+    if kind == "edge":
+        return Fraction(radius + data.draw(st.integers(-1, 1)), 1 << F)
+    if kind == "fraction":
+        return Fraction(data.draw(st.integers(-8, 1 << 80)), 1 << F)
+    return data.draw(st.floats(min_value=1e-300, max_value=1e30))
 
 
 def signature_reference(g):
@@ -169,6 +261,68 @@ class TestEvaluateShifted:
         xi = ShiftVector.from_values(sqrt2, 0, 0)
         with pytest.raises(ValidationError):
             evaluate_shifted(STD, xi, (0.5, 0, 0))
+
+
+FORMS = st.sampled_from([STD.to_string(), *ORACLE_FORMS, FRACTION_FORM]).map(TernaryForm.from_string)
+SMALL_OR_HUGE = st.integers(-3, 3) | st.integers(-10**12, 10**12)
+
+
+class TestEvaluateDifferential:
+    """The integer kernel makes the roundings of FixedReal products and sums, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), F=st.sampled_from([64, 256, 512]), form=FORMS)
+    def test_evaluate_matches_reference(self, data, F, form):
+        x = [data.draw(operands(F) | SMALL_OR_HUGE) for _ in range(3)]
+        ref = evaluate_reference(form, x)
+        assert _outcome(evaluate, form, x) == _outcome(evaluate_reference, form, x)
+        tol = _draw_tol(data, ref.err, F)
+        assert _outcome(evaluate, form, x, tol) == _outcome(evaluate_reference, form, x, tol)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), F=st.sampled_from([64, 256, 512]), form=FORMS,
+           v=st.tuples(SMALL_OR_HUGE, SMALL_OR_HUGE, SMALL_OR_HUGE))
+    def test_evaluate_shifted_matches_reference(self, data, F, form, v):
+        xi = ShiftVector(*(data.draw(operands(F)) for _ in range(3)))
+        ref = evaluate_shifted_reference(form, xi, v)
+        assert _outcome(evaluate_shifted, form, xi, v) == _outcome(evaluate_shifted_reference, form, xi, v)
+        tol = _draw_tol(data, ref.err, F)
+        assert (_outcome(evaluate_shifted, form, xi, v, tol)
+                == _outcome(evaluate_shifted_reference, form, xi, v, tol))
+
+    @pytest.mark.parametrize("F", [64, 256, 512])
+    def test_product_ties_round_to_even(self, F):
+        # mantissa products of 3/2 ulp and 5/2 ulps, where a floor would round down
+        x = [FixedReal(3 << (F - 1), 1, F, None), FixedReal(5 << (F - 1), 1, F, None),
+             FixedReal(1, 1, F, None)]
+        for form in (STD, TernaryForm.from_string(FRACTION_FORM)):
+            assert _outcome(evaluate, form, x) == _outcome(evaluate_reference, form, x)
+
+    def test_gram_coefficients_are_cached_per_form(self):
+        form = TernaryForm.from_string(FRACTION_FORM)
+        assert form._coefficients is form._coefficients
+        assert form._coefficients == ((0, 0, 1, 3), (1, 1, -2, 5), (2, 2, 1, 1),
+                                      (0, 1, 1, 1), (0, 2, -2, 7), (1, 2, 6, 1))
+        assert STD._coefficients == ((1, 1, 1, 1), (0, 2, -4, 1))
+
+
+class TestMidpointWindow:
+    """solver._midpoint_window bounds the midpoint that evaluate_shifted rounds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), F=st.sampled_from([64, 256, 512]),
+           lits=st.tuples(LITERALS, LITERALS, LITERALS, LITERALS),
+           a=SMALL_OR_HUGE, v3=SMALL_OR_HUGE)
+    def test_window_holds_the_rounded_midpoint(self, data, F, lits, a, v3):
+        xi = ShiftVector.from_values(*lits[:3], F=F)
+        try:
+            eta = target_lift(xi.alpha, lits[3])
+        except AlphaZero:
+            assume(False)
+        v = (0, a, v3)
+        lo, hi = solver_mod._midpoint_window(xi, eta, v)
+        r = abs(evaluate_shifted(STD, xi, v) - eta.t)
+        assert lo <= (r.mant << F) <= hi
 
 
 class TestIsotropicSearch:

@@ -280,6 +280,42 @@ class TestCliRuns:
         assert run_cli(argv, per_term) == 0
         assert block.read_bytes() == per_term.read_bytes()
 
+    @pytest.mark.parametrize("betas", ["0", "-3"])
+    def test_verify_lemmas_refuses_nonpositive_betas(self, tmp_path, betas):
+        out = tmp_path / "none.csv"
+        code, err = _run_quiet(["verify-lemmas", "--T-list", "100", f"--betas={betas}",
+                                "--out", str(out)])
+        assert code == 1 and "error: bad betas value" in err, err
+        assert not out.exists()
+
+    def test_bytes_match_reference_evaluation(self, tmp_path, monkeypatch):
+        from test_forms import evaluate_shifted_reference
+
+        from qdensity import FixedReal, harness, solver
+
+        # an irrational and a non-dyadic shift, dec: targets, a non-integer Gram
+        calls = [
+            ["solve", "--xi", "sqrt:3 -2/7 1/5", "--t", "dec:-0.7", "--T", "100000",
+             "--delta", "0.1"],
+            ["exponent", "--xi", "sqrt:2 sqrt:3 1/3", "--t", "dec:3.14159", "--T", "20,40,80",
+             "--mode", "solver"],
+            ["oracle-count", "--form", "1/3 -2/5 1 1/2 -1/7 3", "--xi", "1/3 -2/7 5/9",
+             "--t", "dec:0.37", "--T", "6,12", "--delta", "0.3"],
+        ]
+        kernel = []
+        for i, argv in enumerate(calls):
+            kernel.append(tmp_path / f"kernel{i}.csv")
+            assert run_cli(argv, kernel[-1]) == 0
+            assert len(read_rows(kernel[-1])) > 1
+        monkeypatch.setattr(solver, "evaluate_shifted", evaluate_shifted_reference)
+        monkeypatch.setattr(harness, "evaluate_shifted", evaluate_shifted_reference)
+        monkeypatch.setattr(FixedReal, "certainly_le", lambda x, b: x.hi() <= Fraction(b))
+        monkeypatch.setattr(FixedReal, "certainly_gt", lambda x, b: x.lo() > Fraction(b))
+        for i, argv in enumerate(calls):
+            ref = tmp_path / f"reference{i}.csv"
+            assert run_cli(argv, ref) == 0
+            assert kernel[i].read_bytes() == ref.read_bytes(), argv[0]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
