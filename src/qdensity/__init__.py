@@ -48,6 +48,7 @@ from .solver import (
     SolveReport,
     TargetLift,
     count_values_bruteforce,
+    count_values_grid,
     estimate_critical_exponent,
     find_solutions,
     nearest_offset,

@@ -226,7 +226,9 @@ class FixedReal:
     __radd__ = __add__
 
     def __sub__(self, other) -> "FixedReal":
-        return self + self._coerce(other).__neg__()
+        o = self._coerce(other)
+        exact = self.exact - o.exact if self.exact is not None and o.exact is not None else None
+        return FixedReal(self.mant - o.mant, self.err + o.err, self.F, exact)
 
     def __rsub__(self, other) -> "FixedReal":
         return self._coerce(other) - self

@@ -443,10 +443,8 @@ def run_oracle_count(cfg: RunConfig):
         raise ValidationError("oracle-count needs delta")
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    rows = []
-    for T in grid:
-        res = solver.count_values_bruteforce(form, xi, t_fix, T, delta, cap=cfg["cap"])
-        rows.append((T, delta, res.count, res.min_residual, *res.argmin))
+    answers = solver.count_values_grid(form, xi, t_fix, grid, delta, cap=cfg["cap"])
+    rows = [(T, delta, res.count, res.min_residual, *res.argmin) for T, res in zip(grid, answers)]
     return [], ("T", "delta", "count", "min_residual", "v1", "v2", "v3"), rows
 
 

@@ -18,19 +18,24 @@ is evaluated only at the steps whose windows can hold the least midpoint (one
 per T unless steps tie or nearly tie), so the reported minimum is the
 certified form evaluation with the least midpoint.
 
-The independent oracle counts the ball one (v1, v2) chord at a time.  On a
-chord Q(v + xi) - t is a polynomial of degree at most 2 in v3, so the v3 with
-|Q(v + xi) - t| <= delta form at most two intervals, counted in closed form
-from float64 roots that carry a derived error bound.  Only the integers
-within that bound of an interval endpoint, and those whose residual may be
-the minimum, are resolved in certified fixed point, so counts and minima are
-exact up to explicitly ambiguous intervals (which count as hits; with exact
-rational data there is no ambiguity at all).
+The independent oracle answers a whole T grid from one sweep of the disc
+v1^2 + v2^2 <= max(T)^2, one (v1, v2) chord at a time, rows centre-out.  On
+a chord Q(v + xi) - t is a polynomial of degree at most 2 in v3, so the v3
+with |Q(v + xi) - t| <= delta form at most two intervals, found once per
+chord from float64 roots that carry a derived error bound; each T counts
+them in closed form, clipped to its own half-length |v3| <= R_T, on the
+chords inside its disc.  Only the integers within that bound of an interval
+endpoint, and those whose residual may be the minimum of some ball, are
+resolved in certified fixed point, each once and credited to every ball
+that holds it, so counts and minima are exact up to explicitly ambiguous
+intervals (which count as hits; with exact rational data there is no
+ambiguity at all).  A single T is the one-cell grid.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -275,13 +280,16 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
 def _disc_blocks(T: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(v1, v2, R) of the chords v1^2 + v2^2 <= T^2, a block of v1 rows at a time.
 
-    The chords come in lexicographic order and R = isqrt(T^2 - v1^2 - v2^2)
-    is the half-length of the chord |v3| <= R; all three hold integers as
-    float64, which is exact far beyond any T the oracle accepts.
+    The rows come centre-out (v1 = 0, -1, 1, -2, 2, ...), each row's chords
+    with v2 ascending, and R = isqrt(T^2 - v1^2 - v2^2) is the half-length of
+    the chord |v3| <= R; all three hold integers as float64, which is exact
+    far beyond any T the oracle accepts.
     """
     rows = max(1, _BLOCK_SLICES // (2 * T + 1))
-    for first in range(-T, T + 1, rows):
-        v1 = np.arange(first, min(first + rows, T + 1), dtype=np.float64)
+    k = np.arange(2 * T + 1)
+    order = ((k + 1) // 2 * np.where(k % 2, -1, 1)).astype(np.float64)
+    for first in range(0, 2 * T + 1, rows):
+        v1 = order[first:first + rows]
         W = _isqrt(T * T - v1 * v1)
         width = (2 * W + 1).astype(np.int64)
         v2 = np.arange(int(width.sum()), dtype=np.float64) - np.repeat(np.cumsum(width) - W - 1, width)
@@ -406,42 +414,76 @@ def _chord_polynomials(form: TernaryForm, xi: ShiftVector, t_fix: FixedReal, del
 
 def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta: float,
                             cap: int = 300) -> OracleCount:
-    """Exact count over the ball ||v|| <= T, one (v1, v2) chord at a time.
+    """Exact count and minimum over the ball ||v|| <= T: count_values_grid on the grid (T,)."""
+    return count_values_grid(form, xi, t, (T,), delta, cap)[0]
 
-    Returns the number of v with |Q(v + xi) - t| <= delta (closed comparison),
-    the minimum residual over the ball, and its lexicographically least
-    argmin.  On the chord through (v1, v2), Q(v + xi) - t is a polynomial
-    A*v3^2 + B*v3 + C in v3, with A = g33 on every chord.  Its float64
-    coefficients come with a bound E on the distance from their value to the
-    certified one at every point of the chord (_chord_polynomials), so the
-    sublevel sets at +-delta -+ 2E give in closed form the v3 that certainly
-    count and those that certainly do not.  Only the v3 between them, next
-    to an interval endpoint, are resolved in certified fixed point
-    (ambiguous counts as a hit).  The minimum is bounded above at the
-    integers next to the roots and the vertex; every v3 whose residual may
-    lie below that bound is resolved the same way, and the least exact value
-    (the certified midpoint when the value is not known exactly) wins, ties
-    going to the least v.
+
+def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[int], delta: float,
+                      cap: int = 300) -> list[OracleCount]:
+    """Exact count and minimum over each ball ||v|| <= T of T_grid, from one sweep.
+
+    Returns one OracleCount per grid entry, in grid order (the grid may be
+    unsorted and repeat a T): the number of v with |Q(v + xi) - t| <= delta
+    (closed comparison), the minimum residual over the ball, and its
+    lexicographically least argmin.
+
+    The disc v1^2 + v2^2 <= max(T)^2 is swept once, one (v1, v2) chord at a
+    time.  On a chord Q(v + xi) - t is a polynomial A*v3^2 + B*v3 + C in v3,
+    with A = g33 on every chord, whose float64 coefficients come with a bound
+    E on the distance from their value to the certified one at every point
+    of the largest ball's chord (_chord_polynomials), so E holds on every
+    smaller ball's chord too.  The sublevel sets at +-delta -+ 2E give in
+    closed form the v3 that certainly count and those that certainly do not;
+    each T clips them to its own half-length R_T on the chords inside its
+    disc.  Only the v3 between them, next to an interval endpoint, are
+    resolved in certified fixed point (ambiguous counts as a hit).  Each T
+    bounds its least residual from above by a running mu_T, taken at the
+    integers next to the roots and the vertex clipped to R_T; the rows come
+    centre-out, so every ball's bound is set by the first block.  Every v3 whose
+    residual may lie below the mu_T of the smallest T whose disc holds the
+    chord, which bounds the minimum of every larger ball too, is resolved the
+    same way, and for each T the least exact value (the certified midpoint
+    when the value is not known exactly) over the resolved points of its ball
+    wins, ties going to the least v.  Each resolved point is evaluated once.
     """
-    if T < 0:
-        raise ValidationError("T must be >= 0")
-    if delta < 0:
-        raise ValidationError("delta must be >= 0")
-    if T > cap:
-        raise CapExceeded(f"T={T} exceeds the enumeration cap {cap}")
+    for T in T_grid:
+        if T < 0:
+            raise ValidationError("T must be >= 0")
+        if delta < 0:
+            raise ValidationError("delta must be >= 0")
+        if T > cap:
+            raise CapExceeded(f"T={T} exceeds the enumeration cap {cap}")
+    if not T_grid:
+        return []
 
+    Ts = sorted(set(T_grid))
+    sq = [T * T for T in Ts]
+    last = len(Ts) - 1
     t_fix = as_fixed(t, xi.precision)
     delta_fr = Fraction(delta)
     A, chord = _chord_polynomials(form, xi, t_fix, delta)
+    resolved: dict[Vec3, FixedReal] = {}
 
     def exact_resid(v: Vec3) -> FixedReal:
-        return abs(evaluate_shifted(form, xi, v) - t_fix)
+        if v not in resolved:
+            resolved[v] = abs(evaluate_shifted(form, xi, v) - t_fix)
+        return resolved[v]
 
-    count = 0
-    mu = math.inf   # certified upper bound on the minimum residual
-    best: Optional[tuple[Fraction, Vec3]] = None
-    for v1, v2, R in _disc_blocks(T):
+    # per ball Ts[k]: the count, the least (key, v) and a certified upper
+    # bound on the minimum residual; a resolved point whose smallest ball is
+    # Ts[k] is credited to every k' >= k
+    count = [0] * len(Ts)
+    best: list[Optional[tuple[Fraction, Vec3]]] = [None] * len(Ts)
+    mu = [math.inf] * len(Ts)
+    for v1, v2, R in _disc_blocks(Ts[-1]):
         B, C, E = chord(v1, v2, R)
+        rho = v1 * v1 + v2 * v2
+        # the chords inside each smaller disc and their half-lengths there
+        cells = [(last, slice(None), R)]
+        for k in range(last):
+            idx = np.flatnonzero(rho <= sq[k])
+            if len(idx):
+                cells.append((k, idx, _isqrt(sq[k] - rho[idx])))
 
         # certain hits lie in `low` and outside `high`, where every certified
         # value y has -delta < y <= delta: |A*n^2 + B*n + C - y| <= E, and the
@@ -450,13 +492,15 @@ def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta
         # level crossings
         low = _sublevel(A, B, C, delta - 2 * E, False)
         high = _sublevel(A, B, C, 2 * E - delta, True)
-        count += int(_n_between(*low, R).sum() - _n_between(
-            np.maximum(low[0], high[0]), np.minimum(low[1], high[1]), R).sum())
+        both = (np.maximum(low[0], high[0]), np.minimum(low[1], high[1]))
         unsure = (_gaps(_sublevel(A, B, C, delta + 2 * E, True), low, R)
                   + _gaps(high, _sublevel(A, B, C, -delta - 2 * E, False), R))
         for i, pts in _gap_points(unsure):
             v1i, v2i = int(v1[i]), int(v2[i])
-            count += sum(not exact_resid((v1i, v2i, n)).certainly_gt(delta_fr) for n in pts)
+            for n in pts:
+                if not exact_resid((v1i, v2i, n)).certainly_gt(delta_fr):
+                    for k in range(bisect_left(sq, rho[i] + n * n), len(Ts)):
+                        count[k] += 1
 
         # the integers next to the roots and the vertex bound the least key
         # from above by mu; a point whose key may be at most mu has
@@ -469,22 +513,32 @@ def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta
                 marks = (mid - half, mid, mid + half)
             else:
                 marks = (np.where(B > 0, -C / B, 0.0),)
-            near = [np.clip(np.floor(m) + d, -R, R) for m in marks for d in (0.0, 1.0)]
-            least = np.min([np.abs((A * n + B) * n + C) for n in near], axis=0)
-        mu = min(mu, float(np.fmin.reduce(least + 2 * E)))
-        level = mu * (1 + 2 * _EPS) + 2 * E
+            floors = [np.floor(m) + d for m in marks for d in (0.0, 1.0)]
+            for k, idx, R_T in cells:
+                count[k] += int(_n_between(low[0][idx], low[1][idx], R_T).sum()
+                                - _n_between(both[0][idx], both[1][idx], R_T).sum())
+                Bk, Ck = B[idx], C[idx]
+                near = [np.clip(f[idx], -R_T, R_T) for f in floors]
+                at_marks = np.min([np.abs((A * n + Bk) * n + Ck) for n in near], axis=0)
+                mu[k] = min(mu[k], float(np.fmin.reduce(at_marks + 2 * E[idx])))
+        # each chord's band is taken at the bound of the smallest ball whose
+        # disc holds it, which bounds the minimum of every larger ball too
+        mu_chord = np.take(mu, np.searchsorted(sq, rho)) if last else mu[0]
+        level = mu_chord * (1 + 2 * _EPS) + 2 * E
         band = _gaps(_sublevel(A, B, C, level, True), _sublevel(A, B, C, -level, False), R)
         for i, pts in _gap_points(band):
             v1i, v2i = int(v1[i]), int(v2[i])
             for n in pts:
                 res = exact_resid((v1i, v2i, n))
-                key = res.exact if res.exact is not None else res.midpoint()
-                if best is None or (key, (v1i, v2i, n)) < best:
-                    best = (key, (v1i, v2i, n))
+                cand = (res.exact if res.exact is not None else res.midpoint(), (v1i, v2i, n))
+                for k in range(bisect_left(sq, rho[i] + n * n), len(Ts)):
+                    if best[k] is None or cand < best[k]:
+                        best[k] = cand
 
-    if best is None:
+    if None in best:
         raise ValidationError("empty ball; T must admit at least the origin")
-    return OracleCount(count, float(best[0]), best[1])
+    return [OracleCount(count[k], float(best[k][0]), best[k][1])
+            for k in (bisect_left(Ts, T) for T in T_grid)]
 
 
 def _midpoint_window(xi: ShiftVector, eta: TargetLift, v: Vec3) -> tuple[int, int]:
@@ -508,6 +562,30 @@ def _midpoint_window(xi: ShiftVector, eta: TargetLift, v: Vec3) -> tuple[int, in
     return R - s, R + s
 
 
+def _least_midpoint_residual(xi: ShiftVector, eta: TargetLift, T: int,
+                             scan_c: float) -> tuple[float, bool]:
+    """(float, exact zero?) of the solver-mode residual with the least midpoint at T."""
+    m_max = _scan_length(xi, eta, T, scan_c)
+    _check_orbit_radius(xi, eta, m_max, DEFAULT_REDUCTION_TOL)
+    # the least midpoint is at most every upper bound, so only steps whose
+    # window reaches below the least one (least_hi) can hold it; the steps
+    # kept against the running least_hi are a superset of those
+    least_hi, kept = math.inf, []
+    for _, _, v, _, _ in _lattice_steps(xi, eta, T, range(1, m_max + 1)):
+        lo, hi = _midpoint_window(xi, eta, v)
+        if lo <= least_hi:
+            kept.append((lo, v))
+            least_hi = min(least_hi, hi)
+    if not kept:
+        raise ValidationError(f"no step survived the norm filter at T={T}")
+    # each v is evaluated once, at its smallest m, and min keeps the first
+    # of equal midpoints
+    near = dict.fromkeys(v for lo, v in kept if lo <= least_hi)
+    r = min((abs(evaluate_shifted(standard_form(), xi, v) - eta.t) for v in near),
+            key=FixedReal.midpoint)
+    return r.to_float(), r.exact == 0
+
+
 @dataclass
 class ExponentRow:
     T: int
@@ -523,7 +601,8 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
                                cap: int = 300) -> list[ExponentRow]:
     """Decay exponent -log(min residual)/log(T) along an increasing T grid.
 
-    Oracle mode enumerates the full ball.  Solver mode walks the orbit steps
+    Oracle mode answers the whole grid from one sweep of the largest ball
+    (count_values_grid).  Solver mode walks the orbit steps
     1 <= m <= scan_c*sqrt(T) (cut at the norm filter, _scan_length) through
     the same lattice points as find_solutions, with the norm filter still
     enforced, and refuses like find_solutions when the orbit radius at the end
@@ -541,34 +620,14 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
     if mode not in ("oracle", "solver"):
         raise ValidationError("mode must be oracle or solver")
     form = form or standard_form()
-    eta = target_lift(xi.alpha, t) if mode == "solver" else None
+    if mode == "oracle":
+        # a zero float minimum is saturated below
+        minima = [(res.min_residual, False) for res in count_values_grid(form, xi, t, grid, 0.0, cap=cap)]
+    else:
+        eta = target_lift(xi.alpha, t)
+        minima = [_least_midpoint_residual(xi, eta, T, scan_c) for T in grid]
     rows: list[ExponentRow] = []
-    for T in grid:
-        if mode == "oracle":
-            # a zero float minimum is saturated below
-            res = count_values_bruteforce(form, xi, t, T, 0.0, cap=cap)
-            min_resid, exact_zero = res.min_residual, False
-        else:
-            m_max = _scan_length(xi, eta, T, scan_c)
-            _check_orbit_radius(xi, eta, m_max, DEFAULT_REDUCTION_TOL)
-            # the least midpoint is at most every upper bound, so only steps whose
-            # window reaches below the least one (least_hi) can hold it; the steps
-            # kept against the running least_hi are a superset of those
-            least_hi, kept = math.inf, []
-            for _, _, v, _, _ in _lattice_steps(xi, eta, T, range(1, m_max + 1)):
-                lo, hi = _midpoint_window(xi, eta, v)
-                if lo <= least_hi:
-                    kept.append((lo, v))
-                    least_hi = min(least_hi, hi)
-            if not kept:
-                raise ValidationError(f"no step survived the norm filter at T={T}")
-            # each v is evaluated once, at its smallest m, and min keeps the first
-            # of equal midpoints
-            near = dict.fromkeys(v for lo, v in kept if lo <= least_hi)
-            r = min((abs(evaluate_shifted(standard_form(), xi, v) - eta.t) for v in near),
-                    key=FixedReal.midpoint)
-            min_resid = r.to_float()
-            exact_zero = r.exact == 0
+    for T, (min_resid, exact_zero) in zip(grid, minima):
         if exact_zero or min_resid == 0.0:
             rows.append(ExponentRow(T, 0.0, math.inf, True))
         else:

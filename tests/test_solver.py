@@ -20,6 +20,7 @@ from qdensity import (
     as_fixed,
     count_orbit_hits,
     count_values_bruteforce,
+    count_values_grid,
     estimate_critical_exponent,
     evaluate_shifted,
     find_solutions,
@@ -571,6 +572,13 @@ class TestOracleDifferential:
             res = count_values_bruteforce(form, xi_mixed, Fraction(-21, 64), 110, 0.25)
         assert res.argmin in points
         assert len(points) <= 20
+        # a grid sweep sets every ball's running bound from the centre rows
+        # on, so its inner balls add only a few points more
+        grid = (40, 80, 110)
+        with exact_evaluations() as points:
+            answers = count_values_grid(form, xi_mixed, Fraction(-21, 64), grid, 0.25)
+        assert all(res.argmin in points for res in answers)
+        assert len(points) <= 20 * len(grid)
 
     def test_constant_chords_match_exact_enumeration(self):
         # standard form, alpha = 0: each v1 = 0 chord has Q = u2^2 for every v3,
@@ -654,6 +662,57 @@ class TestOracleDifferential:
         count, r, w = exact_answer(xi_vals, t, 5, delta, form.gram)
         assert r == expected
         assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
+
+
+def answer(res):
+    return res.count, repr(res.min_residual), res.argmin
+
+
+# unsorted grids with repeats and T = 0, whose largest T spans several blocks
+# of the disc sweep (a block holds 4096 // (2T + 1) rows)
+@st.composite
+def grids(draw):
+    grid = [draw(st.integers(64, 90)),
+            *draw(st.lists(st.one_of(st.integers(0, 10), st.integers(30, 90)), max_size=4))]
+    grid += grid[:draw(st.integers(0, 2))]
+    return draw(st.permutations(grid))
+
+
+class TestOracleGrid:
+    @given(form_lit=st.sampled_from(ORACLE_FORMS), xi_vals=st.tuples(rationals, rationals, rationals),
+           t=rationals, grid=grids(), delta=st.sampled_from([0.0, 0.25, 5.0]))
+    @settings(max_examples=30, deadline=None)
+    @example(form_lit="1 1 -1 0 0 0", xi_vals=(Fraction(1, 3), Fraction(-1, 2), 0), t=Fraction(1, 4),
+             grid=[64, 0, 5, 64, 0], delta=0.25)
+    def test_rational_shift_matches_one_cell_calls(self, form_lit, xi_vals, t, grid, delta):
+        form = TernaryForm.from_string(form_lit)
+        xi = ShiftVector.from_values(*xi_vals)
+        answers = count_values_grid(form, xi, t, grid, delta)
+        assert len(answers) == len(grid)
+        for T, res in zip(grid, answers):
+            assert answer(res) == answer(count_values_bruteforce(form, xi, t, T, delta))
+            if T <= 10:
+                count, r, w = exact_answer(xi_vals, t, T, delta, form.gram)
+                assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
+
+    @given(lits=st.tuples(literals, literals, literals), t_lit=literals,
+           form_lit=st.sampled_from(ORACLE_FORMS), grid=grids(),
+           delta=st.sampled_from([0.0, 0.01, 0.25, 5.0]), F=st.sampled_from([64, 256]))
+    @settings(max_examples=20, deadline=None)
+    def test_irrational_shift_matches_one_cell_calls(self, lits, t_lit, form_lit, grid, delta, F):
+        form = TernaryForm.from_string(form_lit)
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        t = parse_real(t_lit, F)
+        answers = count_values_grid(form, xi, t, grid, delta)
+        assert [answer(res) for res in answers] == [
+            answer(count_values_bruteforce(form, xi, t, T, delta)) for T in grid]
+
+    def test_cap_refuses_the_first_T_over_it_in_grid_order(self, xi_sqrt2):
+        with pytest.raises(CapExceeded, match="^T=400 exceeds the enumeration cap 300$"):
+            count_values_grid(STD, xi_sqrt2, 0, (5, 400, 301), 0.1)
+        with pytest.raises(ValidationError, match="T must be >= 0"):
+            count_values_grid(STD, xi_sqrt2, 0, (5, -1, 400), 0.1)
+        assert count_values_grid(STD, xi_sqrt2, 0, (), 0.1) == []
 
 
 class TestExponent:

@@ -27,6 +27,10 @@ The call list:
     ``--form``: definite, degenerate (rank one or two) or indefinite, so every
     form validation message and the oracle's answer on each accepted form
     are compared
+  - oracle-count and oracle-mode exponent calls whose T grid reaches 64-120,
+    so the disc sweep spans several blocks; the oracle-count grids are
+    unsorted and may repeat a T, and every fourth call has a ``--cap`` below
+    the largest T, so the refusal text is compared
   - two zero-alpha solver-mode exponent calls with a huge ``--scan-c``
 
 Needs only the standard library and git; about two minutes on 2 cores.
@@ -56,6 +60,7 @@ DRAWN_ORBIT_CALLS = 40
 DRAWN_KAPPA_CALLS = 30
 DRAWN_LEMMA_CALLS = 30
 DRAWN_FORM_CALLS = 30
+DRAWN_GRID_CALLS = 24
 
 ZERO_ALPHA_CALLS = [
     ["exponent", "--mode", "solver", "--xi", "0/1 1/2 0/1", "--t", "0/1", "--T", "100",
@@ -157,6 +162,20 @@ def drawn_calls() -> list[list[str]]:
                       f"--form={drawn_form(rng)}", "--xi", " ".join(real() for _ in range(3)),
                       f"--t={real()}", *precision(),
                       "--T", ",".join(map(str, sorted(rng.sample(range(4, 21), rng.randint(1, 3)))))])
+    for i in range(DRAWN_GRID_CALLS):
+        top = rng.randint(64, 120)
+        grid = [top, *rng.sample(range(4, top), rng.randint(1, 3))]
+        if i % 2:
+            grid += rng.sample(grid, rng.randint(0, 1))
+            rng.shuffle(grid)
+            head = ["oracle-count", "--delta", f"{rng.uniform(0.01, 1):.3g}"]
+        else:
+            grid.sort()
+            head = ["exponent", "--mode", "oracle"]
+        form = ["--form=1 1 -1 0 0 0"] if rng.random() < 0.3 else []
+        cap = ["--cap", str(rng.randint(4, top - 1))] if i % 4 == 3 else []
+        calls.append([*head, *form, "--xi", " ".join(real() for _ in range(3)), f"--t={real()}",
+                      *precision(), "--T", ",".join(map(str, grid)), *cap])
     return calls
 
 
