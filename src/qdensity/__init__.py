@@ -46,13 +46,12 @@ from .solver import (
     OracleCount,
     Solution,
     SolveReport,
-    TargetLift,
     count_values_bruteforce,
     count_values_grid,
     estimate_critical_exponent,
     find_solutions,
+    lifted_shift,
     nearest_offset,
-    target_lift,
 )
 from .weyl_sums import (
     TorusPoint2,

@@ -1,14 +1,16 @@
 """Constructive solutions for |Q(v + xi) - t| <= threshold with ||v|| <= T.
 
-Solving is an orbit hit test, then an exact norm and residual filter.  The
-target is lifted to eta = (alpha, y, z) with y^2 - 4*alpha*z = t, and the
-certified orbit scan of weyl_sums keeps the steps m whose orbit point lies
-within scan_c * delta of (y, z) on the torus.  Only those steps round the
-orbit point to the nearest integer offset u = (0, a, b) and pull it back
-through the inverse orbit matrix, which lands on v = (0, a, b - m*a).  Kept
-solutions are re-filtered unconditionally: certified Euclidean norm at most T
-and certified residual at most bound_C * delta, so every reported row is
-correct regardless of how the scan constants were chosen.
+Solving is an orbit hit test, then an exact norm and residual filter.  On
+the points v = (0, v2, v3) the solver visits, Q(v + xi) - t = Q(v + xi_t)
+for the lifted shift xi_t = (alpha, beta, gamma + t/(4*alpha)), and the
+certified orbit scan of weyl_sums keeps the steps m whose orbit point of
+xi_t lies within scan_c * delta of the origin on the torus.  Only those
+steps round the orbit point to the nearest integer offset u = (0, a, b) and
+pull it back through the inverse orbit matrix, which lands on
+v = (0, a, b - m*a).  Kept solutions are re-filtered unconditionally, with
+the original xi and t: certified Euclidean norm at most T and certified
+residual at most bound_C * delta, so every reported row is correct
+regardless of how the scan constants were chosen.
 
 Solver-mode estimate_critical_exponent walks the same lattice points
 (_lattice_steps) over every step of the scan, not only the hits.  The exact
@@ -48,21 +50,6 @@ from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
 from .weyl_sums import DEFAULT_REDUCTION_TOL, _orbit_radius, _scan_orbit
 
 Vec3 = tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class TargetLift:
-    """eta = (alpha, y, z) with y^2 - 4*alpha*z = t certified at construction."""
-
-    alpha: FixedReal
-    y: FixedReal
-    z: FixedReal
-    t: FixedReal
-
-    def __post_init__(self):
-        defect = self.y * self.y - self.alpha.mul_int(4) * self.z - self.t
-        if not defect.contains_zero():
-            raise ValidationError("target lift does not satisfy its defining identity")
 
 
 @dataclass(frozen=True)
@@ -117,80 +104,83 @@ class SolveReport:
         }
 
 
-def target_lift(alpha: FixedReal, t) -> TargetLift:
-    """Default lift policy y = 0, z = -t/(4*alpha).
+def lifted_shift(xi: ShiftVector, t) -> ShiftVector:
+    """xi_t = (alpha, beta, gamma + t/(4*alpha)): Q(v + xi) - t = Q(v + xi_t) wherever v1 = 0.
 
-    alpha indistinguishable from zero is rejected unless t is exactly zero,
-    where (y, z) = (0, 0) satisfies the identity trivially (the degenerate
-    rational path).
+    There Q(v + xi) - t = (v2 + beta)^2 - 4*alpha*(v3 + gamma) - t, and the
+    target moves into gamma.  An exactly zero t returns xi itself, also where
+    alpha is indistinguishable from zero (the degenerate rational path); any
+    other t with such an alpha is rejected.
     """
-    t_fix = as_fixed(t, alpha.F)
-    zero = FixedReal.zero(alpha.F)
-    if alpha.contains_zero():
-        if t_fix.exact == 0:
-            return TargetLift(alpha, zero, zero, t_fix)
+    t_fix = as_fixed(t, xi.precision)
+    if t_fix.exact == 0:
+        return xi
+    if xi.alpha.contains_zero():
         raise AlphaZero("leading coordinate indistinguishable from zero")
-    z = -(t_fix / alpha.mul_int(4))
-    return TargetLift(alpha, zero, z, t_fix)
+    alpha4 = xi.alpha.mul_int(4)
+    q = t_fix / alpha4
+    if not (alpha4 * q - t_fix).contains_zero():
+        raise ValidationError("target lift does not satisfy its defining identity")
+    return ShiftVector(xi.alpha, xi.beta, xi.gamma + q)
 
 
-def _offset_at(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[int, int, int, int]:
-    """Integer offset (a, b) minimizing ||xi*M_m + u - eta|| and its gap mantissas.
+def _offset_at(xi_t: ShiftVector, m: int) -> tuple[int, int, int, int]:
+    """Integer offset (a, b) minimizing ||xi_t*M_m + u|| and its gap mantissas.
 
-    With u = (0, a, b), the gap is (w2 - y + a, w3 - z + b) for the orbit
-    coordinates w2 = 2*alpha*m + beta and w3 = alpha*m^2 + beta*m + gamma; the
-    mantissa arithmetic is exact and a, b round the midpoints ties to even.
+    With u = (0, a, b), the gap is (w2 + a, w3 + b) for the orbit coordinates
+    w2 = 2*alpha*m + beta and w3 = alpha*m^2 + beta*m + gamma of the lifted
+    shift; the mantissa arithmetic is exact and a, b round the midpoints ties
+    to even.
     """
-    F = xi.precision
-    A, B, C = xi.alpha.mant, xi.beta.mant, xi.gamma.mant
-    d2 = A * (2 * m) + B - eta.y.mant
-    d3 = A * (m * m) + B * m + C - eta.z.mant
+    F = xi_t.precision
+    A, B, C = xi_t.alpha.mant, xi_t.beta.mant, xi_t.gamma.mant
+    d2 = A * (2 * m) + B
+    d3 = A * (m * m) + B * m + C
     a = -_round_shift(d2, F)
     b = -_round_shift(d3, F)
     return a, b, d2 + (a << F), d3 + (b << F)
 
 
-def _scan_length(xi: ShiftVector, eta: TargetLift, T: int, scan_c: float) -> int:
+def _scan_length(xi_t: ShiftVector, T: int, scan_c: float, tol) -> int:
     """Last step to scan: scan_c*sqrt(T), cut where no step can pass the norm filter.
 
-    A step has a = -round(d2 / 2^F) with d2 = 2*A*m + B - Y in the mantissas
-    of alpha, beta and eta.y, and the norm filter needs |a| <= T and
+    A step has a = -round(d2 / 2^F) with d2 = 2*A*m + B in the mantissas of
+    the lifted shift's alpha and beta, and the norm filter needs |a| <= T and
     |v3| <= T.  With A != 0, |a| >= |d2| / 2^F - 1/2, so past the cut
-    2|A|m - |B - Y| > (2T+1)*2^(F-1) gives |a| > T.  With A = 0, a is the
-    same at every step and v3*2^F lies within 2^(F-1) of -(m*G + C - Z), with
-    G = B + a*2^F and C, Z the mantissas of gamma and eta.z, so past the cut
-    m|G| - |C - Z| > (2T+1)*2^(F-1) gives |v3| > T.  With G = 0 the steps
-    repeat with period at most 2 (ties to even), so no step past the second
-    adds output, and the cut is that of the largest gap, |G| = 2^(F-1), the
+    2|A|m - |B| > (2T+1)*2^(F-1) gives |a| > T.  With A = 0, a is the same at
+    every step and v3*2^F lies within 2^(F-1) of -(m*G + C), with
+    G = B + a*2^F and C the mantissa of the lifted gamma, so past the cut
+    m|G| - |C| > (2T+1)*2^(F-1) gives |v3| > T.  With G = 0 the steps repeat
+    with period at most 2 (ties to even), so no step past the second adds
+    output, and the cut is that of the largest gap, |G| = 2^(F-1), the
     earliest any gap gives: past step 2T + 1.
+
+    Refuses (PrecisionExhausted) when the orbit radius at the last step, the
+    target's share in the lifted gamma included, exceeds tol.
     """
-    F = xi.precision
-    A, B = xi.alpha.mant, xi.beta.mant
+    F = xi_t.precision
+    A, B, C = xi_t.alpha.mant, xi_t.beta.mant, xi_t.gamma.mant
     reach = (2 * T + 1) << (F - 1)
     if A:
-        cut = (reach + abs(B - eta.y.mant)) // (2 * abs(A)) + 1
+        cut = (reach + abs(B)) // (2 * abs(A)) + 1
     else:
-        G = abs(B - (_round_shift(B - eta.y.mant, F) << F))
-        cut = (reach + abs(xi.gamma.mant - eta.z.mant)) // (G or 1 << (F - 1)) + 1
+        G = abs(B - (_round_shift(B, F) << F))
+        cut = (reach + abs(C)) // (G or 1 << (F - 1)) + 1
     m_max = scan_c * math.sqrt(T)
-    return cut if m_max >= cut else int(m_max)
-
-
-def _check_orbit_radius(xi: ShiftVector, eta: TargetLift, m_max: int, tol) -> None:
-    """Refuse a scan to m_max whose orbit radius, lift radius included, exceeds tol."""
-    E = _orbit_radius(xi.alpha, xi.beta, xi.gamma, m_max) + eta.y.err + eta.z.err
-    if Fraction(E, 1 << xi.precision) > Fraction(tol):
+    m_max = cut if m_max >= cut else int(m_max)
+    if Fraction(_orbit_radius(*xi_t.components(), m_max), 1 << F) > Fraction(tol):
         raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")
+    return m_max
 
 
-def nearest_offset(xi: ShiftVector, m: int, eta: TargetLift) -> tuple[Vec3, float]:
-    """Nearest integer offset for step m and the achieved distance."""
-    a, b, gx, gy = _offset_at(xi, m, eta)
-    F = xi.precision
+def nearest_offset(xi_t: ShiftVector, m: int) -> tuple[Vec3, float]:
+    """Nearest integer offset for step m of the lifted shift and the achieved distance."""
+    a, b, gx, gy = _offset_at(xi_t, m)
+    F = xi_t.precision
     return (0, a, b), math.hypot(_mant_to_float(gx, F), _mant_to_float(gy, F))
 
 
-def _lattice_steps(xi: ShiftVector, eta: TargetLift, T: int,
+def _lattice_steps(xi_t: ShiftVector, T: int,
                    steps: Iterable[int]) -> Iterator[tuple[int, Vec3, Vec3, int, int]]:
     """(m, u, v, gx, gy) for each orbit step m whose lattice point passes ||v|| <= T.
 
@@ -199,7 +189,7 @@ def _lattice_steps(xi: ShiftVector, eta: TargetLift, T: int,
     """
     T_sq = T * T
     for m in steps:
-        a, b, gx, gy = _offset_at(xi, m, eta)
+        a, b, gx, gy = _offset_at(xi_t, m)
         v3 = b - m * a
         if a * a + v3 * v3 <= T_sq:
             yield m, (0, a, b), (0, a, v3), gx, gy
@@ -212,13 +202,15 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
 
     The scan stops early where no step can pass the norm filter (_scan_length).
 
-    A step survives the orbit hit test when the torus distance from the orbit
-    point to the lift (eta.y, eta.z), i.e. its gap, is certifiably at most
-    scan_c*delta; steps the scan cannot decide are dropped.  The resulting
-    v = (0, a, b - m*a) is kept only with certified ||v|| <= T and certified
-    |Q(v + xi) - t| <= bound_C*delta, the residual being recomputed through
-    the form evaluation rather than the orbit identity.  Identical v from
-    different steps are reported once (smallest m).
+    The scan walks the orbit of the lifted shift xi_t (lifted_shift), whose
+    gamma carries the target.  A step survives the orbit hit test when the
+    torus distance from its orbit point to the origin, i.e. its gap, is
+    certifiably at most scan_c*delta; steps the scan cannot decide are
+    dropped.  The resulting v = (0, a, b - m*a) is kept only with certified
+    ||v|| <= T and certified |Q(v + xi) - t| <= bound_C*delta, the residual
+    being recomputed through the form evaluation of the original xi and t
+    rather than the orbit identity.  Identical v from different steps are
+    reported once (smallest m).
     """
     if T < 4:
         raise ValidationError("T must be >= 4")
@@ -229,20 +221,21 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
     if bound_C < 1:
         raise ValidationError("bound_C must be >= 1")
 
-    eta = target_lift(xi.alpha, t)
-    m_max = _scan_length(xi, eta, T, scan_c)
-    _check_orbit_radius(xi, eta, m_max, tol)
     F = xi.precision
+    t = as_fixed(t, F)
+    xi_t = lifted_shift(xi, t)
+    m_max = _scan_length(xi_t, T, scan_c, tol)
 
     residual_cap = Fraction(bound_C * delta)
     form = standard_form()
-    hits = (m for m, certain in _scan_orbit(xi.alpha, xi.beta, xi.gamma, eta.y, eta.z,
+    zero = FixedReal.zero(F)
+    hits = (m for m, certain in _scan_orbit(*xi_t.components(), zero, zero,
                                             m_max, scan_c * delta) if certain)
     seen: set[Vec3] = set()
     out: list[Solution] = []
-    for m, u, v, gx, gy in _lattice_steps(xi, eta, T, hits):
+    for m, u, v, gx, gy in _lattice_steps(xi_t, T, hits):
         qv = evaluate_shifted(form, xi, v)
-        resid = abs(qv - eta.t)
+        resid = abs(qv - t)
         if not resid.certainly_le(residual_cap) or v in seen:
             continue
         seen.add(v)
@@ -256,10 +249,6 @@ class OracleCount:
     count: int
     min_residual: float
     argmin: Vec3
-
-
-def _float_gram(form: TernaryForm) -> list[list[float]]:
-    return [[float(x) for x in row] for row in form.gram]
 
 
 # Twice the float64 unit roundoff: each float64 operation below is off by at
@@ -377,7 +366,7 @@ def _chord_polynomials(form: TernaryForm, xi: ShiftVector, t_fix: FixedReal, del
     s*(Q(v + xi) - t) at v = (v1, v2, n), for every |n| <= R.
     """
     F = xi.precision
-    g = _float_gram(form)
+    g = [[float(x) for x in row] for row in form.gram]
     G = sum(abs(x) for row in g for x in row)
     inputs = (*xi.components(), t_fix)
     al, be, ga, tf = (x.to_float() for x in inputs)
@@ -541,7 +530,7 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
             for k in (bisect_left(Ts, T) for T in T_grid)]
 
 
-def _midpoint_window(xi: ShiftVector, eta: TargetLift, v: Vec3) -> tuple[int, int]:
+def _midpoint_window(xi: ShiftVector, t: FixedReal, v: Vec3) -> tuple[int, int]:
     """Bounds, in units of 2^-2F, on the midpoint of |Q(v + xi) - t| as evaluate_shifted rounds it.
 
     With the mantissas M1 = A, M2 = (a<<F) + B, M3 = (v3<<F) + C of the shifted
@@ -557,22 +546,21 @@ def _midpoint_window(xi: ShiftVector, eta: TargetLift, v: Vec3) -> tuple[int, in
     A, h1, h2, h3 = xi.alpha.mant, xi.alpha.err, xi.beta.err, xi.gamma.err
     M2 = (v[1] << F) + xi.beta.mant
     M3 = (v[2] << F) + xi.gamma.mant
-    R = abs(M2 * M2 - 4 * A * M3 - (eta.t.mant << F))
+    R = abs(M2 * M2 - 4 * A * M3 - (t.mant << F))
     s = (5 << (F - 1)) + h2 * (2 * abs(M2) + h2) + 4 * (h1 * abs(M3) + h3 * abs(A) + h1 * h3)
     return R - s, R + s
 
 
-def _least_midpoint_residual(xi: ShiftVector, eta: TargetLift, T: int,
+def _least_midpoint_residual(xi: ShiftVector, t: FixedReal, xi_t: ShiftVector, T: int,
                              scan_c: float) -> tuple[float, bool]:
     """(float, exact zero?) of the solver-mode residual with the least midpoint at T."""
-    m_max = _scan_length(xi, eta, T, scan_c)
-    _check_orbit_radius(xi, eta, m_max, DEFAULT_REDUCTION_TOL)
+    m_max = _scan_length(xi_t, T, scan_c, DEFAULT_REDUCTION_TOL)
     # the least midpoint is at most every upper bound, so only steps whose
     # window reaches below the least one (least_hi) can hold it; the steps
     # kept against the running least_hi are a superset of those
     least_hi, kept = math.inf, []
-    for _, _, v, _, _ in _lattice_steps(xi, eta, T, range(1, m_max + 1)):
-        lo, hi = _midpoint_window(xi, eta, v)
+    for _, _, v, _, _ in _lattice_steps(xi_t, T, range(1, m_max + 1)):
+        lo, hi = _midpoint_window(xi, t, v)
         if lo <= least_hi:
             kept.append((lo, v))
             least_hi = min(least_hi, hi)
@@ -581,7 +569,7 @@ def _least_midpoint_residual(xi: ShiftVector, eta: TargetLift, T: int,
     # each v is evaluated once, at its smallest m, and min keeps the first
     # of equal midpoints
     near = dict.fromkeys(v for lo, v in kept if lo <= least_hi)
-    r = min((abs(evaluate_shifted(standard_form(), xi, v) - eta.t) for v in near),
+    r = min((abs(evaluate_shifted(standard_form(), xi, v) - t) for v in near),
             key=FixedReal.midpoint)
     return r.to_float(), r.exact == 0
 
@@ -599,7 +587,7 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
                                form: Optional[TernaryForm] = None,
                                scan_c: float = 1.0,
                                cap: int = 300) -> list[ExponentRow]:
-    """Decay exponent -log(min residual)/log(T) along an increasing T grid.
+    """Decay exponent -log(min residual)/log(T) along an increasing grid of T >= 2.
 
     Oracle mode answers the whole grid from one sweep of the largest ball
     (count_values_grid).  Solver mode walks the orbit steps
@@ -617,6 +605,9 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
     grid = [int(x) for x in T_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
         raise ValidationError("T grid must be strictly increasing and nonempty")
+    if grid[0] < 2:
+        # log(T) must be positive for the exponent
+        raise ValidationError("T grid entries must be >= 2")
     if mode not in ("oracle", "solver"):
         raise ValidationError("mode must be oracle or solver")
     form = form or standard_form()
@@ -624,12 +615,9 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
         # a zero float minimum is saturated below
         minima = [(res.min_residual, False) for res in count_values_grid(form, xi, t, grid, 0.0, cap=cap)]
     else:
-        eta = target_lift(xi.alpha, t)
-        minima = [_least_midpoint_residual(xi, eta, T, scan_c) for T in grid]
-    rows: list[ExponentRow] = []
-    for T, (min_resid, exact_zero) in zip(grid, minima):
-        if exact_zero or min_resid == 0.0:
-            rows.append(ExponentRow(T, 0.0, math.inf, True))
-        else:
-            rows.append(ExponentRow(T, min_resid, -math.log(min_resid) / math.log(T), False))
-    return rows
+        t = as_fixed(t, xi.precision)
+        xi_t = lifted_shift(xi, t)
+        minima = [_least_midpoint_residual(xi, t, xi_t, T, scan_c) for T in grid]
+    return [ExponentRow(T, 0.0, math.inf, True) if exact_zero or min_resid == 0.0
+            else ExponentRow(T, min_resid, -math.log(min_resid) / math.log(T), False)
+            for T, (min_resid, exact_zero) in zip(grid, minima)]

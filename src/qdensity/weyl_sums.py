@@ -219,8 +219,7 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
 
 def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
                      v0: TorusPoint2, T: int, delta: float,
-                     tol=DEFAULT_REDUCTION_TOL,
-                     return_hits: bool = False):
+                     tol=DEFAULT_REDUCTION_TOL) -> int:
     """Count 1 <= m <= T with the orbit point within delta of v0 on the torus.
 
     The comparison is closed (distance exactly delta is a hit) and every
@@ -239,7 +238,6 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
         )
     vx, vy = v0.x.with_precision(F), v0.y.with_precision(F)
     count = 0
-    hits: list[int] = []
     for m, certain in _scan_orbit(alpha, beta, gamma, vx, vy, T, delta):
         if not certain:
             if Fraction(max(vx.err, vy.err), 1 << F) > Fraction(tol):
@@ -250,10 +248,6 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
                 )
             raise PrecisionExhausted(f"hit test ambiguous at m={m}; raise the precision")
         count += 1
-        if return_hits:
-            hits.append(m)
-    if return_hits:
-        return count, hits
     return count
 
 

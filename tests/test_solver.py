@@ -24,14 +24,15 @@ from qdensity import (
     estimate_critical_exponent,
     evaluate_shifted,
     find_solutions,
+    lifted_shift,
     nearest_offset,
     parse_real,
     standard_form,
-    target_lift,
     unipotent,
 )
+from qdensity.fixed import _round_shift
 from qdensity.forms import TernaryForm
-from qdensity.weyl_sums import _BLOCK_STEPS
+from qdensity.weyl_sums import _BLOCK_STEPS, _orbit_radius, _scan_orbit
 from test_weyl_sums import scan_orbit_reference
 
 STD = standard_form()
@@ -159,23 +160,57 @@ TIES = [
 ]
 
 
-def offset_reference(xi, m, eta):
-    """Nearest offset through FixedReal arithmetic: (a, b) and the gap mantissas."""
-    d2 = xi.alpha.mul_int(2 * m) + xi.beta - eta.y
-    d3 = xi.alpha.mul_int(m * m) + xi.beta.mul_int(m) + xi.gamma - eta.z
+def lift_reference(xi, t):
+    """z = -t/(4*alpha) through FixedReal arithmetic: the orbit of xi is scanned around (0, z).
+
+    A zero t lifts to z = 0 whatever alpha is.
+    """
+    t = as_fixed(t, xi.precision)
+    if t.exact == 0:
+        return FixedReal.zero(xi.precision)
+    return -(t / xi.alpha.mul_int(4))
+
+
+def offset_reference(xi, t, m):
+    """Nearest offset of the orbit of xi around (0, z) through FixedReal arithmetic.
+
+    Returns (a, b) and the gap mantissas.
+    """
+    d2 = xi.alpha.mul_int(2 * m) + xi.beta
+    d3 = xi.alpha.mul_int(m * m) + xi.beta.mul_int(m) + xi.gamma - lift_reference(xi, t)
     a = -d2.round_nearest()
     b = -d3.round_nearest()
     return a, b, d2.add_int(a).mant, d3.add_int(b).mant
+
+
+def scan_length_reference(xi, t, T, scan_c, tol=solver_mod.DEFAULT_REDUCTION_TOL):
+    """The scan cut and its radius refusal for the orbit of xi around (0, z), z = lift_reference."""
+    F = xi.precision
+    z = lift_reference(xi, t)
+    A, B = xi.alpha.mant, xi.beta.mant
+    reach = (2 * T + 1) << (F - 1)
+    if A:
+        cut = (reach + abs(B)) // (2 * abs(A)) + 1
+    else:
+        G = abs(B - (_round_shift(B, F) << F))
+        cut = (reach + abs(xi.gamma.mant - z.mant)) // (G or 1 << (F - 1)) + 1
+    m_max = scan_c * math.sqrt(T)
+    m_max = cut if m_max >= cut else int(m_max)
+    E = _orbit_radius(xi.alpha, xi.beta, xi.gamma, m_max) + z.err
+    if Fraction(E, 1 << F) > Fraction(tol):
+        raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")
+    return m_max
 
 
 @contextlib.contextmanager
 def offset_steps():
     """Record the steps m that find_solutions computes an offset for."""
     steps = []
+    offset_at = solver_mod._offset_at
 
-    def recording(xi, m, eta):
+    def recording(xi_t, m):
         steps.append(m)
-        return offset_reference(xi, m, eta)
+        return offset_at(xi_t, m)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_mod, "_offset_at", recording)
@@ -188,18 +223,18 @@ def exponent_reference(xi, t, T_grid, scan_c=1.0, midpoints=None):
     Appends the least midpoint of each T to ``midpoints`` when it is given.
     """
     grid = [int(x) for x in T_grid]
-    eta = target_lift(xi.alpha, t)
+    t = as_fixed(t, xi.precision)
+    xi_t = lifted_shift(xi, t)
     rows = []
     for T in grid:
         best = None
-        m_max = solver_mod._scan_length(xi, eta, T, scan_c)
-        solver_mod._check_orbit_radius(xi, eta, m_max, solver_mod.DEFAULT_REDUCTION_TOL)
+        m_max = solver_mod._scan_length(xi_t, T, scan_c, solver_mod.DEFAULT_REDUCTION_TOL)
         for m in range(1, m_max + 1):
-            a, b, _, _ = solver_mod._offset_at(xi, m, eta)
+            a, b, _, _ = solver_mod._offset_at(xi_t, m)
             v = (0, a, b - m * a)
             if a * a + v[2] * v[2] > T * T:
                 continue
-            r = abs(evaluate_shifted(STD, xi, v) - eta.t)
+            r = abs(evaluate_shifted(STD, xi, v) - t)
             if best is None or r.midpoint() < best.midpoint():
                 best = r
         if best is None:
@@ -232,62 +267,94 @@ literals = st.one_of(
 )
 
 
-def shift_and_lift(lits, t_lit, F):
+def shift_and_target(lits, t_lit, F):
+    """The shift and target of the literals, where the target can be lifted."""
     xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
     t = parse_real(t_lit, F)
     assume(not xi.alpha.contains_zero() or t.exact == 0)
-    return xi, target_lift(xi.alpha, t)
+    return xi, t
 
 
 class TestTargetLift:
-    def test_zero_target(self, sqrt2):
-        eta = target_lift(sqrt2, 0)
-        assert eta.y.exact == 0 and eta.z.exact == 0
+    """lifted_shift moves the target into gamma."""
+
+    def test_zero_target(self, xi_mixed):
+        assert lifted_shift(xi_mixed, 0) is xi_mixed
 
     def test_quarter_alpha(self):
-        eta = target_lift(as_fixed(Fraction(1, 4)), 1)
-        assert eta.z.exact == -1
+        xi = ShiftVector.from_values(Fraction(1, 4), Fraction(1, 3), Fraction(1, 5))
+        xi_t = lifted_shift(xi, 1)
+        assert xi_t.alpha is xi.alpha and xi_t.beta is xi.beta
+        assert xi_t.gamma.exact == Fraction(6, 5)
 
     def test_irrational_target(self, sqrt2):
+        xi = ShiftVector.from_values(sqrt2, 0, Fraction(1, 2))
         t = -(sqrt2.mul_int(4))
-        eta = target_lift(sqrt2, t)
-        assert eta.z.to_float() == pytest.approx(1.0, abs=1e-30)
+        xi_t = lifted_shift(xi, t)
+        assert xi_t.gamma.exact is None
+        assert xi_t.gamma.to_float() == pytest.approx(-0.5, abs=1e-30)
+        # the lifted gamma carries the radius of t/(4*alpha)
+        assert xi_t.gamma.err == xi.gamma.err + (t / sqrt2.mul_int(4)).err > 0
 
-    def test_alpha_zero_rejected(self, zero):
+    def test_alpha_zero_rejected(self):
+        with pytest.raises(AlphaZero, match="^leading coordinate indistinguishable from zero$"):
+            lifted_shift(ShiftVector.from_values(0, Fraction(1, 2), 0), 1)
+        # an alpha whose interval holds zero counts as zero
         with pytest.raises(AlphaZero):
-            target_lift(zero, 1)
+            lifted_shift(ShiftVector(FixedReal(1, 2, 256), as_fixed(0), as_fixed(0)), Fraction(1, 3))
 
-    def test_alpha_zero_with_zero_target_degenerates(self, zero):
-        eta = target_lift(zero, 0)
-        assert eta.y.exact == 0 and eta.z.exact == 0
+    def test_alpha_zero_with_zero_target_degenerates(self):
+        for alpha in (as_fixed(0), FixedReal(1, 2, 256)):
+            xi = ShiftVector(alpha, as_fixed(Fraction(1, 2)), as_fixed(Fraction(1, 3)))
+            assert lifted_shift(xi, 0) is xi
+            assert lifted_shift(xi, as_fixed(0)) is xi
 
 
 class TestNearestOffset:
-    def test_zero_everything(self, zero):
+    def test_zero_everything(self):
         xi = ShiftVector.from_values(0, 0, 0)
-        u, miss = nearest_offset(xi, 4, target_lift(zero, 0))
+        u, miss = nearest_offset(lifted_shift(xi, 0), 4)
         assert u == (0, 0, 0) and miss == 0.0
 
-    def test_half_integer_gap(self, zero):
+    def test_half_integer_gap(self):
         xi = ShiftVector.from_values(0, Fraction(2, 5), Fraction(-3, 10))
-        u, miss = nearest_offset(xi, 0, target_lift(zero, 0))
+        u, miss = nearest_offset(lifted_shift(xi, 0), 0)
         assert u == (0, 0, 0)
         assert miss == pytest.approx(0.5)
 
     def test_sqrt2_step_one(self, sqrt2):
         xi = ShiftVector.from_values(sqrt2, 0, 0)
-        u, miss = nearest_offset(xi, 1, target_lift(sqrt2, 0))
+        u, miss = nearest_offset(lifted_shift(xi, 0), 1)
         assert u == (0, -3, -1)
         assert miss == pytest.approx(MISS_AT_ONE, abs=1e-12)
 
+    def test_target_moves_the_offset(self):
+        # alpha = 1/4, t = 1: the lifted gamma is gamma + 1, so b moves by -1
+        xi = ShiftVector.from_values(Fraction(1, 4), 0, Fraction(1, 8))
+        assert nearest_offset(xi, 2) == ((0, -1, -1), 0.125)
+        assert nearest_offset(lifted_shift(xi, 1), 2) == ((0, -1, -2), 0.125)
+
 
 class TestOffsetDifferential:
+    """The scan of the lifted shift against the orbit of xi around (0, -t/(4*alpha))."""
+
     @given(lits=st.tuples(literals, literals, literals), t_lit=literals,
            m=st.integers(0, 10**6), F=st.sampled_from([64, 256]))
     @settings(max_examples=150, deadline=None)
     def test_integer_offset_matches_fixedreal(self, lits, t_lit, m, F):
-        xi, eta = shift_and_lift(lits, t_lit, F)
-        assert solver_mod._offset_at(xi, m, eta) == offset_reference(xi, m, eta)
+        xi, t = shift_and_target(lits, t_lit, F)
+        assert solver_mod._offset_at(lifted_shift(xi, t), m) == offset_reference(xi, t, m)
+
+    @given(lits=st.tuples(st.one_of(literals, st.just("0/1")), literals, literals),
+           t_lit=st.one_of(literals, st.just("0/1")),
+           T=st.integers(4, 10**12), scan_c=st.sampled_from([0.5, 1.0, 5.0, 1e15, 1e308]),
+           F=st.sampled_from([64, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_scan_length_matches_reference(self, lits, t_lit, T, scan_c, F):
+        xi, t = shift_and_target(lits, t_lit, F)
+        tol = solver_mod.DEFAULT_REDUCTION_TOL
+        assert (outcome(solver_mod._scan_length, lifted_shift(xi, t), T, scan_c, tol)
+                == outcome(scan_length_reference, xi, t, T, scan_c, tol))
 
     @given(lits=st.tuples(literals, literals, literals), t_lit=literals,
            T=st.integers(4, 10**6), delta=st.floats(0.01, 0.49),
@@ -297,20 +364,23 @@ class TestOffsetDifferential:
         # the steps find_solutions offsets are exactly the certified orbit hits
         # around the lift up to the norm cut, before the norm and residual
         # filters; the hits past the cut are ones the norm filter drops
-        xi, eta = shift_and_lift(lits, t_lit, F)
+        xi, t = shift_and_target(lits, t_lit, F)
         m_max = int(scan_c * math.sqrt(T))
         assume(scan_c * delta < 0.5 and m_max >= 1)
-        v0 = TorusPoint2.from_values(eta.y, eta.z, F)
+        v0 = TorusPoint2.from_values(0, lift_reference(xi, t), F)
         try:
-            _, hits = count_orbit_hits(xi.alpha, xi.beta, xi.gamma, v0, m_max,
-                                       scan_c * delta, return_hits=True)
+            # refuses unless every step is decided
+            count_orbit_hits(xi.alpha, xi.beta, xi.gamma, v0, m_max, scan_c * delta)
             with offset_steps() as steps:
-                find_solutions(xi, eta.t, T, delta, scan_c)
+                find_solutions(xi, t, T, delta, scan_c)
         except PrecisionExhausted:
             assume(False)
-        cut = solver_mod._scan_length(xi, eta, T, scan_c)
+        hits = [m for m, certain in _scan_orbit(xi.alpha, xi.beta, xi.gamma, v0.x, v0.y, m_max,
+                                                scan_c * delta) if certain]
+        xi_t = lifted_shift(xi, t)
+        cut = solver_mod._scan_length(xi_t, T, scan_c, solver_mod.DEFAULT_REDUCTION_TOL)
         assert steps == [m for m in hits if m <= cut]
-        assert all(abs(solver_mod._offset_at(xi, m, eta)[0]) > T for m in hits if m > cut)
+        assert all(abs(solver_mod._offset_at(xi_t, m)[0]) > T for m in hits if m > cut)
 
 
 class TestFindSolutions:
@@ -327,8 +397,8 @@ class TestFindSolutions:
         # scan_c*delta = 0.75 >= 1/sqrt(2): every step is a certain hit, the
         # block filter drops none, and the scan crosses a block edge
         T, delta, scan_c = 10**7, 0.3, 2.5
-        eta = target_lift(xi_mixed.alpha, Fraction(1, 3))
-        assert solver_mod._scan_length(xi_mixed, eta, T, scan_c) > _BLOCK_STEPS
+        xi_t = lifted_shift(xi_mixed, Fraction(1, 3))
+        assert solver_mod._scan_length(xi_t, T, scan_c, solver_mod.DEFAULT_REDUCTION_TOL) > _BLOCK_STEPS
         rep = find_solutions(xi_mixed, Fraction(1, 3), T, delta, scan_c)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver_mod, "_scan_orbit", scan_orbit_reference)
@@ -343,16 +413,15 @@ class TestFindSolutions:
         assert find_solutions(xi, 0, 100, 0.2499999).count == 0
 
     def test_huge_scan_c_stops_at_the_norm_cut(self, xi_sqrt2):
-        eta = target_lift(xi_sqrt2.alpha, 0)
-        cut = solver_mod._scan_length(xi_sqrt2, eta, 100, 1e15)
+        cut = solver_mod._scan_length(xi_sqrt2, 100, 1e15, solver_mod.DEFAULT_REDUCTION_TOL)
         assert cut < 100
         # every step from the cut on fails the norm filter |a| <= T
-        assert all(abs(solver_mod._offset_at(xi_sqrt2, m, eta)[0]) > 100 for m in range(cut, 5 * cut))
+        assert all(abs(solver_mod._offset_at(xi_sqrt2, m)[0]) > 100 for m in range(cut, 5 * cut))
         started = time.perf_counter()
         rep = find_solutions(xi_sqrt2, 0, 100, 0.1, scan_c=1e15)
         assert time.perf_counter() - started < 1.0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_mod, "_scan_length", lambda xi, eta, T, scan_c: 5 * cut)
+            mp.setattr(solver_mod, "_scan_length", lambda xi_t, T, scan_c, tol: 5 * cut)
             assert find_solutions(xi_sqrt2, 0, 100, 0.1, scan_c=1e15).to_dict() == rep.to_dict()
 
     def test_degenerate_rational_shift(self):
@@ -756,6 +825,14 @@ class TestExponent:
         with pytest.raises(ValidationError):
             estimate_critical_exponent(xi_sqrt2, 0, (), mode="oracle")
 
+    @pytest.mark.parametrize("mode", ["oracle", "solver"])
+    @pytest.mark.parametrize("grid", [(0, 5), (1, 5)])
+    def test_grid_below_two_refused(self, sqrt2, sqrt3, mode, grid):
+        # log(T) is 0 at T = 1 and undefined at T = 0
+        xi = ShiftVector.from_values(sqrt2, sqrt3, 0)
+        with pytest.raises(ValidationError, match="^T grid entries must be >= 2$"):
+            estimate_critical_exponent(xi, 0, grid, mode=mode)
+
     def test_bad_mode(self, xi_sqrt2):
         with pytest.raises(ValidationError):
             estimate_critical_exponent(xi_sqrt2, 0, (20,), mode="magic")
@@ -839,7 +916,6 @@ class TestExponentDifferential:
     def test_small_denominators_pick_the_least_midpoint(self, lits, t_lit, F, scan_c, grid):
         xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
         t = parse_real(t_lit, F)
-        eta_t = target_lift(xi.alpha, t).t
         want = []
         expected = outcome(exponent_reference, xi, t, grid, scan_c, want)
         got_rows, got = [], []
@@ -848,7 +924,7 @@ class TestExponentDifferential:
 
             def recording(*args, **kwargs):
                 q = evaluate_shifted(*args, **kwargs)
-                seen.append(abs(q - eta_t).midpoint())
+                seen.append(abs(q - t).midpoint())
                 return q
 
             with pytest.MonkeyPatch.context() as mp:

@@ -32,6 +32,10 @@ The call list:
     unsorted and may repeat a T, and every fourth call has a ``--cap`` below
     the largest T, so the refusal text is compared
   - two zero-alpha solver-mode exponent calls with a huge ``--scan-c``
+  - one call per branch of the solver's lifted shift: solve and solver-mode
+    exponent calls whose target has a radius (``1/3``, ``dec:``, ``sqrt:``)
+    at precisions 64-256, and solver-mode exponent calls with a zero alpha
+    and a nonzero target (refused) or a zero target (the shift as it is)
 
 Needs only the standard library and git; about two minutes on 2 cores.
 """
@@ -67,6 +71,15 @@ ZERO_ALPHA_CALLS = [
      "--scan-c", scan_c]
     for scan_c in ("1e308", "1e15")
 ]
+
+LIFT_CALLS = [
+    [*head, "--xi", "sqrt:2 sqrt:3 1/2", f"--t={t}", "--precision", F, "--T", T, *rest]
+    for t in ("1/3", "dec:0.7", "sqrt:3")
+    for F in ("64", "128", "256")
+    for head, T, rest in ((["solve"], "1000000", ["--delta", "0.2", "--q-max", "1000"]),
+                          (["exponent", "--mode", "solver"], "100,10000,1000000", []))
+] + [["exponent", "--mode", "solver", "--xi", "0/1 1/2 1/3", f"--t={t}", "--T", "100,10000"]
+     for t in ("1/3", "0/1")]
 
 
 def readme_calls() -> list[list[str]]:
@@ -229,7 +242,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     calls: list[list[str]] = []
-    for argv_ in readme_calls() + perfbench_calls() + drawn_calls() + ZERO_ALPHA_CALLS:
+    for argv_ in readme_calls() + perfbench_calls() + drawn_calls() + ZERO_ALPHA_CALLS + LIFT_CALLS:
         if argv_ not in calls:
             calls.append(argv_)
 
