@@ -30,8 +30,8 @@ class AllRational(QDensityError):
 
 
 class AlphaZero(QDensityError):
-    """The leading coordinate is indistinguishable from zero, so the target
-    lift z = -t/(4*alpha) is undefined."""
+    """The leading coordinate is indistinguishable from zero, so the lifted
+    shift, which adds t/(4*alpha) to gamma, is undefined for a nonzero t."""
 
 
 class CapExceeded(QDensityError):

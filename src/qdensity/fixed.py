@@ -67,15 +67,22 @@ def _ratio(x) -> tuple[int, int]:
 
 
 def _mant_to_float(m: int, F: int) -> float:
-    """m / 2**F as a float, taken from the top 54 bits of |m|."""
+    """m / 2**F as a float, taken from the top 54 bits of |m|; +-inf past float64 range."""
     if m == 0:
         return 0.0
     sign = -1.0 if m < 0 else 1.0
     a = abs(m)
-    shift = a.bit_length() - 54
-    if shift > 0:
+    shift = max(a.bit_length() - 54, 0)
+    try:
         return sign * math.ldexp(float(a >> shift), shift - F)
-    return sign * math.ldexp(float(a), -F)
+    except OverflowError:
+        return sign * math.inf
+
+
+def exceeds(ulps: int, F: int, tol) -> bool:
+    """ulps * 2**-F > tol, decided in integers: the one radius-against-tolerance test."""
+    num, den = _ratio(tol)
+    return ulps * den > num << F
 
 
 class FixedReal:
@@ -303,10 +310,7 @@ class FixedReal:
 
     def check_radius(self, tol) -> None:
         """Refuse (PrecisionExhausted) when the radius exceeds tol; None skips."""
-        if tol is None:
-            return
-        num, den = _ratio(tol)
-        if self.err * den > num << self.F:
+        if tol is not None and exceeds(self.err, self.F, tol):
             raise PrecisionExhausted(
                 f"error radius {float(self.err_fraction()):.3e} exceeds tolerance {float(tol):.3e}"
             )
@@ -324,9 +328,8 @@ class FixedReal:
         exact = self.exact - k if self.exact is not None else None
         return FixedReal(self.mant - (k << self.F), self.err, self.F, exact)
 
-    def circle_norm(self, tol=None) -> "FixedReal":
+    def circle_norm(self) -> "FixedReal":
         """Distance to the nearest integer, in [0, 1/2]."""
-        self.check_radius(tol)
         S = 1 << self.F
         H = S >> 1
         r = ((self.mant + H) % S) - H

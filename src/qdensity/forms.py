@@ -166,9 +166,6 @@ class ShiftVector:
     def components(self) -> tuple[FixedReal, FixedReal, FixedReal]:
         return (self.alpha, self.beta, self.gamma)
 
-    def is_rational(self) -> bool:
-        return all(x.exact is not None for x in self.components())
-
 
 Operand = tuple[int, int, Optional[int], int]
 
@@ -182,7 +179,7 @@ def _operand(x: FixedReal, k: int = 0) -> Operand:
     return mant, x.err, x.exact.numerator + k * den, den
 
 
-def _evaluate(form: TernaryForm, x: Sequence[Operand], F: int, tol) -> FixedReal:
+def _evaluate(form: TernaryForm, x: Sequence[Operand], F: int) -> FixedReal:
     """Q(x) for three operands, rounded term by term as FixedReal products would be.
 
     A term with an inexact factor rounds the mantissa product to 2^-F, radius
@@ -212,29 +209,28 @@ def _evaluate(form: TernaryForm, x: Sequence[Operand], F: int, tol) -> FixedReal
                 err += 1
             if num is not None:
                 num, den = num * d + n * den, den * d
-    total = FixedReal(mant, err, F, None if num is None else Fraction(num, den))
-    total.check_radius(tol)
-    return total
+    return FixedReal(mant, err, F, None if num is None else Fraction(num, den))
 
 
-def evaluate(form: TernaryForm, v: Sequence, tol=None, F: Optional[int] = None) -> FixedReal:
+def evaluate(form: TernaryForm, v: Sequence, F: Optional[int] = None) -> FixedReal:
     """Q(v) for a real triple, with the error bound tracked.
 
-    Raises PrecisionExhausted when ``tol`` is given and the certified radius
-    of the result exceeds it.
+    F defaults to the precision of the first FixedReal component, else to
+    DEFAULT_PRECISION; ``check_radius`` on the result refuses a radius past a
+    tolerance.
     """
     if F is None:
         F = next((c.F for c in v if isinstance(c, FixedReal)), DEFAULT_PRECISION)
-    return _evaluate(form, [_operand(as_fixed(c, F)) for c in v], F, tol)
+    return _evaluate(form, [_operand(as_fixed(c, F)) for c in v], F)
 
 
-def evaluate_shifted(form: TernaryForm, xi: ShiftVector, v: Sequence[int], tol=None) -> FixedReal:
+def evaluate_shifted(form: TernaryForm, xi: ShiftVector, v: Sequence[int]) -> FixedReal:
     """Q(v + xi) for an integer triple v."""
     v = tuple(v)
     if any(not isinstance(c, int) for c in v) or len(v) != 3:
         raise ValidationError("shifted evaluation expects an integer triple")
     x = [_operand(c, k) for c, k in zip(xi.components(), v)]
-    return _evaluate(form, x, xi.precision, tol)
+    return _evaluate(form, x, xi.precision)
 
 
 def _normalize_primitive(v: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -183,23 +183,21 @@ class RunConfig:
             raise ValidationError(f"precision must be >= {MIN_PRECISION}")
         return F
 
-    def xi(self, F: Optional[int] = None) -> ShiftVector:
+    def xi(self, F: int) -> ShiftVector:
         parts = (self["xi"] or "").split()
         if len(parts) != 3:
             raise ValidationError("xi needs exactly three real literals")
-        F = F or self.precision
         a, b, c = (parse_real(p, F) for p in parts)
         return ShiftVector(a, b, c)
 
-    def v0(self, F: Optional[int] = None) -> TorusPoint2:
+    def v0(self, F: int) -> TorusPoint2:
         parts = self["v0"].split()
         if len(parts) != 2:
             raise ValidationError("v0 needs exactly two real literals")
-        F = F or self.precision
         return TorusPoint2.from_values(parse_real(parts[0], F), parse_real(parts[1], F), F)
 
-    def t_value(self, F: Optional[int] = None) -> FixedReal:
-        return parse_real(self["t"], F or self.precision)
+    def t_value(self, F: int) -> FixedReal:
+        return parse_real(self["t"], F)
 
     def delta_for(self, T: int) -> float:
         if self["delta"] is not None:

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import AlphaZero, CapExceeded, PrecisionExhausted, ValidationError
-from .fixed import FixedReal, _mant_to_float, _round_shift, as_fixed
+from .fixed import FixedReal, _mant_to_float, _round_shift, as_fixed, exceeds
 from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
 from .weyl_sums import DEFAULT_REDUCTION_TOL, _orbit_radius, _scan_orbit
 
@@ -168,7 +168,7 @@ def _scan_length(xi_t: ShiftVector, T: int, scan_c: float, tol) -> int:
         cut = (reach + abs(C)) // (G or 1 << (F - 1)) + 1
     m_max = scan_c * math.sqrt(T)
     m_max = cut if m_max >= cut else int(m_max)
-    if Fraction(_orbit_radius(*xi_t.components(), m_max), 1 << F) > Fraction(tol):
+    if exceeds(_orbit_radius(*xi_t.components(), m_max), F, tol):
         raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")
     return m_max
 
@@ -295,8 +295,8 @@ def _sublevel(A: float, B: np.ndarray, C: np.ndarray, level: np.ndarray,
     interval is widened by that bound (outer: it contains the set) or shrunk
     by it (inner: it lies inside the set).  An empty interval has lo > hi.
     """
-    c = C - level
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = C - level
         if A == 0:
             r = -c / B
             eta = 4 * _EPS * np.abs(r)
@@ -346,13 +346,21 @@ def _gap_points(ranges) -> Iterator[tuple[int, list[int]]]:
         yield int(i), sorted(pts)
 
 
+def _float(x: Fraction) -> float:
+    """float(x), saturated to +-inf past float64 range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _radius(x: FixedReal) -> float:
     """Upper bound on the distance from x's mantissa to the value x stands for."""
     if x.exact is not None:
         d = abs(Fraction(x.mant, 1 << x.F) - x.exact)
     else:
         d = x.err_fraction()
-    return float(d) * (1 + _EPS)
+    return _float(d) * (1 + _EPS)
 
 
 def _chord_polynomials(form: TernaryForm, xi: ShiftVector, t_fix: FixedReal, delta: float):
@@ -363,15 +371,18 @@ def _chord_polynomials(form: TernaryForm, xi: ShiftVector, t_fix: FixedReal, del
     A = 0, B >= 0.  Returns A and chord(v1, v2, R), which gives the float64
     B and C of a block of chords and a bound E on the distance from
     A*n^2 + B*n + C to every point of the certified interval of
-    s*(Q(v + xi) - t) at v = (v1, v2, n), for every |n| <= R.
+    s*(Q(v + xi) - t) at v = (v1, v2, n), for every |n| <= R.  Refuses
+    (ValidationError) when a float64 input is not finite.
     """
     F = xi.precision
-    g = [[float(x) for x in row] for row in form.gram]
-    G = sum(abs(x) for row in g for x in row)
+    g = [[_float(x) for x in row] for row in form.gram]
     inputs = (*xi.components(), t_fix)
     al, be, ga, tf = (x.to_float() for x in inputs)
     r = max(_radius(x) for x in inputs[:3])
     r_t = _radius(t_fix)
+    if not all(map(math.isfinite, (al, be, ga, tf, r, r_t, *g[0], *g[1], *g[2]))):
+        raise ValidationError("the oracle needs the shift, the target and the form within float64 range")
+    G = sum(abs(x) for row in g for x in row)
     sign = -1.0 if g[2][2] < 0 else 1.0
     A = abs(g[2][2])
     shift = max(abs(al), abs(be), abs(ga))
@@ -435,11 +446,11 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
     when the value is not known exactly) over the resolved points of its ball
     wins, ties going to the least v.  Each resolved point is evaluated once.
     """
+    if not delta >= 0:
+        raise ValidationError("delta must be >= 0")
     for T in T_grid:
         if T < 0:
             raise ValidationError("T must be >= 0")
-        if delta < 0:
-            raise ValidationError("delta must be >= 0")
         if T > cap:
             raise CapExceeded(f"T={T} exceeds the enumeration cap {cap}")
     if not T_grid:
@@ -465,7 +476,10 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
     best: list[Optional[tuple[Fraction, Vec3]]] = [None] * len(Ts)
     mu = [math.inf] * len(Ts)
     for v1, v2, R in _disc_blocks(Ts[-1]):
-        B, C, E = chord(v1, v2, R)
+        # a shift whose square is past float64 range overflows here; the inf
+        # or NaN that results leaves the chord's points to fixed point
+        with np.errstate(over="ignore", invalid="ignore"):
+            B, C, E = chord(v1, v2, R)
         rho = v1 * v1 + v2 * v2
         # the chords inside each smaller disc and their half-lengths there
         cells = [(last, slice(None), R)]
@@ -526,7 +540,7 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
 
     if None in best:
         raise ValidationError("empty ball; T must admit at least the origin")
-    return [OracleCount(count[k], float(best[k][0]), best[k][1])
+    return [OracleCount(count[k], _float(best[k][0]), best[k][1])
             for k in (bisect_left(Ts, T) for T in T_grid)]
 
 

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import PrecisionExhausted, ValidationError
-from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed
+from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed, exceeds
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_REDUCTION_TOL = Fraction(1, 1 << 64)
@@ -232,7 +232,7 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
     F = alpha.F
     if beta.F != F or gamma.F != F:
         raise ValidationError("orbit parameters must share one precision")
-    if Fraction(_orbit_radius(alpha, beta, gamma, T), 1 << F) > Fraction(tol):
+    if exceeds(_orbit_radius(alpha, beta, gamma, T), F, tol):
         raise PrecisionExhausted(
             f"orbit radius at m={T} exceeds the reduction tolerance; raise the precision"
         )
@@ -240,7 +240,7 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
     count = 0
     for m, certain in _scan_orbit(alpha, beta, gamma, vx, vy, T, delta):
         if not certain:
-            if Fraction(max(vx.err, vy.err), 1 << F) > Fraction(tol):
+            if exceeds(max(vx.err, vy.err), F, tol):
                 # the reference radius is fixed by v0's literals, not by F
                 raise PrecisionExhausted(
                     f"hit test ambiguous at m={m}; the radius of the reference point v0 "
@@ -300,7 +300,7 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int) -> WeylSumResult
     ea = abs(n) * alpha.err
     PB = beta.mant
     eb = beta.err
-    if Fraction(ea * T * T + eb * T, 1 << F) > DEFAULT_PHASE_TOL:
+    if exceeds(ea * T * T + eb * T, F, DEFAULT_PHASE_TOL):
         raise PrecisionExhausted("phase radius at m=T exceeds the phase tolerance")
 
     re = im = 0.0
@@ -330,11 +330,15 @@ def _align(a: FixedReal, b: FixedReal) -> tuple[FixedReal, FixedReal]:
 def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: int) -> float:
     """Sum over m = 1..count of min(1 / ||m*step||, T_cap).
 
-    The circle norm of each multiple is folded from the exact mantissa walk;
-    a fold smaller than the accumulated radius is only tolerated when the
-    radius is exactly zero (rational step hitting an integer), where the term
-    saturates at T_cap.
+    The circle norm of each multiple is folded from the exact mantissa walk.
+    Refuses (PrecisionExhausted) when the radius at m = count exceeds the
+    phase tolerance; a fold smaller than that radius is only tolerated when
+    the radius is exactly zero (rational step hitting an integer), where the
+    term saturates at T_cap.
     """
+    E = step_err * count
+    if exceeds(E, F, DEFAULT_PHASE_TOL):
+        raise PrecisionExhausted("linear phase radius exceeds the phase tolerance")
     S = 1 << F
     H = S >> 1
     mask = S - 1
@@ -342,7 +346,6 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
     comp = 0.0
     # unreduced m*step offset by H, so (w & mask) - H is its fold into [-1/2, 1/2)
     w = H
-    E = step_err * count
     fS = float(S)
     for m in range(1, count + 1):
         w += step_mant
@@ -374,12 +377,7 @@ def weyl_differencing_bound(n: int, alpha: FixedReal, T: int) -> float:
     """
     if T < 1:
         raise ValidationError("range T must be >= 1")
-    F = alpha.F
-    step = 2 * n * alpha.mant
-    serr = 2 * abs(n) * alpha.err
-    if Fraction(serr * T, 1 << F) > DEFAULT_PHASE_TOL:
-        raise PrecisionExhausted("linear phase radius exceeds the phase tolerance")
-    return T + 2.0 * _sum_min_kernel(step, serr, T, T, F)
+    return T + 2.0 * _sum_min_kernel(2 * n * alpha.mant, 2 * abs(n) * alpha.err, T, T, alpha.F)
 
 
 def sum_min(alpha: FixedReal, M: int, T: int) -> float:
@@ -388,12 +386,7 @@ def sum_min(alpha: FixedReal, M: int, T: int) -> float:
         raise ValidationError("M must be >= 0")
     if T < 1:
         raise ValidationError("T must be >= 1")
-    count = M * T
-    if count == 0:
-        return 0.0
-    if Fraction(alpha.err * count, 1 << alpha.F) > DEFAULT_PHASE_TOL:
-        raise PrecisionExhausted("linear phase radius exceeds the phase tolerance")
-    return _sum_min_kernel(alpha.mant, alpha.err, count, T, alpha.F)
+    return _sum_min_kernel(alpha.mant, alpha.err, M * T, T, alpha.F)
 
 
 def sum_min_explicit_bound(alpha: FixedReal, M: int, T: int) -> float:

@@ -13,7 +13,7 @@ from qdensity import (
     as_fixed,
     parse_real,
 )
-from qdensity.fixed import _round_div, _round_shift
+from qdensity.fixed import _round_div, _round_shift, exceeds
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
 
@@ -144,7 +144,7 @@ class TestIntervalSoundness:
 
 
 class TestIntegerComparisons:
-    """certainly_le, certainly_gt and check_radius agree with their Fraction forms."""
+    """certainly_le, certainly_gt, check_radius and exceeds agree with their Fraction forms."""
 
     @given(data=st.data(), F=st.sampled_from([64, 512]))
     @settings(max_examples=400, deadline=None)
@@ -171,6 +171,11 @@ class TestIntegerComparisons:
                                 f"exceeds tolerance {float(tol):.3e}")
         else:
             assert not x.err_fraction() > Fraction(tol)
+        # orbit-sized radii, and tolerances at the radius and one ulp either side
+        ulps = data.draw(st.integers(0, 1 << (F + 80)) | st.just(x.err))
+        tol = data.draw(st.one_of(st.integers(-1, 2), rationals, st.floats(0, 1e30),
+                                  st.integers(-1, 1).map(lambda d: Fraction(ulps + d, 1 << F))))
+        assert exceeds(ulps, F, tol) == (Fraction(ulps, 1 << F) > Fraction(tol))
 
     def test_float_bound_compares_exactly(self):
         # x rounds to the float 0.1 but lies above it

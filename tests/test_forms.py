@@ -44,7 +44,7 @@ def mul_fraction(x, fr):
     return FixedReal(mant, err, x.F, None)
 
 
-def evaluate_reference(form, v, tol=None, F=None):
+def evaluate_reference(form, v, F=None):
     """Q(v) through FixedReal products and sums, term by term."""
     if F is None:
         F = next((c.F for c in v if isinstance(c, FixedReal)), DEFAULT_PRECISION)
@@ -57,14 +57,13 @@ def evaluate_reference(form, v, tol=None, F=None):
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if g[i][j] != 0:
             total = total + mul_fraction(x[i] * x[j], 2 * g[i][j])
-    total.check_radius(tol)
     return total
 
 
-def evaluate_shifted_reference(form, xi, v, tol=None):
+def evaluate_shifted_reference(form, xi, v):
     """Q(v + xi) for an integer triple v, through add_int and evaluate_reference."""
     shifted = tuple(c.add_int(k) for c, k in zip(xi.components(), v))
-    return evaluate_reference(form, shifted, tol=tol, F=xi.precision)
+    return evaluate_reference(form, shifted, F=xi.precision)
 
 
 def _dec(n: int, k: int) -> str:
@@ -101,18 +100,6 @@ def _outcome(fn, *args, **kwargs):
     except PrecisionExhausted as exc:
         return type(exc), str(exc)
     return r.mant, r.err, r.F, r.exact
-
-
-def _draw_tol(data, radius, F):
-    """No tol, one within an ulp of the radius, or an arbitrary Fraction or float."""
-    kind = data.draw(st.sampled_from(["none", "edge", "fraction", "float"]))
-    if kind == "none":
-        return None
-    if kind == "edge":
-        return Fraction(radius + data.draw(st.integers(-1, 1)), 1 << F)
-    if kind == "fraction":
-        return Fraction(data.draw(st.integers(-8, 1 << 80)), 1 << F)
-    return data.draw(st.floats(min_value=1e-300, max_value=1e30))
 
 
 def signature_reference(g):
@@ -237,7 +224,7 @@ class TestEvaluate:
     def test_tolerance_refusal(self, sqrt2):
         rough = FixedReal(sqrt2.mant, sqrt2.err + (1 << 250), sqrt2.F, None)
         with pytest.raises(Exception):
-            evaluate(STD, (rough, 0, 1), tol=Fraction(1, 1 << 128))
+            evaluate(STD, (rough, 0, 1)).check_radius(Fraction(1, 1 << 128))
 
 
 class TestEvaluateShifted:
@@ -272,21 +259,14 @@ class TestEvaluateDifferential:
     @given(data=st.data(), F=st.sampled_from([64, 256, 512]), form=FORMS)
     def test_evaluate_matches_reference(self, data, F, form):
         x = [data.draw(operands(F) | SMALL_OR_HUGE) for _ in range(3)]
-        ref = evaluate_reference(form, x)
         assert _outcome(evaluate, form, x) == _outcome(evaluate_reference, form, x)
-        tol = _draw_tol(data, ref.err, F)
-        assert _outcome(evaluate, form, x, tol) == _outcome(evaluate_reference, form, x, tol)
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), F=st.sampled_from([64, 256, 512]), form=FORMS,
            v=st.tuples(SMALL_OR_HUGE, SMALL_OR_HUGE, SMALL_OR_HUGE))
     def test_evaluate_shifted_matches_reference(self, data, F, form, v):
         xi = ShiftVector(*(data.draw(operands(F)) for _ in range(3)))
-        ref = evaluate_shifted_reference(form, xi, v)
         assert _outcome(evaluate_shifted, form, xi, v) == _outcome(evaluate_shifted_reference, form, xi, v)
-        tol = _draw_tol(data, ref.err, F)
-        assert (_outcome(evaluate_shifted, form, xi, v, tol)
-                == _outcome(evaluate_shifted_reference, form, xi, v, tol))
 
     @pytest.mark.parametrize("F", [64, 256, 512])
     def test_product_ties_round_to_even(self, F):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -242,8 +243,8 @@ class TestCliRuns:
         # sabotage the re-verification target so the tripwire must fire
         real = hmod.evaluate_shifted
 
-        def lying(form, xi, v, tol=None):
-            return real(form, xi, v, tol).add_int(10**6)
+        def lying(form, xi, v):
+            return real(form, xi, v).add_int(10**6)
 
         monkeypatch.setattr(hmod, "evaluate_shifted", lying)
         code = run_cli(
@@ -443,6 +444,46 @@ class TestOrbitRefusals:
         assert code == 2
         assert err == "precision exhausted: hit test ambiguous at m=1; raise the precision\n"
         assert _run_quiet(argv + ["256"]) == (0, "")
+
+
+_BIG = "1" + "0" * 310        # past float64 range
+_NEAR_LIMIT = "1" + "0" * 200
+_ORACLE_RANGE_ERROR = "error: the oracle needs the shift, the target and the form within float64 range\n"
+
+
+class TestFloat64Range:
+    @pytest.mark.parametrize("head", [["oracle-count", "--delta", "0.1"], ["exponent"]],
+                             ids=["oracle-count", "exponent"])
+    @pytest.mark.parametrize("flags", [
+        ["--xi", f"{_BIG} 0/1 0/1"],
+        ["--xi", "sqrt:2 0/1 0/1", "--t", _BIG],
+        ["--xi", "sqrt:2 0/1 0/1", "--form", "1e400 1 -1 0 0 0"],
+    ], ids=["shift", "target", "form"])
+    def test_oracle_refuses_inputs_past_float64(self, head, flags):
+        assert _run_quiet([*head, *flags, "--T", "10"]) == (1, _ORACLE_RANGE_ERROR)
+
+    def test_solve_prints_an_infinite_alpha(self):
+        code, err = _run_quiet(["solve", "--xi", f"surd:{_BIG},1,1,2 0/1 0/1",
+                                "--T", "1000", "--delta", "0.1"])
+        assert code == 0
+        assert "# alpha_tilde=inf\n" in err
+
+    @pytest.mark.parametrize("xi, form, row", [
+        # Q(v + xi) = v2^2 - 4*(v1 + 1e200)*v3: the hits are v2 = v3 = 0, every v1 of the ball
+        (f"{_NEAR_LIMIT} 0/1 0/1", "0 1 0 0 -2 0", ["21", "0", "-10", "0", "0"]),
+        # every residual is about 2e400: the minimum saturates
+        (f"{_NEAR_LIMIT} {_NEAR_LIMIT} 0/1", "1 1 -1 0 0 0", ["0", "inf", "-7", "-7", "-1"]),
+    ], ids=["answers", "saturated-minimum"])
+    def test_oracle_near_float64_limit_is_quiet(self, tmp_path, xi, form, row):
+        out = tmp_path / "o.csv"
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run_cli(["oracle-count", "--xi", xi, f"--form={form}", "--T", "10",
+                            "--delta", "0.1"], out)
+        assert (code, err.getvalue()) == (0, "")
+        (r,) = read_rows(out)
+        assert [r[k] for k in ("count", "min_residual", "v1", "v2", "v3")] == row
 
 
 def test_module_entry_point(tmp_path):

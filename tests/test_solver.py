@@ -588,9 +588,9 @@ def exact_evaluations():
     """Record the points the oracle evaluates in certified fixed point."""
     points = []
 
-    def recording(form, xi, v, tol=None):
+    def recording(form, xi, v):
         points.append(tuple(v))
-        return evaluate_shifted(form, xi, v, tol)
+        return evaluate_shifted(form, xi, v)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver_mod, "evaluate_shifted", recording)
@@ -782,6 +782,12 @@ class TestOracleGrid:
         with pytest.raises(ValidationError, match="T must be >= 0"):
             count_values_grid(STD, xi_sqrt2, 0, (5, -1, 400), 0.1)
         assert count_values_grid(STD, xi_sqrt2, 0, (), 0.1) == []
+
+    @pytest.mark.parametrize("grid", [(), (5,), (5, 6)])
+    @pytest.mark.parametrize("delta", [-1.0, math.nan])
+    def test_delta_refused_for_every_grid(self, xi_sqrt2, grid, delta):
+        with pytest.raises(ValidationError, match="^delta must be >= 0$"):
+            count_values_grid(STD, xi_sqrt2, 0, grid, delta)
 
 
 class TestExponent:

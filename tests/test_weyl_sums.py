@@ -462,6 +462,18 @@ class TestDifferencingBound:
             s = weyl_sum(3, golden, beta, 1000)
             assert s.magnitude() ** 2 <= bound * (1 + 1e-6)
 
+    @pytest.mark.parametrize("F", [64, 256])
+    def test_linear_phase_refusal_boundary(self, F):
+        # E = 2*n*T*err ulps meets the phase tolerance 2^-30 exactly at err = 2^(F-41)
+        # for n = 1, T = 1024; one ulp more of alpha refuses
+        root = FixedReal.sqrt_int(2, F)
+        at_tol = FixedReal(root.mant, 1 << (F - 41), F, None)
+        assert (weyl_differencing_bound(1, at_tol, 1024)
+                == weyl_differencing_bound(1, FixedReal(root.mant, 1, F, None), 1024))
+        with pytest.raises(PrecisionExhausted) as exc:
+            weyl_differencing_bound(1, FixedReal(root.mant, (1 << (F - 41)) + 1, F, None), 1024)
+        assert str(exc.value) == "linear phase radius exceeds the phase tolerance"
+
 
 class TestSumMin:
     def test_zero_alpha(self, zero):
@@ -472,6 +484,18 @@ class TestSumMin:
 
     def test_empty_range(self, sqrt2):
         assert sum_min(sqrt2, 0, 10) == 0.0
+
+    @pytest.mark.parametrize("F", [64, 256])
+    @pytest.mark.parametrize("M, T", [(1, 1), (2, 512)])
+    def test_linear_phase_refusal_boundary(self, F, M, T):
+        # E = M*T*err ulps meets the phase tolerance 2^-30 exactly at err = 2^(F-30) / (M*T);
+        # one ulp more of alpha refuses
+        root = FixedReal.sqrt_int(2, F)
+        err = (1 << (F - 30)) // (M * T)
+        assert sum_min(FixedReal(root.mant, err, F, None), M, T) == sum_min(root, M, T)
+        with pytest.raises(PrecisionExhausted) as exc:
+            sum_min(FixedReal(root.mant, err + 1, F, None), M, T)
+        assert str(exc.value) == "linear phase radius exceeds the phase tolerance"
 
     def test_sqrt2_below_explicit_bound(self, sqrt2):
         val = sum_min(sqrt2, 1, 1000)

@@ -36,6 +36,8 @@ The call list:
     exponent calls whose target has a radius (``1/3``, ``dec:``, ``sqrt:``)
     at precisions 64-256, and solver-mode exponent calls with a zero alpha
     and a nonzero target (refused) or a zero target (the shift as it is)
+  - one verify-lemmas call per phase refusal at precision 64: the
+    differencing bound, ``sum_min`` and the Weyl phase
 
 Needs only the standard library and git; about two minutes on 2 cores.
 """
@@ -80,6 +82,13 @@ LIFT_CALLS = [
                           (["exponent", "--mode", "solver"], "100,10000,1000000", []))
 ] + [["exponent", "--mode", "solver", "--xi", "0/1 1/2 1/3", f"--t={t}", "--T", "100,10000"]
      for t in ("1/3", "0/1")]
+
+PHASE_REFUSAL_CALLS = [
+    ["verify-lemmas", "--precision", "64", *rest]
+    for rest in (["--n-list", "1", "--T-list", "10000000000", "--betas", "1"],
+                 ["--n-list", "1", "--T-list", "1048576", "--M", "32768"],
+                 ["--n-list", "100", "--T-list", "20000"])
+]
 
 
 def readme_calls() -> list[list[str]]:
@@ -242,7 +251,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     calls: list[list[str]] = []
-    for argv_ in readme_calls() + perfbench_calls() + drawn_calls() + ZERO_ALPHA_CALLS + LIFT_CALLS:
+    for argv_ in (readme_calls() + perfbench_calls() + drawn_calls() + ZERO_ALPHA_CALLS + LIFT_CALLS
+                  + PHASE_REFUSAL_CALLS):
         if argv_ not in calls:
             calls.append(argv_)
 
