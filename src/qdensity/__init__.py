@@ -40,7 +40,7 @@ from .forms import (
     standard_form,
     verify_equivalence,
 )
-from .isometries import SL2Matrix, SOQMatrix, apply, group_law_check, iota, unipotent
+from .isometries import SL2Matrix, SOQMatrix, apply, iota, unipotent
 from .solver import (
     ExponentRow,
     OracleCount,
@@ -51,7 +51,6 @@ from .solver import (
     estimate_critical_exponent,
     find_solutions,
     lifted_shift,
-    nearest_offset,
 )
 from .weyl_sums import (
     TorusPoint2,
@@ -60,7 +59,6 @@ from .weyl_sums import (
     phi,
     sum_min,
     sum_min_explicit_bound,
-    torus_dist,
     weyl_differencing_bound,
     weyl_sum,
 )

@@ -13,8 +13,8 @@ exact (no extra ulp), multiplication uses the standard interval cross terms
 plus two ulps, one for rounding the product and one for flooring the cross
 term, and division widens to the exact rational interval endpoints before
 re-rounding.  For an inexact value, comparisons against a bound and the
-radius check cross-multiply integers with the bound's numerator and
-denominator, and build no Fraction.
+radius test :func:`exceeds` cross-multiply integers with the bound's
+numerator and denominator, and build no Fraction.
 
 Quadratic surds ``(u + v*sqrt(d))/w`` are constructed through an integer
 square root carried to ``2F`` bits, so the initial radius is a single ulp.
@@ -301,21 +301,14 @@ class FixedReal:
         return FixedReal(mant, err, self.F, exact)
 
     # ------------------------------------------------------------------
-    # rounding, reduction mod 1, circle norm
+    # rounding and reduction mod 1
     # ------------------------------------------------------------------
 
     def round_nearest(self) -> int:
         """Nearest integer to the midpoint, ties to even."""
         return _round_shift(self.mant, self.F)
 
-    def check_radius(self, tol) -> None:
-        """Refuse (PrecisionExhausted) when the radius exceeds tol; None skips."""
-        if tol is not None and exceeds(self.err, self.F, tol):
-            raise PrecisionExhausted(
-                f"error radius {float(self.err_fraction()):.3e} exceeds tolerance {float(tol):.3e}"
-            )
-
-    def frac_part(self, tol=None) -> "FixedReal":
+    def frac_part(self) -> "FixedReal":
         """Value reduced mod 1 into [0, 1), error radius unchanged.
 
         The same integer is subtracted from the mantissa and the exact value,
@@ -323,21 +316,9 @@ class FixedReal:
         straddles an integer keeps its full radius and may sit within err of
         either edge.
         """
-        self.check_radius(tol)
         k = self.mant >> self.F
         exact = self.exact - k if self.exact is not None else None
         return FixedReal(self.mant - (k << self.F), self.err, self.F, exact)
-
-    def circle_norm(self) -> "FixedReal":
-        """Distance to the nearest integer, in [0, 1/2]."""
-        S = 1 << self.F
-        H = S >> 1
-        r = ((self.mant + H) % S) - H
-        exact = None
-        if self.exact is not None:
-            f = self.exact - math.floor(self.exact)
-            exact = min(f, 1 - f)
-        return FixedReal(abs(r), self.err, self.F, exact)
 
     # ------------------------------------------------------------------
     # conversions
@@ -362,7 +343,7 @@ class FixedReal:
     __float__ = to_float
 
     def __repr__(self) -> str:
-        return f"FixedReal({self.to_float():.17g} ± {float(self.err_fraction()):.3g}, F={self.F})"
+        return f"FixedReal({self.to_float():.17g} ± {_mant_to_float(self.err, self.F):.3g}, F={self.F})"
 
 
 def as_fixed(value, F: int = DEFAULT_PRECISION) -> FixedReal:

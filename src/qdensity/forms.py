@@ -100,17 +100,6 @@ class TernaryForm:
             raise ValidationError(f"bad form entry in {text!r}: {exc}") from exc
         return cls.from_coefficients(*vals)
 
-    def to_string(self) -> str:
-        g = self.gram
-        order = (g[0][0], g[1][1], g[2][2], g[0][1], g[0][2], g[1][2])
-        return " ".join(str(x) for x in order)
-
-    def determinant(self) -> Fraction:
-        return _det3(self.gram)
-
-    def signature(self) -> tuple[int, int, int]:
-        return _signature(self.gram)
-
     @cached_property
     def _coefficients(self) -> tuple[tuple[int, int, int, int], ...]:
         """(i, j, p, q) for each nonzero coefficient p/q of x_i*x_j in Q(x).
@@ -216,8 +205,8 @@ def evaluate(form: TernaryForm, v: Sequence, F: Optional[int] = None) -> FixedRe
     """Q(v) for a real triple, with the error bound tracked.
 
     F defaults to the precision of the first FixedReal component, else to
-    DEFAULT_PRECISION; ``check_radius`` on the result refuses a radius past a
-    tolerance.
+    DEFAULT_PRECISION; a caller refuses a radius past a tolerance with
+    ``fixed.exceeds(result.err, F, tol)``.
     """
     if F is None:
         F = next((c.F for c in v if isinstance(c, FixedReal)), DEFAULT_PRECISION)

@@ -27,10 +27,6 @@ class SL2Matrix:
         if self.a * self.d - self.b * self.c != 1:
             raise ValidationError("determinant must be 1")
 
-    @classmethod
-    def identity(cls) -> "SL2Matrix":
-        return cls(1, 0, 0, 1)
-
     def __matmul__(self, other: "SL2Matrix") -> "SL2Matrix":
         return SL2Matrix(
             self.a * other.a + self.b * other.c,
@@ -59,10 +55,6 @@ class SOQMatrix:
         if not verify_equivalence(standard_form(), 1, rows):
             raise ValidationError("matrix does not preserve the standard form")
 
-    @classmethod
-    def identity(cls) -> "SOQMatrix":
-        return cls(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-
     def __matmul__(self, other: "SOQMatrix") -> "SOQMatrix":
         a, b = self.rows, other.rows
         return SOQMatrix(
@@ -90,9 +82,6 @@ class SOQMatrix:
         r = self.rows
         return tuple(sum(v[i] * r[i][j] for i in range(3)) for j in range(3))  # type: ignore
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
-
 
 def iota(g: SL2Matrix) -> SOQMatrix:
     """Standard embedding into the special orthogonal group of the form."""
@@ -114,8 +103,9 @@ def unipotent(m: int) -> SOQMatrix:
 def apply(xi: ShiftVector, M: SOQMatrix) -> ShiftVector:
     """Row-vector right action xi * M.
 
-    The error radius of each output component grows by at most
-    3 * max|M_ij| plus carried exactness.
+    The radius of output component j is sum_i |M_ij| * err_i, so it is at
+    most 3 * max|M_ij| times the largest input radius; a component whose
+    inputs all carry exact values stays exact.
     """
     comps = xi.components()
     out = []
@@ -125,8 +115,3 @@ def apply(xi: ShiftVector, M: SOQMatrix) -> ShiftVector:
         acc = acc + comps[2].mul_int(M.rows[2][j])
         out.append(acc)
     return ShiftVector(out[0], out[1], out[2])
-
-
-def group_law_check(m1: int, m2: int) -> bool:
-    """True iff the unipotent images compose additively, exactly."""
-    return (unipotent(m1) @ unipotent(m2)).rows == unipotent(m1 + m2).rows

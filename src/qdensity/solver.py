@@ -65,10 +65,6 @@ class Solution:
 @dataclass
 class SolveReport:
     solutions: list[Solution]
-    T: int
-    delta: float
-    scan_c: float
-    bound_C: float
     count: int = field(init=False)
 
     def __post_init__(self):
@@ -81,27 +77,6 @@ class SolveReport:
             (s.m, s.u[1], s.u[2], s.v[0], s.v[1], s.v[2], s.value, s.residual, s.torus_miss)
             for s in self.solutions
         ]
-
-    def to_dict(self) -> dict:
-        """Plain-data record (JSON-serializable) for programmatic use."""
-        return {
-            "T": self.T,
-            "delta": self.delta,
-            "scan_c": self.scan_c,
-            "bound_C": self.bound_C,
-            "count": self.count,
-            "solutions": [
-                {
-                    "m": s.m,
-                    "u": list(s.u),
-                    "v": list(s.v),
-                    "value": s.value,
-                    "residual": s.residual,
-                    "torus_miss": s.torus_miss,
-                }
-                for s in self.solutions
-            ],
-        }
 
 
 def lifted_shift(xi: ShiftVector, t) -> ShiftVector:
@@ -173,13 +148,6 @@ def _scan_length(xi_t: ShiftVector, T: int, scan_c: float, tol) -> int:
     return m_max
 
 
-def nearest_offset(xi_t: ShiftVector, m: int) -> tuple[Vec3, float]:
-    """Nearest integer offset for step m of the lifted shift and the achieved distance."""
-    a, b, gx, gy = _offset_at(xi_t, m)
-    F = xi_t.precision
-    return (0, a, b), math.hypot(_mant_to_float(gx, F), _mant_to_float(gy, F))
-
-
 def _lattice_steps(xi_t: ShiftVector, T: int,
                    steps: Iterable[int]) -> Iterator[tuple[int, Vec3, Vec3, int, int]]:
     """(m, u, v, gx, gy) for each orbit step m whose lattice point passes ||v|| <= T.
@@ -241,7 +209,7 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
         seen.add(v)
         miss = math.hypot(_mant_to_float(gx, F), _mant_to_float(gy, F))
         out.append(Solution(m, u, v, qv.to_float(), resid.to_float(), miss))
-    return SolveReport(out, T, delta, scan_c, bound_C)
+    return SolveReport(out)
 
 
 @dataclass

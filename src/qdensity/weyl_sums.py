@@ -74,14 +74,11 @@ def phi(alpha: FixedReal, beta: FixedReal, gamma: FixedReal, m: int,
     """
     x = alpha.mul_int(2 * m) + beta
     y = alpha.mul_int(m * m) + beta.mul_int(m) + gamma
-    return TorusPoint2(x.frac_part(tol=tol), y.frac_part(tol=tol))
-
-
-def torus_dist(u: TorusPoint2, v: TorusPoint2) -> float:
-    """Euclidean distance on the 2-torus, each coordinate folded to [-1/2, 1/2]."""
-    dx = (u.x - v.x).circle_norm().to_float()
-    dy = (u.y - v.y).circle_norm().to_float()
-    return math.hypot(dx, dy)
+    if exceeds(max(x.err, y.err), x.F, tol):
+        raise PrecisionExhausted(
+            f"orbit radius at m={m} exceeds the reduction tolerance; raise the precision"
+        )
+    return TorusPoint2(x.frac_part(), y.frac_part())
 
 
 def _orbit_radius(alpha: FixedReal, beta: FixedReal, gamma: FixedReal, m: int) -> int:

@@ -220,7 +220,8 @@ class TestConvergents:
             for c in conv:
                 dist_c = c.dist.midpoint()
                 for q in range(1, c.q):
-                    assert alpha.mul_int(q).circle_norm().midpoint() >= dist_c
+                    f = alpha.mul_int(q).midpoint() % 1
+                    assert min(f, 1 - f) >= dist_c
 
 
 class TestDirichlet:

@@ -12,6 +12,7 @@ from qdensity import (
     ValidationError,
     as_fixed,
     parse_real,
+    phi,
 )
 from qdensity.fixed import _round_div, _round_shift, exceeds
 
@@ -144,7 +145,7 @@ class TestIntervalSoundness:
 
 
 class TestIntegerComparisons:
-    """certainly_le, certainly_gt, check_radius and exceeds agree with their Fraction forms."""
+    """certainly_le, certainly_gt and exceeds agree with their Fraction forms."""
 
     @given(data=st.data(), F=st.sampled_from([64, 512]))
     @settings(max_examples=400, deadline=None)
@@ -162,15 +163,6 @@ class TestIntegerComparisons:
         ))
         assert x.certainly_le(bound) == (x.hi() <= Fraction(bound))
         assert x.certainly_gt(bound) == (x.lo() > Fraction(bound))
-        tol = data.draw(st.one_of(st.integers(-1, 2), rationals, edge, st.floats(0, 1e3)))
-        try:
-            x.check_radius(tol)
-        except PrecisionExhausted as exc:
-            assert x.err_fraction() > Fraction(tol)
-            assert str(exc) == (f"error radius {float(x.err_fraction()):.3e} "
-                                f"exceeds tolerance {float(tol):.3e}")
-        else:
-            assert not x.err_fraction() > Fraction(tol)
         # orbit-sized radii, and tolerances at the radius and one ulp either side
         ulps = data.draw(st.integers(0, 1 << (F + 80)) | st.just(x.err))
         tol = data.draw(st.one_of(st.integers(-1, 2), rationals, st.floats(0, 1e30),
@@ -196,24 +188,14 @@ class TestReduction:
         # same point on the circle
         assert (f.exact - a) % 1 == 0
 
-    @given(a=rationals)
-    @settings(max_examples=100, deadline=None)
-    def test_circle_norm_in_range(self, a):
-        n = FixedReal.from_fraction(a).circle_norm()
-        assert Fraction(0) <= n.exact <= Fraction(1, 2)
-        f = a - math.floor(a)
-        assert n.exact == min(f, 1 - f)
-
-    def test_circle_norm_half_is_half(self):
-        n = FixedReal.from_fraction(Fraction(7, 2)).circle_norm()
-        assert n.exact == Fraction(1, 2)
-
     def test_tolerance_refusal(self):
+        # phi reduces mod 1 and refuses a radius past its tolerance; at m = 0 its y is gamma
         x = noisy(Fraction(1, 3), 1 << 200)
+        z = FixedReal.zero()
         with pytest.raises(PrecisionExhausted):
-            x.frac_part(tol=Fraction(1, 1 << 100))
+            phi(z, z, x, 0, tol=Fraction(1, 1 << 100))
         # generous tolerance passes
-        x.frac_part(tol=Fraction(1, 2))
+        assert phi(z, z, x, 0, tol=Fraction(1, 2)).y.err == x.err
 
     @given(n=st.integers(-(1 << 1100), 1 << 1100) | st.integers(-8, 8).map(lambda j: (2 * j + 1) << 200),
            k=st.integers(-3, 600) | st.just(201))
@@ -247,6 +229,11 @@ class TestPrecisionChange:
     def test_point_intervals_know_their_rational(self):
         x = FixedReal.sqrt_int(2).mul_int(0)
         assert x.exact == 0
+
+
+def test_repr_saturates_a_radius_past_float_range():
+    assert "inf" in repr(FixedReal(0, 1 << 1200, 64))
+    assert repr(FixedReal.from_fraction(Fraction(1, 3), 64)) == "FixedReal(0.33333333333333331 ± 5.42e-20, F=64)"
 
 
 def test_as_fixed_coercions(sqrt2):

@@ -10,7 +10,6 @@ from qdensity import (
     ShiftVector,
     ValidationError,
     apply,
-    group_law_check,
     iota,
     standard_form,
     unipotent,
@@ -18,6 +17,7 @@ from qdensity import (
 from qdensity.harness import Lcg64
 
 STD = standard_form()
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def random_sl2(rng: Lcg64, bound: int = 100) -> SL2Matrix:
@@ -94,11 +94,10 @@ class TestInverse:
     @settings(max_examples=300, deadline=None)
     @given(M=_SOQ, N=_SOQ)
     def test_matches_adjugate(self, M, N):
-        identity = SOQMatrix.identity().rows
         for X in (M, N, M @ N):
             inv = X.inverse()
             assert inv.rows == adjugate_inverse(X).rows
-            assert (X @ inv).rows == identity
+            assert (X @ inv).rows == IDENTITY
 
     def test_known_elements(self):
         for g in (SL2Matrix(0, -1, 1, 0), SL2Matrix(2, 1, 1, 1), SL2Matrix(-3, 2, 1, -1)):
@@ -108,7 +107,7 @@ class TestInverse:
 
 class TestEmbedding:
     def test_identity(self):
-        assert iota(SL2Matrix.identity()).rows == SOQMatrix.identity().rows
+        assert iota(SL2Matrix(1, 0, 0, 1)).rows == IDENTITY
 
     def test_shear_squared(self):
         assert iota(SL2Matrix(1, 2, 0, 1)).rows == ((1, 4, 4), (0, 1, 2), (0, 0, 1))
@@ -144,10 +143,9 @@ class TestUnipotent:
         assert unipotent(m).rows == rows
 
     def test_group_law(self):
-        assert group_law_check(5, 7)
-        assert group_law_check(0, 9)
-        assert group_law_check(-4, 4)
-        assert (unipotent(-4) @ unipotent(4)).rows == SOQMatrix.identity().rows
+        for m1, m2 in ((5, 7), (0, 9), (-4, 4)):
+            assert (unipotent(m1) @ unipotent(m2)).rows == unipotent(m1 + m2).rows
+        assert (unipotent(-4) @ unipotent(4)).rows == IDENTITY
 
     def test_inverse_is_negation(self):
         for m in (-17, -1, 2, 1000):
@@ -182,7 +180,7 @@ class TestSOQInvariants:
 class TestAction:
     def test_identity_fixes(self, sqrt2):
         xi = ShiftVector.from_values(sqrt2, 3, -2)
-        out = apply(xi, SOQMatrix.identity())
+        out = apply(xi, SOQMatrix(IDENTITY))
         assert out.alpha.mant == xi.alpha.mant
         assert out.gamma.mant == xi.gamma.mant
 
@@ -201,4 +199,4 @@ class TestAction:
             assert w.gamma.mant == sqrt2.mul_int(m * m).mant
 
     def test_printable(self):
-        assert str(unipotent(2)) == "1 4 4\n0 1 2\n0 0 1"
+        assert str(unipotent(2)) == "SOQMatrix(rows=((1, 4, 4), (0, 1, 2), (0, 0, 1)))"

@@ -20,7 +20,6 @@ from qdensity import (
     phi,
     sum_min,
     sum_min_explicit_bound,
-    torus_dist,
     unipotent,
     weyl_differencing_bound,
     weyl_sum,
@@ -164,6 +163,12 @@ class TestPhi:
         with pytest.raises(PrecisionExhausted):
             phi(rough, z64, z64, 10**6)
 
+    def test_radius_past_float_range_refuses(self):
+        # 2^1136 is past float64 range: the refusal compares integers, it formats no radius
+        z64 = FixedReal.zero(64)
+        with pytest.raises(PrecisionExhausted, match="orbit radius at m=1 exceeds"):
+            phi(FixedReal(0, 1 << 1200, 64), z64, z64, 1)
+
     def test_matches_unipotent_action(self, sqrt2, zero):
         xi = ShiftVector(sqrt2, zero, zero)
         for m in (1, 3, 10, 101):
@@ -174,33 +179,50 @@ class TestPhi:
 
 
 class TestTorusDist:
+    """The torus distance of the orbit scan, read off the constant orbit (0, g).
+
+    With alpha = beta = 0 every step sits at (0, g), so count_orbit_hits
+    returns all T steps or none, by the distance from (0, g) to v0.
+    """
+
+    T = 5
+
+    def hits(self, g, vx, vy, delta) -> bool:
+        z = FixedReal.zero()
+        count = count_orbit_hits(z, z, as_fixed(g), TorusPoint2.from_values(vx, vy), self.T, delta)
+        assert count in (0, self.T)
+        return count == self.T
+
     def test_identity(self):
-        u = TorusPoint2.from_values(Fraction(1, 3), Fraction(2, 3))
-        assert torus_dist(u, u) == 0.0
+        assert self.hits(Fraction(2, 3), 0, Fraction(2, 3), 1e-12)
+        assert self.hits(Fraction(2, 3), 5, Fraction(-1, 3), 1e-12)
 
     def test_wraparound(self):
-        u = TorusPoint2.from_values(Fraction(9, 10), 0)
-        v = TorusPoint2.from_values(Fraction(1, 10), 0)
-        assert torus_dist(u, v) == pytest.approx(0.2)
+        # (0, 1/10) and (0, 9/10) are 0.2 apart across the edge; the comparison is closed
+        assert self.hits(Fraction(1, 10), 0, Fraction(9, 10), 0.2)
+        assert not self.hits(Fraction(1, 10), 0, Fraction(9, 10), 0.19999)
 
     def test_double_wrap(self):
-        u = TorusPoint2.from_values(Fraction(9, 10), Fraction(9, 10))
-        v = TorusPoint2.from_values(Fraction(1, 10), Fraction(1, 10))
-        assert torus_dist(u, v) == pytest.approx(math.sqrt(0.08))
+        # both coordinates 0.2 apart across the edge: distance sqrt(0.08) = 0.28284...
+        assert self.hits(Fraction(1, 10), Fraction(4, 5), Fraction(9, 10), 0.2829)
+        assert not self.hits(Fraction(1, 10), Fraction(4, 5), Fraction(9, 10), 0.2828)
 
     coords = st.fractions(min_value=0, max_value=1, max_denominator=997)
 
-    @given(ax=coords, ay=coords, bx=coords, by=coords, cx=coords, cy=coords)
+    @given(g=coords, ax=coords, ay=coords, kx=st.integers(-3, 3), ky=st.integers(-3, 3),
+           delta=st.floats(0.001, 0.49))
     @settings(max_examples=120, deadline=None)
-    def test_metric_properties(self, ax, ay, bx, by, cx, cy):
-        u = TorusPoint2.from_values(ax, ay)
-        v = TorusPoint2.from_values(bx, by)
-        w = TorusPoint2.from_values(cx, cy)
-        duv, dvu = torus_dist(u, v), torus_dist(v, u)
-        assert duv == pytest.approx(dvu, abs=1e-12)
-        assert duv <= torus_dist(u, w) + torus_dist(w, v) + 1e-12
-        if (ax - bx) % 1 == 0 and (ay - by) % 1 == 0:
-            assert duv <= 1e-12
+    def test_metric_properties(self, g, ax, ay, kx, ky, delta):
+        """Hit exactly when the folded Fraction distance is at most delta, the same under
+        integer translation of v0 and under negating both points."""
+        def fold(f):
+            f %= 1
+            return min(f, 1 - f)
+
+        hit = fold(ax) ** 2 + fold(ay - g) ** 2 <= Fraction(delta) ** 2
+        assert self.hits(g, ax, ay, delta) == hit
+        assert self.hits(g, ax + kx, ay + ky, delta) == hit
+        assert self.hits(-g, -ax, -ay, delta) == hit
 
 
 class TestOrbitCounting:

@@ -38,8 +38,14 @@ The call list:
     and a nonzero target (refused) or a zero target (the shift as it is)
   - one verify-lemmas call per phase refusal at precision 64: the
     differencing bound, ``sum_min`` and the Weyl phase
+  - oracle-count and oracle-mode exponent calls whose threshold is attained
+    exactly, so points land on it and take the oracle's certified test
+  - solve and verify-lemmas calls with a ``--config`` file, whose text the
+    call carries and writes into its working directory before the run: the
+    same keys as a file and as flags, a flag overriding the file, and the
+    file's refusals
 
-Needs only the standard library and git; about two minutes on 2 cores.
+Needs only the standard library and git; about three minutes on 2 cores.
 """
 
 from __future__ import annotations
@@ -88,6 +94,49 @@ PHASE_REFUSAL_CALLS = [
     for rest in (["--n-list", "1", "--T-list", "10000000000", "--betas", "1"],
                  ["--n-list", "1", "--T-list", "1048576", "--M", "32768"],
                  ["--n-list", "100", "--T-list", "20000"])
+]
+
+
+# Q(v + xi) = v2^2 + v2 - 4*v1*v3 + 1/4 for xi = (0, 1/2, 0): every value is k + 1/4, so
+# |Q - t| <= delta holds with equality on whole planes of points
+EXACT_TIE_CALLS = [
+    ["oracle-count", "--xi", "0 1/2 0", "--t", t, "--delta", "0.25", "--T", T, *rest]
+    for t, T, rest in (("0", "12", []), ("1/2", "12", []), ("dec:0.5", "20,5,12", ["--precision", "64"]),
+                       ("0", "12,6", ["--form=1 1 -1 0 0 0"]))
+] + [["exponent", "--mode", "oracle", "--xi", "0 1/2 0", "--t", "1/4", "--T", "4,12", *rest]
+     for rest in ([], ["--precision", "64"], ["--form=1 1 -1 0 0 0"])]
+
+SOLVE_KEYS = [("xi", "sqrt:2 sqrt:3 1/2"), ("t", "dec:0.7"), ("T", "1000000"), ("delta", "0.2"),
+              ("q_max", "1000")]
+LEMMA_KEYS = [("n_list", "1,3"), ("T_list", "100,5000"), ("betas", "2"), ("M", "2"), ("seed", "7"),
+              ("precision", "96")]
+
+
+def config_text(keys: list[tuple[str, str]]) -> str:
+    return "# parity config\n\n" + "".join(f"{k} = {v}\n" for k, v in keys)
+
+
+def flags(keys: list[tuple[str, str]]) -> list[str]:
+    return [f"--{k.replace('_', '-')}={v}" for k, v in keys]
+
+
+CONFIG = "run.cfg"
+
+
+def config_calls(head: list[str], keys: list[tuple[str, str]]) -> list[tuple[list[str], str | None]]:
+    """(argv, text of CONFIG or None) for keys as flags, as a file, and as a file whose last
+    key a flag overrides."""
+    stale = keys[:-1] + [(keys[-1][0], "3")]
+    return [(head + flags(keys), None),
+            (head + ["--config", CONFIG], config_text(keys)),
+            (head + ["--config", CONFIG] + flags(keys[-1:]), config_text(stale))]
+
+
+CONFIG_CALLS = config_calls(["solve"], SOLVE_KEYS) + config_calls(["verify-lemmas"], LEMMA_KEYS) + [
+    (["solve", "--config", CONFIG], config_text(SOLVE_KEYS) + "scan c = 2\n"),
+    (["solve", "--config", CONFIG], config_text(SOLVE_KEYS) + "delta\n"),
+    (["verify-lemmas", "--config", CONFIG], config_text(LEMMA_KEYS) + "betas = 0\n"),
+    (["verify-lemmas", "--config", "missing.cfg"], None),
 ]
 
 
@@ -223,10 +272,16 @@ def drawn_form(rng: random.Random) -> str:
     return " ".join(diag + [rng.choice(["0", "0", "1", "-1/2"]) for _ in range(3)])
 
 
-def run(src: str, argv: list[str]) -> tuple[str, bytes, str]:
-    """(exit code, stdout bytes, stderr text) of one CLI call against src."""
+def run(src: str, argv: list[str], config: str | None) -> tuple[str, bytes, str]:
+    """(exit code, stdout bytes, stderr text) of one CLI call against src.
+
+    A config text is written to CONFIG in the call's working directory first.
+    """
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as cwd:
+        if config is not None:
+            with open(os.path.join(cwd, CONFIG), "w", encoding="utf-8") as fh:
+                fh.write(config)
         try:
             proc = subprocess.run([sys.executable, "-m", "qdensity", *argv], cwd=cwd, env=env,
                                   capture_output=True, timeout=TIMEOUT_S)
@@ -250,29 +305,32 @@ def main(argv=None) -> int:
     parser.add_argument("rev", nargs="?", default="HEAD", help="git revision to compare against")
     args = parser.parse_args(argv)
 
-    calls: list[list[str]] = []
-    for argv_ in (readme_calls() + perfbench_calls() + drawn_calls() + ZERO_ALPHA_CALLS + LIFT_CALLS
-                  + PHASE_REFUSAL_CALLS):
-        if argv_ not in calls:
-            calls.append(argv_)
+    calls: list[tuple[list[str], str | None]] = []
+    for call in ([(argv_, None) for argv_ in readme_calls() + perfbench_calls() + drawn_calls()
+                  + ZERO_ALPHA_CALLS + LIFT_CALLS + PHASE_REFUSAL_CALLS + EXACT_TIE_CALLS]
+                 + CONFIG_CALLS):
+        if call not in calls:
+            calls.append(call)
 
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         old_src = extract_src(args.rev, tmp)
         new_src = os.path.join(ROOT, "src")
-        jobs = [(src, c) for c in calls for src in (old_src, new_src)]
+        jobs = [(src, *c) for c in calls for src in (old_src, new_src)]
         with ThreadPoolExecutor(JOBS) as pool:
             results = list(pool.map(lambda job: run(*job), jobs))
 
     diffs = 0
     exits: dict[str, int] = {}
-    for i, call in enumerate(calls):
+    for i, (call, config) in enumerate(calls):
         old, new = results[2 * i], results[2 * i + 1]
         exits[new[0]] = exits.get(new[0], 0) + 1
         if old == new:
             continue
         diffs += 1
         print(f"DIFF qdensity {shlex.join(call)}")
+        if config is not None:
+            print(f"  {CONFIG}: {config!r}")
         for side, (code, out, err) in (("rev", old), ("tree", new)):
             print(f"  {side}: exit {code}, stdout {out[:200]!r}, stderr {err[-300:]!r}")
     exit_list = ", ".join(f"{n} exit {c}" for c, n in sorted(exits.items()))
