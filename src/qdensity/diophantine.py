@@ -97,13 +97,12 @@ class Convergent:
             raise ValidationError("convergent must be in lowest terms")
 
 
-def convergents(cf: CFExpansion | list[int], alpha: FixedReal) -> list[Convergent]:
+def convergents(cf: CFExpansion, alpha: FixedReal) -> list[Convergent]:
     """Convergents of a certified quotient prefix via the standard recurrence."""
-    qs = cf.quotients if isinstance(cf, CFExpansion) else list(cf)
     out: list[Convergent] = []
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
-    for a in qs:
+    for a in cf.quotients:
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev
         dist = abs(alpha.mul_int(q_cur).add_int(-p_cur))
@@ -220,7 +219,7 @@ def _direction_candidates(B: int):
             yield a, c
 
 
-def diophantine_direction(xi: ShiftVector, B: int, q_max: int = 10_000) -> DirectionChoice:
+def diophantine_direction(xi: ShiftVector, B: int, q_max: int) -> DirectionChoice:
     """Scan coprime directions |a|, |c| <= B for the best badness exponent.
 
     Directions whose combination is detected rational are skipped; if every

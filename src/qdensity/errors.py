@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: validation-type failures exit 1,
-:class:`PrecisionExhausted` exits 2, and :class:`SoundnessError` exits 3.
+Every error derives from exactly one of three bases, and the CLI maps each
+base onto one process exit code: :class:`ValidationError` exits 1,
+:class:`PrecisionExhausted` exits 2 and :class:`SoundnessError` exits 3.  A
+new refusal picks its exit code by picking its base here.
 """
 
 
@@ -21,26 +23,26 @@ class PrecisionExhausted(QDensityError):
     """
 
 
-class RationalDetected(QDensityError):
-    """A value turned out to be rational where an irrational is required."""
-
-
-class AllRational(QDensityError):
-    """Every candidate direction produced a rational value."""
-
-
-class AlphaZero(QDensityError):
-    """The leading coordinate is indistinguishable from zero, so the lifted
-    shift, which adds t/(4*alpha) to gamma, is undefined for a nonzero t."""
-
-
-class CapExceeded(QDensityError):
-    """A brute-force enumeration was asked to scan beyond its hard cap."""
-
-
 class SoundnessError(QDensityError):
     """Internal re-verification of an emitted result failed.
 
     This is the tripwire for bugs in the solver pipeline; it must never fire
     in a correct build.
     """
+
+
+class RationalDetected(ValidationError):
+    """A value turned out to be rational where an irrational is required."""
+
+
+class AllRational(ValidationError):
+    """Every candidate direction produced a rational value."""
+
+
+class AlphaZero(ValidationError):
+    """The leading coordinate is indistinguishable from zero, so the lifted
+    shift, which adds t/(4*alpha) to gamma, is undefined for a nonzero t."""
+
+
+class CapExceeded(ValidationError):
+    """A brute-force enumeration was asked to scan beyond its hard cap."""

@@ -31,6 +31,7 @@ from .errors import PrecisionExhausted, ValidationError
 
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
+MAX_PRECISION = 1 << 16
 
 
 def _round_div(n: int, d: int) -> int:
@@ -79,9 +80,9 @@ def _mant_to_float(m: int, F: int) -> float:
         return sign * math.inf
 
 
-def exceeds(ulps: int, F: int, tol) -> bool:
-    """ulps * 2**-F > tol, decided in integers: the one radius-against-tolerance test."""
-    num, den = _ratio(tol)
+def exceeds(ulps: int, F: int, bound) -> bool:
+    """ulps * 2**-F > bound, decided in integers: the one radius-against-tolerance test."""
+    num, den = _ratio(bound)
     return ulps * den > num << F
 
 

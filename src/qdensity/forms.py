@@ -206,7 +206,7 @@ def evaluate(form: TernaryForm, v: Sequence, F: Optional[int] = None) -> FixedRe
 
     F defaults to the precision of the first FixedReal component, else to
     DEFAULT_PRECISION; a caller refuses a radius past a tolerance with
-    ``fixed.exceeds(result.err, F, tol)``.
+    ``fixed.exceeds(result.err, F, bound)``.
     """
     if F is None:
         F = next((c.F for c in v if isinstance(c, FixedReal)), DEFAULT_PRECISION)

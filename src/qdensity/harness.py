@@ -1,9 +1,9 @@
 """Command-line interface, configuration and reproducible CSV reporting.
 
-Configuration is a flat ``key = value`` text file; any command-line flag with
-the same name overrides the file.  Every key is declared once, in OPTIONS,
-and its value is parsed the same way from a flag, a file or the default, when
-the configuration is loaded.  All randomness comes from a 64-bit linear
+Configuration is a flat ``key = value`` text file, each key at most once;
+any command-line flag with the same name overrides the file.  Every key is
+declared once, in OPTIONS, and its value is parsed the same way from a flag,
+a file or the default, when the configuration is loaded.  All randomness comes from a 64-bit linear
 congruential generator with Knuth's MMIX constants
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
@@ -14,8 +14,9 @@ to 17 significant digits; identical configurations produce byte-identical
 files.  Every subcommand computes its cells in config order on the calling
 thread; ``threads`` is accepted for compatibility and selects nothing.
 
-Exit codes: 0 success, 1 usage, validation or rational-input error, 2
-precision exhausted, 3 internal soundness tripwire.
+Exit codes: 0 success, and one per base of :mod:`.errors`: 1 for a
+ValidationError (usage, validation or rational-input error), 2 for
+PrecisionExhausted, 3 for SoundnessError (internal soundness tripwire).
 """
 
 from __future__ import annotations
@@ -29,16 +30,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diophantine, isometries, solver, weyl_sums
-from .errors import (
-    AllRational,
-    AlphaZero,
-    CapExceeded,
-    PrecisionExhausted,
-    RationalDetected,
-    SoundnessError,
-    ValidationError,
-)
-from .fixed import MIN_PRECISION, FixedReal, parse_real
+from .errors import AllRational, PrecisionExhausted, SoundnessError, ValidationError
+from .fixed import MAX_PRECISION, MIN_PRECISION, FixedReal, parse_real
 from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
 from .weyl_sums import TorusPoint2
 
@@ -143,6 +136,8 @@ def parse_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in DEFAULTS:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
 
@@ -181,6 +176,8 @@ class RunConfig:
         F = self["precision"]
         if F < MIN_PRECISION:
             raise ValidationError(f"precision must be >= {MIN_PRECISION}")
+        if F > MAX_PRECISION:
+            raise ValidationError(f"precision must be <= {MAX_PRECISION}")
         return F
 
     def xi(self, F: int) -> ShiftVector:
@@ -228,8 +225,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -357,6 +352,9 @@ _LEMMA_ALPHAS = (("sqrt:2", "sqrt:2"), ("golden", "surd:1,1,2,5"))
 def run_verify_lemmas(cfg: RunConfig):
     F = cfg.precision
     n_list, T_list, betas_per_case, M = cfg["n_list"], cfg["T_list"], cfg["betas"], cfg["M"]
+    for key in ("n_list", "T_list"):
+        if not cfg[key]:
+            raise ValidationError(f"{key} must be nonempty")
     alphas = [(label, parse_real(lit, F)) for label, lit in _LEMMA_ALPHAS]
 
     # every bound is computed before the first Weyl sum, so a bad n, T or M costs no sum
@@ -403,12 +401,9 @@ def run_kappa(cfg: RunConfig):
         est = diophantine.estimate_kappa(alpha, q_max)
     else:
         raise ValidationError("kappa needs alpha or xi")
-    conv = diophantine.convergents_up_to(alpha, q_max)
-    rows = []
-    for k, cv in enumerate(conv):
-        d = cv.dist.to_float()
-        local = -math.log(d) / math.log(cv.q) if cv.q >= 2 and d > 0 else ""
-        rows.append((k, cv.p, cv.q, d, local, est.kappa_hat, est.c_hat, est.q_max))
+    local = dict(est.per_convergent)
+    rows = [(k, cv.p, cv.q, cv.dist.to_float(), local.get(cv.q, ""), est.kappa_hat, est.c_hat, est.q_max)
+            for k, cv in enumerate(diophantine.convergents_up_to(alpha, q_max))]
     header = ("k", "p", "q", "dist", "kappa_local", "kappa_hat", "c_hat", "q_max")
     return meta, header, rows
 
@@ -489,7 +484,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"# {line}", file=sys.stderr)
         write_csv(args.out, header, rows)
         return 0
-    except (ValidationError, AllRational, RationalDetected, AlphaZero, CapExceeded) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PrecisionExhausted as exc:

@@ -47,7 +47,7 @@ import numpy as np
 from .errors import AlphaZero, CapExceeded, PrecisionExhausted, ValidationError
 from .fixed import FixedReal, _mant_to_float, _round_shift, as_fixed, exceeds
 from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
-from .weyl_sums import DEFAULT_REDUCTION_TOL, _orbit_radius, _scan_orbit
+from .weyl_sums import REDUCTION_TOL, _orbit_radius, _scan_orbit
 
 Vec3 = tuple[int, int, int]
 
@@ -116,7 +116,7 @@ def _offset_at(xi_t: ShiftVector, m: int) -> tuple[int, int, int, int]:
     return a, b, d2 + (a << F), d3 + (b << F)
 
 
-def _scan_length(xi_t: ShiftVector, T: int, scan_c: float, tol) -> int:
+def _scan_length(xi_t: ShiftVector, T: int, scan_c: float) -> int:
     """Last step to scan: scan_c*sqrt(T), cut where no step can pass the norm filter.
 
     A step has a = -round(d2 / 2^F) with d2 = 2*A*m + B in the mantissas of
@@ -131,7 +131,8 @@ def _scan_length(xi_t: ShiftVector, T: int, scan_c: float, tol) -> int:
     earliest any gap gives: past step 2T + 1.
 
     Refuses (PrecisionExhausted) when the orbit radius at the last step, the
-    target's share in the lifted gamma included, exceeds tol.
+    target's share in the lifted gamma included, exceeds the reduction
+    tolerance REDUCTION_TOL = 2^-64.
     """
     F = xi_t.precision
     A, B, C = xi_t.alpha.mant, xi_t.beta.mant, xi_t.gamma.mant
@@ -143,7 +144,7 @@ def _scan_length(xi_t: ShiftVector, T: int, scan_c: float, tol) -> int:
         cut = (reach + abs(C)) // (G or 1 << (F - 1)) + 1
     m_max = scan_c * math.sqrt(T)
     m_max = cut if m_max >= cut else int(m_max)
-    if exceeds(_orbit_radius(*xi_t.components(), m_max), F, tol):
+    if exceeds(_orbit_radius(*xi_t.components(), m_max), F, REDUCTION_TOL):
         raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")
     return m_max
 
@@ -164,8 +165,7 @@ def _lattice_steps(xi_t: ShiftVector, T: int,
 
 
 def find_solutions(xi: ShiftVector, t, T: int, delta: float,
-                   scan_c: float = 1.0, bound_C: float = 32.0,
-                   tol=DEFAULT_REDUCTION_TOL) -> SolveReport:
+                   scan_c: float = 1.0, bound_C: float = 32.0) -> SolveReport:
     """Orbit hit test over 1 <= m <= scan_c*sqrt(T), then exact norm and residual filter.
 
     The scan stops early where no step can pass the norm filter (_scan_length).
@@ -178,7 +178,8 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
     ||v|| <= T and certified |Q(v + xi) - t| <= bound_C*delta, the residual
     being recomputed through the form evaluation of the original xi and t
     rather than the orbit identity.  Identical v from different steps are
-    reported once (smallest m).
+    reported once (smallest m).  Refuses (PrecisionExhausted) when the orbit
+    radius at the end of the scan exceeds the reduction tolerance 2^-64.
     """
     if T < 4:
         raise ValidationError("T must be >= 4")
@@ -192,7 +193,7 @@ def find_solutions(xi: ShiftVector, t, T: int, delta: float,
     F = xi.precision
     t = as_fixed(t, F)
     xi_t = lifted_shift(xi, t)
-    m_max = _scan_length(xi_t, T, scan_c, tol)
+    m_max = _scan_length(xi_t, T, scan_c)
 
     residual_cap = Fraction(bound_C * delta)
     form = standard_form()
@@ -536,7 +537,7 @@ def _midpoint_window(xi: ShiftVector, t: FixedReal, v: Vec3) -> tuple[int, int]:
 def _least_midpoint_residual(xi: ShiftVector, t: FixedReal, xi_t: ShiftVector, T: int,
                              scan_c: float) -> tuple[float, bool]:
     """(float, exact zero?) of the solver-mode residual with the least midpoint at T."""
-    m_max = _scan_length(xi_t, T, scan_c, DEFAULT_REDUCTION_TOL)
+    m_max = _scan_length(xi_t, T, scan_c)
     # the least midpoint is at most every upper bound, so only steps whose
     # window reaches below the least one (least_hi) can hold it; the steps
     # kept against the running least_hi are a superset of those
@@ -575,10 +576,10 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
     (count_values_grid).  Solver mode walks the orbit steps
     1 <= m <= scan_c*sqrt(T) (cut at the norm filter, _scan_length) through
     the same lattice points as find_solutions, with the norm filter still
-    enforced, and refuses like find_solutions when the orbit radius at the end
-    of the scan exceeds the reduction tolerance.  It reports the certified
-    form evaluation |Q(v + xi) - t| with the least midpoint, ties going to the
-    smallest m.  The exact residual of the mantissa inputs bounds every
+    enforced, and refuses like find_solutions a nonpositive scan_c and an
+    orbit radius at the end of the scan past the reduction tolerance.  It
+    reports the certified form evaluation |Q(v + xi) - t| with the least
+    midpoint, ties going to the smallest m.  The exact residual of the mantissa inputs bounds every
     step's midpoint (_midpoint_window), and only the steps whose bounds reach
     below the least upper bound are evaluated: one per T unless steps tie or
     nearly tie.  An exactly zero residual is reported as a saturated row
@@ -597,6 +598,8 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
         # a zero float minimum is saturated below
         minima = [(res.min_residual, False) for res in count_values_grid(form, xi, t, grid, 0.0, cap=cap)]
     else:
+        if scan_c <= 0:
+            raise ValidationError("scan_c must be positive")
         t = as_fixed(t, xi.precision)
         xi_t = lifted_shift(xi, t)
         minima = [_least_midpoint_residual(xi, t, xi_t, T, scan_c) for T in grid]

@@ -31,8 +31,8 @@ from .errors import PrecisionExhausted, ValidationError
 from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed, exceeds
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_REDUCTION_TOL = Fraction(1, 1 << 64)
-DEFAULT_PHASE_TOL = Fraction(1, 1 << 30)
+REDUCTION_TOL = Fraction(1, 1 << 64)
+PHASE_TOL = Fraction(1, 1 << 30)
 # Steps per block of the orbit filter and of the Weyl sum; this caps the size
 # of their numpy temporaries.
 _BLOCK_STEPS = 4096
@@ -65,16 +65,15 @@ class WeylSumResult:
         return math.hypot(self.re, self.im)
 
 
-def phi(alpha: FixedReal, beta: FixedReal, gamma: FixedReal, m: int,
-        tol=DEFAULT_REDUCTION_TOL) -> TorusPoint2:
+def phi(alpha: FixedReal, beta: FixedReal, gamma: FixedReal, m: int) -> TorusPoint2:
     """Orbit point (2*alpha*m + beta, alpha*m^2 + beta*m + gamma) mod 1.
 
     Refuses (PrecisionExhausted) when the propagated radius at this m exceeds
-    the reduction tolerance.
+    the reduction tolerance REDUCTION_TOL = 2^-64.
     """
     x = alpha.mul_int(2 * m) + beta
     y = alpha.mul_int(m * m) + beta.mul_int(m) + gamma
-    if exceeds(max(x.err, y.err), x.F, tol):
+    if exceeds(max(x.err, y.err), x.F, REDUCTION_TOL):
         raise PrecisionExhausted(
             f"orbit radius at m={m} exceeds the reduction tolerance; raise the precision"
         )
@@ -215,12 +214,13 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
 
 
 def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
-                     v0: TorusPoint2, T: int, delta: float,
-                     tol=DEFAULT_REDUCTION_TOL) -> int:
+                     v0: TorusPoint2, T: int, delta: float) -> int:
     """Count 1 <= m <= T with the orbit point within delta of v0 on the torus.
 
     The comparison is closed (distance exactly delta is a hit) and every
-    decision is certified against the propagated radius at m = T.
+    decision is certified against the propagated radius at m = T.  Refuses
+    (PrecisionExhausted) when that radius, or an ambiguous step's reference
+    radius, exceeds the reduction tolerance REDUCTION_TOL = 2^-64.
     """
     if T < 1:
         raise ValidationError("orbit length T must be >= 1")
@@ -229,7 +229,7 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
     F = alpha.F
     if beta.F != F or gamma.F != F:
         raise ValidationError("orbit parameters must share one precision")
-    if exceeds(_orbit_radius(alpha, beta, gamma, T), F, tol):
+    if exceeds(_orbit_radius(alpha, beta, gamma, T), F, REDUCTION_TOL):
         raise PrecisionExhausted(
             f"orbit radius at m={T} exceeds the reduction tolerance; raise the precision"
         )
@@ -237,7 +237,7 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
     count = 0
     for m, certain in _scan_orbit(alpha, beta, gamma, vx, vy, T, delta):
         if not certain:
-            if exceeds(max(vx.err, vy.err), F, tol):
+            if exceeds(max(vx.err, vy.err), F, REDUCTION_TOL):
                 # the reference radius is fixed by v0's literals, not by F
                 raise PrecisionExhausted(
                     f"hit test ambiguous at m={m}; the radius of the reference point v0 "
@@ -287,17 +287,19 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int) -> WeylSumResult
     """Sum of e(n*alpha*m^2 + beta*m) for 1 <= m <= T, phases reduced in fixed point.
 
     Each phase is the top 53 bits of the exact mantissa phase mod 1; cos and
-    sin are libm's, summed by Kahan's method in order of m.
+    sin are libm's, summed by Kahan's method in order of m.  alpha and beta
+    must share one precision.
     """
     if T < 1:
         raise ValidationError("sum length T must be >= 1")
-    alpha, beta = _align(alpha, beta)
     F = alpha.F
+    if beta.F != F:
+        raise ValidationError("sum coefficients must share one precision")
     PA = n * alpha.mant
     ea = abs(n) * alpha.err
     PB = beta.mant
     eb = beta.err
-    if exceeds(ea * T * T + eb * T, F, DEFAULT_PHASE_TOL):
+    if exceeds(ea * T * T + eb * T, F, PHASE_TOL):
         raise PrecisionExhausted("phase radius at m=T exceeds the phase tolerance")
 
     re = im = 0.0
@@ -317,13 +319,6 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int) -> WeylSumResult
     return WeylSumResult(re, im, T, n)
 
 
-def _align(a: FixedReal, b: FixedReal) -> tuple[FixedReal, FixedReal]:
-    if a.F == b.F:
-        return a, b
-    F = max(a.F, b.F)
-    return a.with_precision(F), b.with_precision(F)
-
-
 def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: int) -> float:
     """Sum over m = 1..count of min(1 / ||m*step||, T_cap).
 
@@ -334,7 +329,7 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
     term saturates at T_cap.
     """
     E = step_err * count
-    if exceeds(E, F, DEFAULT_PHASE_TOL):
+    if exceeds(E, F, PHASE_TOL):
         raise PrecisionExhausted("linear phase radius exceeds the phase tolerance")
     S = 1 << F
     H = S >> 1

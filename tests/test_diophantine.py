@@ -333,26 +333,26 @@ class TestKappaEstimate:
 
 class TestDirectionScan:
     def test_alpha_slot(self, sqrt2):
-        choice = diophantine_direction(ShiftVector.from_values(sqrt2, 0, 0), 1)
+        choice = diophantine_direction(ShiftVector.from_values(sqrt2, 0, 0), 1, 10_000)
         assert (choice.a, choice.c) == (1, 0)
         assert abs(choice.alpha_tilde.to_float() - math.sqrt(2)) < 1e-15
 
     def test_gamma_slot(self, sqrt3):
-        choice = diophantine_direction(ShiftVector.from_values(0, 0, sqrt3), 1)
+        choice = diophantine_direction(ShiftVector.from_values(0, 0, sqrt3), 1, 10_000)
         assert (choice.a, choice.c) == (0, 1)
 
     def test_all_rational(self):
         xi = ShiftVector.from_values(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
         with pytest.raises(AllRational):
-            diophantine_direction(xi, 3)
+            diophantine_direction(xi, 3, 10_000)
 
     def test_combination_formula(self, sqrt2, sqrt3):
         xi = ShiftVector.from_values(sqrt2, sqrt3, Fraction(1, 2))
-        choice = diophantine_direction(xi, 2)
+        choice = diophantine_direction(xi, 2, 10_000)
         a, c = choice.a, choice.c
         expected = a * a * math.sqrt(2) + a * c * math.sqrt(3) + c * c * 0.5
         assert choice.alpha_tilde.to_float() == pytest.approx(expected, rel=1e-12)
 
     def test_bad_bound(self, sqrt2):
         with pytest.raises(ValidationError):
-            diophantine_direction(ShiftVector.from_values(sqrt2, 0, 0), 0)
+            diophantine_direction(ShiftVector.from_values(sqrt2, 0, 0), 0, 10_000)

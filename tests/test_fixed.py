@@ -189,13 +189,14 @@ class TestReduction:
         assert (f.exact - a) % 1 == 0
 
     def test_tolerance_refusal(self):
-        # phi reduces mod 1 and refuses a radius past its tolerance; at m = 0 its y is gamma
-        x = noisy(Fraction(1, 3), 1 << 200)
+        # phi reduces mod 1 and refuses a radius past 2^-64; at m = 0 its y is gamma,
+        # and noisy adds its slack to the one-ulp radius of 1/3
         z = FixedReal.zero()
-        with pytest.raises(PrecisionExhausted):
-            phi(z, z, x, 0, tol=Fraction(1, 1 << 100))
-        # generous tolerance passes
-        assert phi(z, z, x, 0, tol=Fraction(1, 2)).y.err == x.err
+        x = noisy(Fraction(1, 3), (1 << 192) - 1)
+        assert x.err == 1 << (DEFAULT_PRECISION - 64)
+        assert phi(z, z, x, 0).y.err == x.err
+        with pytest.raises(PrecisionExhausted, match="orbit radius at m=0 exceeds"):
+            phi(z, z, noisy(Fraction(1, 3), 1 << 192), 0)
 
     @given(n=st.integers(-(1 << 1100), 1 << 1100) | st.integers(-8, 8).map(lambda j: (2 * j + 1) << 200),
            k=st.integers(-3, 600) | st.just(201))

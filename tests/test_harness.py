@@ -14,10 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qdensity import errors
 from qdensity.errors import ValidationError
 from qdensity.harness import (
     DEFAULTS,
     OPTIONS,
+    RUNNERS,
     SUBCOMMANDS,
     Lcg64,
     RunConfig,
@@ -93,7 +95,21 @@ class TestConfig:
     def test_float_formatting(self):
         assert _fmt(0.1) == "0.10000000000000001"
         assert _fmt(7) == "7"
-        assert _fmt(True) == "1"
+
+    def test_repeated_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("betas = 0\n# comment\nbetas = 2\n")
+        with pytest.raises(ValidationError, match=r"run\.cfg:3: duplicate key 'betas'$"):
+            parse_config_file(str(cfg_file))
+        code, err = _run_quiet(["verify-lemmas", "--config", str(cfg_file)])
+        assert code == 1 and err == f"error: {cfg_file}:3: duplicate key 'betas'\n"
+
+    @pytest.mark.parametrize("precision", ["65537", "100000000000000000000"])
+    def test_high_precision_rejected(self, precision):
+        # refused before any literal is parsed, so a huge value allocates nothing
+        code, err = _run_quiet(["count-orbit", "--xi", "sqrt:2 0 0", "--T", "4", "--delta", "0.1",
+                                "--precision", precision])
+        assert (code, err) == (1, "error: precision must be <= 65536\n")
 
 
 class TestCliRuns:
@@ -219,6 +235,13 @@ class TestCliRuns:
         assert code == 2
         assert "precision exhausted:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scan_c", ["0", "-1"])
+    def test_exponent_solver_mode_refuses_nonpositive_scan_c(self, scan_c):
+        argv = ["exponent", "--xi", "sqrt:2 0/1 0/1", "--T", "4", "--scan-c", scan_c]
+        assert _run_quiet(argv + ["--mode", "solver"]) == (1, "error: scan_c must be positive\n")
+        # oracle mode does not read scan_c
+        assert _run_quiet(argv + ["--mode", "oracle"])[0] == 0
+
     @pytest.mark.parametrize("scan_c", ["1e308", "1e15"])
     def test_exponent_zero_alpha_huge_scan_c_ends(self, scan_c, capsys):
         started = time.perf_counter()
@@ -280,6 +303,18 @@ class TestCliRuns:
         monkeypatch.setattr(weyl_sums, "weyl_sum", weyl_sum_reference)
         assert run_cli(argv, per_term) == 0
         assert block.read_bytes() == per_term.read_bytes()
+
+    @pytest.mark.parametrize("flag, key", [("--n-list=", "n_list"), ("--T-list=,", "T_list")])
+    def test_verify_lemmas_refuses_empty_lists(self, tmp_path, flag, key):
+        out = tmp_path / "none.csv"
+        code, err = _run_quiet(["verify-lemmas", flag, "--out", str(out)])
+        assert (code, err) == (1, f"error: {key} must be nonempty\n")
+        assert not out.exists()
+        cfg_file = tmp_path / "empty.cfg"
+        cfg_file.write_text(f"{key} =\n")
+        code, err = _run_quiet(["verify-lemmas", "--config", str(cfg_file), "--out", str(out)])
+        assert (code, err) == (1, f"error: {key} must be nonempty\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("betas", ["0", "-3"])
     def test_verify_lemmas_refuses_nonpositive_betas(self, tmp_path, betas):
@@ -552,6 +587,27 @@ def _run_quiet(argv):
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     return code, err.getvalue()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_derives_from_one_exit_code_base(monkeypatch):
+    exit_codes = {errors.ValidationError: 1, errors.PrecisionExhausted: 2, errors.SoundnessError: 3}
+    others = [cls for cls in _subclasses(errors.QDensityError) if cls not in exit_codes]
+    assert {cls.__name__ for cls in others} >= {"RationalDetected", "AllRational", "AlphaZero", "CapExceeded"}
+    for cls in [*exit_codes, *others]:
+        [base] = [b for b in exit_codes if issubclass(cls, b)]
+
+        def refuse(cfg, cls=cls):
+            raise cls("refused")
+
+        monkeypatch.setitem(RUNNERS, "kappa", refuse)
+        code, err = _run_quiet(["kappa"])
+        assert code == exit_codes[base] and err.endswith(": refused\n"), (cls, err)
 
 
 class TestCliFuzz:

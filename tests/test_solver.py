@@ -31,7 +31,7 @@ from qdensity import (
 )
 from qdensity.fixed import _round_shift
 from qdensity.forms import TernaryForm
-from qdensity.weyl_sums import _BLOCK_STEPS, _orbit_radius, _scan_orbit
+from qdensity.weyl_sums import _BLOCK_STEPS, REDUCTION_TOL, _orbit_radius, _scan_orbit
 from test_weyl_sums import scan_orbit_reference
 
 STD = standard_form()
@@ -182,7 +182,7 @@ def offset_reference(xi, t, m):
     return a, b, d2.add_int(a).mant, d3.add_int(b).mant
 
 
-def scan_length_reference(xi, t, T, scan_c, tol=solver_mod.DEFAULT_REDUCTION_TOL):
+def scan_length_reference(xi, t, T, scan_c):
     """The scan cut and its radius refusal for the orbit of xi around (0, z), z = lift_reference."""
     F = xi.precision
     z = lift_reference(xi, t)
@@ -196,7 +196,7 @@ def scan_length_reference(xi, t, T, scan_c, tol=solver_mod.DEFAULT_REDUCTION_TOL
     m_max = scan_c * math.sqrt(T)
     m_max = cut if m_max >= cut else int(m_max)
     E = _orbit_radius(xi.alpha, xi.beta, xi.gamma, m_max) + z.err
-    if Fraction(E, 1 << F) > Fraction(tol):
+    if Fraction(E, 1 << F) > REDUCTION_TOL:
         raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")
     return m_max
 
@@ -227,7 +227,7 @@ def exponent_reference(xi, t, T_grid, scan_c=1.0, midpoints=None):
     rows = []
     for T in grid:
         best = None
-        m_max = solver_mod._scan_length(xi_t, T, scan_c, solver_mod.DEFAULT_REDUCTION_TOL)
+        m_max = solver_mod._scan_length(xi_t, T, scan_c)
         for m in range(1, m_max + 1):
             a, b, _, _ = solver_mod._offset_at(xi_t, m)
             v = (0, a, b - m * a)
@@ -359,9 +359,8 @@ class TestOffsetDifferential:
     @settings(max_examples=150, deadline=None)
     def test_scan_length_matches_reference(self, lits, t_lit, T, scan_c, F):
         xi, t = shift_and_target(lits, t_lit, F)
-        tol = solver_mod.DEFAULT_REDUCTION_TOL
-        assert (outcome(solver_mod._scan_length, lifted_shift(xi, t), T, scan_c, tol)
-                == outcome(scan_length_reference, xi, t, T, scan_c, tol))
+        assert (outcome(solver_mod._scan_length, lifted_shift(xi, t), T, scan_c)
+                == outcome(scan_length_reference, xi, t, T, scan_c))
 
     @given(lits=st.tuples(literals, literals, literals), t_lit=literals,
            T=st.integers(4, 10**6), delta=st.floats(0.01, 0.49),
@@ -385,7 +384,7 @@ class TestOffsetDifferential:
         hits = [m for m, certain in _scan_orbit(xi.alpha, xi.beta, xi.gamma, v0.x, v0.y, m_max,
                                                 scan_c * delta) if certain]
         xi_t = lifted_shift(xi, t)
-        cut = solver_mod._scan_length(xi_t, T, scan_c, solver_mod.DEFAULT_REDUCTION_TOL)
+        cut = solver_mod._scan_length(xi_t, T, scan_c)
         assert steps == [m for m in hits if m <= cut]
         assert all(abs(solver_mod._offset_at(xi_t, m)[0]) > T for m in hits if m > cut)
 
@@ -394,9 +393,10 @@ class TestFindSolutions:
     def test_ambiguous_steps_are_dropped(self):
         # the orbit of TestOrbitCounting.test_per_step_radius_near_boundary:
         # steps 1..1023 are certain hits, 1024..1100 ambiguous
-        xi = ShiftVector(FixedReal(0, 1 << 206, 256), as_fixed(0), as_fixed(Fraction(1, 4)))
+        xi = ShiftVector(FixedReal(0, 1 << (256 - 90), 256), as_fixed(0),
+                         as_fixed(Fraction(1, 4) - Fraction(1, 1 << 70)))
         with offset_steps() as steps:
-            rep = find_solutions(xi, 0, 1100**2, 0.25 + 2.0**-30, tol=Fraction(1, 1 << 20))
+            rep = find_solutions(xi, 0, 1100**2, 0.25)
         assert steps == list(range(1, 1024))
         assert [s.v for s in rep.solutions] == [(0, 0, 0)]
 
@@ -405,7 +405,7 @@ class TestFindSolutions:
         # block filter drops none, and the scan crosses a block edge
         T, delta, scan_c = 10**7, 0.3, 2.5
         xi_t = lifted_shift(xi_mixed, Fraction(1, 3))
-        assert solver_mod._scan_length(xi_t, T, scan_c, solver_mod.DEFAULT_REDUCTION_TOL) > _BLOCK_STEPS
+        assert solver_mod._scan_length(xi_t, T, scan_c) > _BLOCK_STEPS
         rep = find_solutions(xi_mixed, Fraction(1, 3), T, delta, scan_c)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver_mod, "_scan_orbit", scan_orbit_reference)
@@ -420,7 +420,7 @@ class TestFindSolutions:
         assert find_solutions(xi, 0, 100, 0.2499999).count == 0
 
     def test_huge_scan_c_stops_at_the_norm_cut(self, xi_sqrt2):
-        cut = solver_mod._scan_length(xi_sqrt2, 100, 1e15, solver_mod.DEFAULT_REDUCTION_TOL)
+        cut = solver_mod._scan_length(xi_sqrt2, 100, 1e15)
         assert cut < 100
         # every step from the cut on fails the norm filter |a| <= T
         assert all(abs(solver_mod._offset_at(xi_sqrt2, m)[0]) > 100 for m in range(cut, 5 * cut))
@@ -428,7 +428,7 @@ class TestFindSolutions:
         rep = find_solutions(xi_sqrt2, 0, 100, 0.1, scan_c=1e15)
         assert time.perf_counter() - started < 1.0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver_mod, "_scan_length", lambda xi_t, T, scan_c, tol: 5 * cut)
+            mp.setattr(solver_mod, "_scan_length", lambda xi_t, T, scan_c: 5 * cut)
             again = find_solutions(xi_sqrt2, 0, 100, 0.1, scan_c=1e15)
             assert (again.rows(), again.count) == (rep.rows(), rep.count)
 
@@ -812,6 +812,13 @@ class TestExponent:
             find_solutions(xi, t, 100, 0.2)
         with pytest.raises(PrecisionExhausted):
             estimate_critical_exponent(xi, t, (100,), mode="solver")
+
+    @pytest.mark.parametrize("scan_c", [0.0, -1.0])
+    def test_solver_mode_refuses_nonpositive_scan_c(self, xi_sqrt2, scan_c):
+        with pytest.raises(ValidationError, match="^scan_c must be positive$"):
+            estimate_critical_exponent(xi_sqrt2, 0, (4, 100), mode="solver", scan_c=scan_c)
+        # oracle mode does not read scan_c
+        assert estimate_critical_exponent(xi_sqrt2, 0, (4,), mode="oracle", scan_c=scan_c)
 
     def test_solver_mode_huge_scan_c_stops_at_the_norm_cut(self, xi_sqrt2):
         started = time.perf_counter()

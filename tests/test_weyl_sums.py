@@ -28,10 +28,9 @@ from qdensity import weyl_sums
 from qdensity.harness import Lcg64
 from qdensity.weyl_sums import (
     _BLOCK_STEPS,
-    DEFAULT_PHASE_TOL,
+    PHASE_TOL,
     TWO_PI,
     WeylSumResult,
-    _align,
     _orbit_radius,
     _phase_to_float,
     _scan_orbit,
@@ -103,18 +102,19 @@ def scan_orbit_reference(alpha, beta, gamma, vx, vy, T, thr):
         dy += step
 
 
-def weyl_sum_reference(n, alpha, beta, T, phase_tol=DEFAULT_PHASE_TOL):
+def weyl_sum_reference(n, alpha, beta, T):
     """Per-term bigint reference for weyl_sums.weyl_sum: the same floats in the same order, no blocks."""
     if T < 1:
         raise ValidationError("sum length T must be >= 1")
-    alpha, beta = _align(alpha, beta)
     F = alpha.F
+    if beta.F != F:
+        raise ValidationError("sum coefficients must share one precision")
     mask = (1 << F) - 1
     PA = n * alpha.mant
     ea = abs(n) * alpha.err
     PB = beta.mant
     eb = beta.err
-    if Fraction(ea * T * T + eb * T, 1 << F) > Fraction(phase_tol):
+    if Fraction(ea * T * T + eb * T, 1 << F) > PHASE_TOL:
         raise PrecisionExhausted("phase radius at m=T exceeds the phase tolerance")
 
     re = im = 0.0
@@ -263,23 +263,24 @@ class TestOrbitCounting:
         assert got == len(expected)
 
     def test_per_step_radius_near_boundary(self, zero):
-        # alpha = 0 +- 2**-50 keeps the midpoint orbit at distance 1/4 while its
-        # radius (m^2 + 2m) * 2**-50 grows; the threshold sits 2**-30 outside
-        # 1/4, so the per-m margin certifies m <= 1023 and not m = 1024
-        alpha = FixedReal(0, 1 << 206, 256)
-        quarter = as_fixed(Fraction(1, 4))
+        # alpha = 0 +- 2**-90 keeps the midpoint orbit at distance 1/4 - 2**-70
+        # from the origin while its radius (m^2 + 2m) * 2**-90 grows; with the
+        # threshold 1/4 the per-m margin certifies m^2 + 2m <= 2**20, i.e.
+        # m <= 1023 and not m = 1024, and every radius stays below 2**-64
+        alpha = FixedReal(0, 1 << (256 - 90), 256)
+        gamma = as_fixed(Fraction(1, 4) - Fraction(1, 1 << 70))
         v0 = TorusPoint2.from_values(0, 0)
-        thr, tol = 0.25 + 2.0**-30, Fraction(1, 1 << 20)
-        assert count_orbit_hits(alpha, zero, quarter, v0, 1023, thr, tol=tol) == 1023
-        with pytest.raises(PrecisionExhausted, match="ambiguous at m=1024"):
-            count_orbit_hits(alpha, zero, quarter, v0, 1024, thr, tol=tol)
-        # alpha = 0 +- 2**-55 certifies m <= 5791, so the first ambiguous step
+        assert 1023**2 + 2 * 1023 == (1 << 20) - 1
+        assert count_orbit_hits(alpha, zero, gamma, v0, 1023, 0.25) == 1023
+        with pytest.raises(PrecisionExhausted, match="ambiguous at m=1024; raise"):
+            count_orbit_hits(alpha, zero, gamma, v0, 1024, 0.25)
+        # alpha = 0 +- 2**-95 certifies m <= 5791, so the first ambiguous step
         # lies in the second block of the scan
-        alpha = FixedReal(0, 1 << 201, 256)
+        alpha = FixedReal(0, 1 << (256 - 95), 256)
         assert _BLOCK_STEPS < 5792 <= 2 * _BLOCK_STEPS
-        assert count_orbit_hits(alpha, zero, quarter, v0, 5791, thr, tol=tol) == 5791
-        with pytest.raises(PrecisionExhausted, match="ambiguous at m=5792;"):
-            count_orbit_hits(alpha, zero, quarter, v0, 3 * _BLOCK_STEPS, thr, tol=tol)
+        assert count_orbit_hits(alpha, zero, gamma, v0, 5791, 0.25) == 5791
+        with pytest.raises(PrecisionExhausted, match="ambiguous at m=5792; raise"):
+            count_orbit_hits(alpha, zero, gamma, v0, 3 * _BLOCK_STEPS, 0.25)
 
     def test_monotone_in_delta(self, sqrt2, zero):
         v0 = TorusPoint2.from_values(Fraction(1, 3), Fraction(1, 7))
@@ -352,6 +353,13 @@ class TestWeylSum:
     def test_half_beta_cancels(self, zero):
         s = weyl_sum(0, zero, as_fixed(Fraction(1, 2)), 2)
         assert abs(s.re) < 1e-12 and abs(s.im) < 1e-12
+
+    def test_mixed_precisions_refused(self, sqrt2):
+        beta = FixedReal.zero(128)
+        with pytest.raises(ValidationError, match="^sum coefficients must share one precision$"):
+            weyl_sum(1, sqrt2, beta, 10)
+        with pytest.raises(ValidationError, match="^sum coefficients must share one precision$"):
+            weyl_sum(1, sqrt2.with_precision(128), FixedReal.zero(), 10)
 
     def test_magnitude_never_exceeds_length(self, sqrt2, golden, zero):
         for alpha in (sqrt2, golden):

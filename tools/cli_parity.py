@@ -43,7 +43,12 @@ The call list:
   - solve and verify-lemmas calls with a ``--config`` file, whose text the
     call carries and writes into its working directory before the run: the
     same keys as a file and as flags, a flag overriding the file, and the
-    file's refusals
+    file's refusals (an unknown key, a line without ``=``, a bad value, a
+    repeated key, an empty ``n_list`` and a missing file)
+  - one call per input refusal: verify-lemmas with an empty ``--n-list`` or
+    ``--T-list``, count-orbit with a ``--precision`` past 65536 (refused
+    before any literal is parsed, so nothing is allocated), and solver-mode
+    exponent with a nonpositive ``--scan-c``
 
 Needs only the standard library and git; about three minutes on 2 cores.
 """
@@ -96,6 +101,14 @@ PHASE_REFUSAL_CALLS = [
                  ["--n-list", "100", "--T-list", "20000"])
 ]
 
+INPUT_REFUSAL_CALLS = [
+    ["verify-lemmas", "--n-list=", "--T-list", "100"],
+    ["verify-lemmas", "--n-list", "1", "--T-list=,"],
+] + [["count-orbit", "--xi", "sqrt:2 0 0", "--T", "4", "--delta", "0.1", "--precision", F]
+     for F in ("65536", "65537", "100000000000000000000")
+] + [["exponent", "--mode", "solver", "--xi", "sqrt:2 0/1 0/1", "--T", "4", f"--scan-c={c}"]
+     for c in ("0", "-1")]
+
 
 # Q(v + xi) = v2^2 + v2 - 4*v1*v3 + 1/4 for xi = (0, 1/2, 0): every value is k + 1/4, so
 # |Q - t| <= delta holds with equality on whole planes of points
@@ -136,6 +149,8 @@ CONFIG_CALLS = config_calls(["solve"], SOLVE_KEYS) + config_calls(["verify-lemma
     (["solve", "--config", CONFIG], config_text(SOLVE_KEYS) + "scan c = 2\n"),
     (["solve", "--config", CONFIG], config_text(SOLVE_KEYS) + "delta\n"),
     (["verify-lemmas", "--config", CONFIG], config_text(LEMMA_KEYS) + "betas = 0\n"),
+    (["verify-lemmas", "--config", CONFIG], config_text([(k, "0" if k == "betas" else v) for k, v in LEMMA_KEYS])),
+    (["verify-lemmas", "--config", CONFIG], config_text(LEMMA_KEYS[1:]) + "n_list =\n"),
     (["verify-lemmas", "--config", "missing.cfg"], None),
 ]
 
@@ -307,7 +322,8 @@ def main(argv=None) -> int:
 
     calls: list[tuple[list[str], str | None]] = []
     for call in ([(argv_, None) for argv_ in readme_calls() + perfbench_calls() + drawn_calls()
-                  + ZERO_ALPHA_CALLS + LIFT_CALLS + PHASE_REFUSAL_CALLS + EXACT_TIE_CALLS]
+                  + ZERO_ALPHA_CALLS + LIFT_CALLS + PHASE_REFUSAL_CALLS + INPUT_REFUSAL_CALLS
+                  + EXACT_TIE_CALLS]
                  + CONFIG_CALLS):
         if call not in calls:
             calls.append(call)
