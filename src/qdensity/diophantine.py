@@ -84,17 +84,15 @@ def continued_fraction(alpha: FixedReal, n_terms: int) -> CFExpansion:
 
 @dataclass(frozen=True)
 class Convergent:
-    """Best rational approximation p/q with the exact circle distance |q*alpha - p|."""
+    """Best rational approximation p/q with the exact circle distance |q*alpha - p|.
+
+    q >= 1 and gcd(p, q) = 1: convergents, the only producer, starts the
+    recurrence at q_0 = 1 and keeps p_k*q_{k-1} - p_{k-1}*q_k = +-1.
+    """
 
     p: int
     q: int
     dist: FixedReal
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValidationError("convergent denominator must be positive")
-        if math.gcd(abs(self.p), self.q) != 1:
-            raise ValidationError("convergent must be in lowest terms")
 
 
 def convergents(cf: CFExpansion, alpha: FixedReal) -> list[Convergent]:

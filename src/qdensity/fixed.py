@@ -291,15 +291,11 @@ class FixedReal:
     def div_int(self, k: int) -> "FixedReal":
         if k == 0:
             raise ZeroDivisionError("div_int by zero")
-        exact = self.exact / k if self.exact is not None else None
-        mant = _round_div(self.mant, k) if k > 0 else _round_div(-self.mant, -k)
-        err = _ceil_div(self.err, abs(k)) + 1
-        if exact is not None:
+        if self.exact is not None:
             # exact value known: only the representation error remains
-            scaled = exact.numerator << self.F
-            mant = _round_div(scaled, exact.denominator)
-            err = 0 if scaled % exact.denominator == 0 else 1
-        return FixedReal(mant, err, self.F, exact)
+            return FixedReal.from_fraction(self.exact / k, self.F)
+        mant = _round_div(self.mant, k) if k > 0 else _round_div(-self.mant, -k)
+        return FixedReal(mant, _ceil_div(self.err, abs(k)) + 1, self.F, None)
 
     # ------------------------------------------------------------------
     # rounding and reduction mod 1

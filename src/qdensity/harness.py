@@ -272,9 +272,8 @@ def _direction_matrix(a: int, c: int) -> isometries.SOQMatrix:
 # ----------------------------------------------------------------------
 
 
-def run_solve(cfg: RunConfig):
-    F = cfg.precision
-    xi = cfg.xi(F)
+def _direction(cfg: RunConfig, xi: ShiftVector):
+    """(a, c, M, xi*M, estimate): the direction --a/--c give, or the best the scan finds."""
     a, c = cfg["a"], cfg["c"]
     if a is not None or c is not None:
         if a is None or c is None:
@@ -289,6 +288,12 @@ def run_solve(cfg: RunConfig):
         a, c, est = choice.a, choice.c, choice.estimate
         M = _direction_matrix(a, c)
         xi_t = isometries.apply(xi, M)
+    return a, c, M, xi_t, est
+
+
+def run_solve(cfg: RunConfig):
+    F = cfg.precision
+    a, c, M, xi_t, est = _direction(cfg, cfg.xi(F))
 
     grid = cfg.range_grid()
     if len(grid) != 1:
@@ -391,14 +396,15 @@ def run_kappa(cfg: RunConfig):
     F = cfg.precision
     q_max = cfg["q_max"]
     meta: list[str] = []
-    if cfg["xi"] is not None:
-        choice = diophantine.diophantine_direction(cfg.xi(F), cfg["direction_bound"], q_max)
-        alpha = choice.alpha_tilde
-        est = choice.estimate
-        meta.extend([f"a={choice.a}", f"c={choice.c}"])
-    elif cfg["alpha"] is not None:
+    if cfg["alpha"] is not None:
+        if any(cfg[key] is not None for key in ("xi", "a", "c")):
+            raise ValidationError("alpha cannot be combined with xi, a or c")
         alpha = parse_real(cfg["alpha"], F)
         est = diophantine.estimate_kappa(alpha, q_max)
+    elif cfg["xi"] is not None:
+        a, c, _, xi_t, est = _direction(cfg, cfg.xi(F))
+        alpha = xi_t.alpha
+        meta.extend([f"a={a}", f"c={c}"])
     else:
         raise ValidationError("kappa needs alpha or xi")
     local = dict(est.per_convergent)
@@ -416,10 +422,7 @@ def run_exponent(cfg: RunConfig):
     rows_data = solver.estimate_critical_exponent(
         xi, t_fix, grid, mode=cfg["mode"], form=cfg.form(), scan_c=cfg["scan_c"], cap=cfg["cap"],
     )
-    rows = [
-        (r.T, r.min_residual, "inf" if r.saturated else _fmt(r.omega_hat), 1 if r.saturated else 0)
-        for r in rows_data
-    ]
+    rows = [(r.T, r.min_residual, r.omega_hat, int(r.saturated)) for r in rows_data]
     return [], ("T", "min_residual", "omega_hat", "saturated"), rows
 
 

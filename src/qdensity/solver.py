@@ -85,18 +85,15 @@ def lifted_shift(xi: ShiftVector, t) -> ShiftVector:
     There Q(v + xi) - t = (v2 + beta)^2 - 4*alpha*(v3 + gamma) - t, and the
     target moves into gamma.  An exactly zero t returns xi itself, also where
     alpha is indistinguishable from zero (the degenerate rational path); any
-    other t with such an alpha is rejected.
+    other t with such an alpha is rejected.  The quotient encloses t/(4*alpha)
+    over its corner quotients plus an ulp, so 4*alpha times it contains t.
     """
     t_fix = as_fixed(t, xi.precision)
     if t_fix.exact == 0:
         return xi
     if xi.alpha.contains_zero():
         raise AlphaZero("leading coordinate indistinguishable from zero")
-    alpha4 = xi.alpha.mul_int(4)
-    q = t_fix / alpha4
-    if not (alpha4 * q - t_fix).contains_zero():
-        raise ValidationError("target lift does not satisfy its defining identity")
-    return ShiftVector(xi.alpha, xi.beta, xi.gamma + q)
+    return ShiftVector(xi.alpha, xi.beta, xi.gamma + t_fix / xi.alpha.mul_int(4))
 
 
 def _offset_at(xi_t: ShiftVector, m: int) -> tuple[int, int, int, int]:
@@ -315,6 +312,11 @@ def _gap_points(ranges) -> Iterator[tuple[int, list[int]]]:
         yield int(i), sorted(pts)
 
 
+def _holds(ranges, i: int, n: int) -> bool:
+    """Whether some range [lo, hi] of chord i holds the integer n."""
+    return any(lo[i] <= n <= hi[i] for lo, hi in ranges)
+
+
 def _float(x: Fraction) -> float:
     """float(x), saturated to +-inf past float64 range."""
     try:
@@ -413,7 +415,8 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
     chord, which bounds the minimum of every larger ball too, is resolved the
     same way, and for each T the least exact value (the certified midpoint
     when the value is not known exactly) over the resolved points of its ball
-    wins, ties going to the least v.  Each resolved point is evaluated once.
+    wins, ties going to the least v.  Each resolved point is evaluated once,
+    in one pass per block.
     """
     if not delta >= 0:
         raise ValidationError("delta must be >= 0")
@@ -431,13 +434,6 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
     t_fix = as_fixed(t, xi.precision)
     delta_fr = Fraction(delta)
     A, chord = _chord_polynomials(form, xi, t_fix, delta)
-    resolved: dict[Vec3, FixedReal] = {}
-
-    def exact_resid(v: Vec3) -> FixedReal:
-        if v not in resolved:
-            resolved[v] = abs(evaluate_shifted(form, xi, v) - t_fix)
-        return resolved[v]
-
     # per ball Ts[k]: the count, the least (key, v) and a certified upper
     # bound on the minimum residual; a resolved point whose smallest ball is
     # Ts[k] is credited to every k' >= k
@@ -467,12 +463,6 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
         both = (np.maximum(low[0], high[0]), np.minimum(low[1], high[1]))
         unsure = (_gaps(_sublevel(A, B, C, delta + 2 * E, True), low, R)
                   + _gaps(high, _sublevel(A, B, C, -delta - 2 * E, False), R))
-        for i, pts in _gap_points(unsure):
-            v1i, v2i = int(v1[i]), int(v2[i])
-            for n in pts:
-                if not exact_resid((v1i, v2i, n)).certainly_gt(delta_fr):
-                    for k in range(bisect_left(sq, rho[i] + n * n), len(Ts)):
-                        count[k] += 1
 
         # the integers next to the roots and the vertex bound the least key
         # from above by mu; a point whose key may be at most mu has
@@ -498,14 +488,22 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
         mu_chord = np.take(mu, np.searchsorted(sq, rho)) if last else mu[0]
         level = mu_chord * (1 + 2 * _EPS) + 2 * E
         band = _gaps(_sublevel(A, B, C, level, True), _sublevel(A, B, C, -level, False), R)
-        for i, pts in _gap_points(band):
+        # a point lies on one chord and a chord in one block, so each
+        # resolved point is evaluated once, here
+        for i, pts in _gap_points(unsure + band):
             v1i, v2i = int(v1[i]), int(v2[i])
             for n in pts:
-                res = exact_resid((v1i, v2i, n))
-                cand = (res.exact if res.exact is not None else res.midpoint(), (v1i, v2i, n))
-                for k in range(bisect_left(sq, rho[i] + n * n), len(Ts)):
-                    if best[k] is None or cand < best[k]:
-                        best[k] = cand
+                v = (v1i, v2i, n)
+                res = abs(evaluate_shifted(form, xi, v) - t_fix)
+                balls = range(bisect_left(sq, rho[i] + n * n), len(Ts))
+                if _holds(unsure, i, n) and not res.certainly_gt(delta_fr):
+                    for k in balls:
+                        count[k] += 1
+                if _holds(band, i, n):
+                    cand = (res.exact if res.exact is not None else res.midpoint(), v)
+                    for k in balls:
+                        if best[k] is None or cand < best[k]:
+                            best[k] = cand
 
     if None in best:
         raise ValidationError("empty ball; T must admit at least the origin")

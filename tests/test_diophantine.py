@@ -204,14 +204,19 @@ class TestConvergents:
             assert all(b >= a for a, b in zip(qs, qs[1:]))
             assert all(b > a for a, b in zip(qs[1:], qs[2:]))
 
-    @given(fr=st.fractions(min_value=0, max_value=100, max_denominator=10**9))
+    @given(alpha=st.one_of(
+        st.fractions(min_value=0, max_value=100, max_denominator=10**9).map(FixedReal.from_fraction),
+        # interval alphas: a mantissa and a radius
+        st.sampled_from([64, 256]).flatmap(lambda F: st.builds(
+            FixedReal, st.integers(0, 100 << F), st.integers(1, 1 << (F // 2)), st.just(F)))))
     @settings(max_examples=120, deadline=None)
-    def test_determinant_identity(self, fr):
-        alpha = FixedReal.from_fraction(fr)
+    def test_determinant_identity(self, alpha):
         conv = convergents(continued_fraction(alpha, 64), alpha)
-        for k in range(1, len(conv)):
-            a, b = conv[k - 1], conv[k]
-            assert b.p * a.q - a.p * b.q == (-1) ** (k - 1)
+        for k, b in enumerate(conv):
+            assert b.q >= 1 and math.gcd(b.p, b.q) == 1
+            if k:
+                a = conv[k - 1]
+                assert b.p * a.q - a.p * b.q == (-1) ** (k - 1)
 
     def test_best_approximation_small_scale(self, sqrt2, golden):
         # each convergent beats every smaller denominator, checked brute force

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdensity import errors
+from qdensity import diophantine, errors
 from qdensity.errors import ValidationError
+from qdensity.fixed import parse_real
 from qdensity.harness import (
     DEFAULTS,
     OPTIONS,
@@ -182,6 +183,30 @@ class TestCliRuns:
         rows = read_rows(out)
         assert rows[0]["q"] == "1"
         assert float(rows[0]["kappa_hat"]) <= 1.1
+
+    def test_kappa_honours_a_direction_override(self, tmp_path, capsys):
+        out = tmp_path / "kappa.csv"
+        assert run_cli(["kappa", "--xi", "sqrt:2 sqrt:3 1/2", "--a", "1", "--c", "1",
+                        "--q-max", "1000"], out) == 0
+        assert capsys.readouterr().err == "# a=1\n# c=1\n"
+        # the direction (1, 1) combines alpha + beta + gamma
+        alpha = parse_real("sqrt:2", 256) + parse_real("sqrt:3", 256) + parse_real("1/2", 256)
+        est = diophantine.estimate_kappa(alpha, 1000)
+        rows = read_rows(out)
+        assert [(int(r["p"]), int(r["q"])) for r in rows] == [
+            (cv.p, cv.q) for cv in diophantine.convergents_up_to(alpha, 1000)]
+        assert {r["kappa_hat"] for r in rows} == {_fmt(est.kappa_hat)}
+
+    def test_kappa_refuses_a_half_given_direction(self):
+        for pair in (["--a", "1"], ["--c", "1"]):
+            code, err = _run_quiet(["kappa", "--xi", "sqrt:2 sqrt:3 1/2", *pair, "--q-max", "1000"])
+            assert (code, err) == (1, "error: supply both a and c or neither\n")
+
+    @pytest.mark.parametrize("extra", [["--xi", "sqrt:2 sqrt:3 1/2"], ["--a", "1"], ["--c", "1"],
+                                       ["--a", "1", "--c", "1"]])
+    def test_kappa_refuses_alpha_with_a_shift_or_direction(self, extra):
+        code, err = _run_quiet(["kappa", "--alpha", "sqrt:2", *extra, "--q-max", "1000"])
+        assert (code, err) == (1, "error: alpha cannot be combined with xi, a or c\n")
 
     def test_exponent_grid_must_increase(self):
         assert run_cli(

@@ -274,6 +274,14 @@ def shift_and_target(lits, t_lit, F):
     return xi, t
 
 
+# the literal kinds of the CLI: square roots, surds, decimals and rationals
+lift_literals = st.one_of(
+    literals,
+    st.integers(1, 12).flatmap(lambda places: st.decimals(-3, 3, places=places)).map(
+        lambda d: f"dec:{d:f}"),
+)
+
+
 class TestTargetLift:
     """lifted_shift moves the target into gamma."""
 
@@ -307,6 +315,17 @@ class TestTargetLift:
             xi = ShiftVector(alpha, as_fixed(Fraction(1, 2)), as_fixed(Fraction(1, 3)))
             assert lifted_shift(xi, 0) is xi
             assert lifted_shift(xi, as_fixed(0)) is xi
+
+    @given(lits=st.tuples(lift_literals, lift_literals, lift_literals), t_lit=lift_literals,
+           F=st.sampled_from([64, 256, 512]))
+    @settings(max_examples=80, deadline=None)
+    def test_lift_encloses_the_target(self, lits, t_lit, F):
+        # 4*alpha times the target's share in the lifted gamma contains t
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        assume(not xi.alpha.contains_zero())
+        t = parse_real(t_lit, F)
+        xi_t = lifted_shift(xi, t)
+        assert (xi.alpha.mul_int(4) * (xi_t.gamma - xi.gamma) - t).contains_zero()
 
 
 class TestNearestOffset:
@@ -774,6 +793,16 @@ class TestOracleGrid:
         answers = count_values_grid(form, xi, t, grid, delta)
         assert [answer(res) for res in answers] == [
             answer(count_values_bruteforce(form, xi, t, T, delta)) for T in grid]
+
+    def test_each_resolved_point_is_evaluated_once(self):
+        # every value is an integer plus 1/4, so |Q - t| = delta holds exactly on whole
+        # planes: each resolved point is both unsure and a candidate for the minimum
+        xi_vals = (0, Fraction(1, 2), 0)
+        with exact_evaluations() as points:
+            res = count_values_bruteforce(STD, ShiftVector.from_values(*xi_vals), 0, 12, 0.25)
+        assert len(points) == len(set(points)) == 126
+        count, r, w = exact_answer(xi_vals, 0, 12, 0.25)
+        assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
 
     def test_cap_refuses_the_first_T_over_it_in_grid_order(self, xi_sqrt2):
         with pytest.raises(CapExceeded, match="^T=400 exceeds the enumeration cap 300$"):

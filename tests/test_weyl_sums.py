@@ -515,6 +515,18 @@ class TestSumMin:
     def test_empty_range(self, sqrt2):
         assert sum_min(sqrt2, 0, 10) == 0.0
 
+    def test_exact_integer_step_saturates(self):
+        # m*(1/4) for m = 1..8: circle norms 1/4, 1/2, 1/4, 0, ...; the zero norms take T_cap = 8
+        assert sum_min(as_fixed(Fraction(1, 4)), 1, 8) == 36.0
+
+    def test_norm_below_radius_refuses(self):
+        # 3 * round(2^256 / 3) = 2^256 - 1: at m = 3 the norm is one ulp, within the radius 3
+        third = as_fixed(Fraction(1, 3))
+        assert third.err == 1
+        with pytest.raises(PrecisionExhausted) as exc:
+            sum_min(third, 1, 3)
+        assert str(exc.value) == "circle norm at m=3 is below the certified radius"
+
     @pytest.mark.parametrize("F", [64, 256])
     @pytest.mark.parametrize("M, T", [(1, 1), (2, 512)])
     def test_linear_phase_refusal_boundary(self, F, M, T):

@@ -45,6 +45,10 @@ The call list:
     same keys as a file and as flags, a flag overriding the file, and the
     file's refusals (an unknown key, a line without ``=``, a bad value, a
     repeated key, an empty ``n_list`` and a missing file)
+  - direction overrides: solve with ``--a``/``--c`` for a coprime irrational
+    pair ``(1, 1)``, the non-coprime ``(2, 4)``, ``--a 1`` alone and a
+    rational combination; kappa with ``--xi`` and ``--a 1 --c 1``, with
+    ``--a 1`` alone, and ``--alpha`` next to ``--xi``
   - one call per input refusal: verify-lemmas with an empty ``--n-list`` or
     ``--T-list``, count-orbit with a ``--precision`` past 65536 (refused
     before any literal is parsed, so nothing is allocated), and solver-mode
@@ -118,6 +122,15 @@ EXACT_TIE_CALLS = [
                        ("0", "12,6", ["--form=1 1 -1 0 0 0"]))
 ] + [["exponent", "--mode", "oracle", "--xi", "0 1/2 0", "--t", "1/4", "--T", "4,12", *rest]
      for rest in ([], ["--precision", "64"], ["--form=1 1 -1 0 0 0"])]
+
+DIRECTION_XI = ["--xi", "sqrt:2 sqrt:3 1/2"]
+DIRECTION_CALLS = [
+    ["solve", *xi, "--T", "1000000", "--delta", "0.2", "--q-max", "1000", *pair]
+    for xi, pair in ((DIRECTION_XI, ["--a", "1", "--c", "1"]), (DIRECTION_XI, ["--a", "2", "--c", "4"]),
+                     (DIRECTION_XI, ["--a", "1"]), (["--xi", "1/2 sqrt:3 1/3"], ["--a", "1", "--c", "0"]))
+] + [["kappa", *head, "--q-max", "1000"]
+     for head in ([*DIRECTION_XI, "--a", "1", "--c", "1"], [*DIRECTION_XI, "--a", "1"],
+                  ["--alpha", "sqrt:2", *DIRECTION_XI])]
 
 SOLVE_KEYS = [("xi", "sqrt:2 sqrt:3 1/2"), ("t", "dec:0.7"), ("T", "1000000"), ("delta", "0.2"),
               ("q_max", "1000")]
@@ -323,7 +336,7 @@ def main(argv=None) -> int:
     calls: list[tuple[list[str], str | None]] = []
     for call in ([(argv_, None) for argv_ in readme_calls() + perfbench_calls() + drawn_calls()
                   + ZERO_ALPHA_CALLS + LIFT_CALLS + PHASE_REFUSAL_CALLS + INPUT_REFUSAL_CALLS
-                  + EXACT_TIE_CALLS]
+                  + EXACT_TIE_CALLS + DIRECTION_CALLS]
                  + CONFIG_CALLS):
         if call not in calls:
             calls.append(call)
