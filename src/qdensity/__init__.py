@@ -34,7 +34,6 @@ from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed, parse_real
 from .forms import (
     ShiftVector,
     TernaryForm,
-    evaluate,
     evaluate_shifted,
     find_isotropic_vector,
     standard_form,

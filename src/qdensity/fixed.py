@@ -18,6 +18,11 @@ numerator and denominator, and build no Fraction.
 
 Quadratic surds ``(u + v*sqrt(d))/w`` are constructed through an integer
 square root carried to ``2F`` bits, so the initial radius is a single ulp.
+
+A computation works at one precision F.  Every entry point that combines
+FixedReals, here and in the modules that use them, refuses operands at
+another precision with a ValidationError; nothing converts between
+precisions.  A run that needs a second precision parses its literals again.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ class FixedReal:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, value: Fraction | int, F: int = DEFAULT_PRECISION) -> "FixedReal":
+    def from_fraction(cls, value: Fraction | int | float, F: int = DEFAULT_PRECISION) -> "FixedReal":
         fr = Fraction(value)
         num, den = fr.numerator, fr.denominator
         scaled = num << F
@@ -116,22 +121,13 @@ class FixedReal:
         return cls(mant, err, F, fr)
 
     @classmethod
-    def from_int(cls, value: int, F: int = DEFAULT_PRECISION) -> "FixedReal":
-        return cls(value << F, 0, F, Fraction(value))
-
-    @classmethod
-    def from_float(cls, value: float, F: int = DEFAULT_PRECISION) -> "FixedReal":
-        # floats are dyadic rationals, so this is exact
-        return cls.from_fraction(Fraction(value), F)
-
-    @classmethod
     def sqrt_int(cls, d: int, F: int = DEFAULT_PRECISION) -> "FixedReal":
         """sqrt(d) for a nonnegative integer d, one ulp of certified error."""
         if d < 0:
             raise ValidationError("sqrt of a negative integer")
         r = isqrt(d)
         if r * r == d:
-            return cls.from_int(r, F)
+            return cls.from_fraction(r, F)
         mant = isqrt(d << (2 * F))
         return cls(mant, 1, F, None)
 
@@ -164,7 +160,7 @@ class FixedReal:
 
     @classmethod
     def zero(cls, F: int = DEFAULT_PRECISION) -> "FixedReal":
-        return cls.from_int(0, F)
+        return cls.from_fraction(0, F)
 
     # ------------------------------------------------------------------
     # interval views
@@ -210,20 +206,11 @@ class FixedReal:
     # arithmetic
     # ------------------------------------------------------------------
 
-    def _check_compatible(self, other: "FixedReal") -> None:
-        if self.F != other.F:
-            raise ValueError(
-                f"mixed precisions {self.F} and {other.F}; convert with with_precision"
-            )
-
     def _coerce(self, other) -> "FixedReal":
-        if isinstance(other, FixedReal):
-            self._check_compatible(other)
+        if isinstance(other, FixedReal) and other.F == self.F:
             return other
-        if isinstance(other, (int, Fraction)):
-            return FixedReal.from_fraction(Fraction(other), self.F)
-        if isinstance(other, float):
-            return FixedReal.from_float(other, self.F)
+        if isinstance(other, (FixedReal, int, Fraction, float)):
+            return as_fixed(other, self.F)
         raise TypeError(f"cannot mix FixedReal with {type(other).__name__}")
 
     def __add__(self, other) -> "FixedReal":
@@ -321,19 +308,6 @@ class FixedReal:
     # conversions
     # ------------------------------------------------------------------
 
-    def with_precision(self, F2: int) -> "FixedReal":
-        if F2 == self.F:
-            return self
-        if self.exact is not None:
-            return FixedReal.from_fraction(self.exact, F2)
-        if F2 > self.F:
-            shift = F2 - self.F
-            return FixedReal(self.mant << shift, self.err << shift, F2, None)
-        shift = self.F - F2
-        mant = _round_shift(self.mant, shift)
-        err = _ceil_div(self.err, 1 << shift) + 1
-        return FixedReal(mant, err, F2, None)
-
     def to_float(self) -> float:
         return _mant_to_float(self.mant, self.F)
 
@@ -344,13 +318,16 @@ class FixedReal:
 
 
 def as_fixed(value, F: int = DEFAULT_PRECISION) -> FixedReal:
-    """Lift ints, Fractions, floats and literal strings to FixedReal."""
+    """Lift ints, Fractions, floats and literal strings to FixedReal at F.
+
+    A FixedReal at another precision is refused, not converted.
+    """
     if isinstance(value, FixedReal):
-        return value if value.F == F else value.with_precision(F)
-    if isinstance(value, (int, Fraction)):
-        return FixedReal.from_fraction(Fraction(value), F)
-    if isinstance(value, float):
-        return FixedReal.from_float(value, F)
+        if value.F != F:
+            raise ValidationError(f"mixed precisions {value.F} and {F}")
+        return value
+    if isinstance(value, (int, Fraction, float)):
+        return FixedReal.from_fraction(value, F)
     if isinstance(value, str):
         return parse_real(value, F)
     raise TypeError(f"cannot convert {type(value).__name__} to FixedReal")
@@ -383,6 +360,6 @@ def parse_real(text: str, F: int = DEFAULT_PRECISION) -> FixedReal:
         if "/" in s:
             num, den = s.split("/", 1)
             return FixedReal.from_fraction(Fraction(int(num), int(den)), F)
-        return FixedReal.from_int(int(s), F)
+        return FixedReal.from_fraction(int(s), F)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad real literal {text!r}: {exc}") from exc

@@ -85,20 +85,16 @@ class TernaryForm:
         return cls(g)
 
     @classmethod
-    def from_coefficients(cls, a11, a22, a33, a12, a13, a23) -> "TernaryForm":
-        return cls.from_rows([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
-
-    @classmethod
     def from_string(cls, text: str) -> "TernaryForm":
         """Parse 'a11 a22 a33 a12 a13 a23' with rational entries."""
         parts = text.split()
         if len(parts) != 6:
             raise ValidationError("form literal needs six rational entries")
         try:
-            vals = [Fraction(p) for p in parts]
+            a11, a22, a33, a12, a13, a23 = (Fraction(p) for p in parts)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad form entry in {text!r}: {exc}") from exc
-        return cls.from_coefficients(*vals)
+        return cls.from_rows([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
 
     @cached_property
     def _coefficients(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -159,7 +155,7 @@ class ShiftVector:
 Operand = tuple[int, int, Optional[int], int]
 
 
-def _operand(x: FixedReal, k: int = 0) -> Operand:
+def _operand(x: FixedReal, k: int) -> Operand:
     """(mant, err, num, den) of x + k; num is None when x is not known exactly."""
     mant = x.mant + (k << x.F)
     if x.exact is None:
@@ -199,18 +195,6 @@ def _evaluate(form: TernaryForm, x: Sequence[Operand], F: int) -> FixedReal:
             if num is not None:
                 num, den = num * d + n * den, den * d
     return FixedReal(mant, err, F, None if num is None else Fraction(num, den))
-
-
-def evaluate(form: TernaryForm, v: Sequence, F: Optional[int] = None) -> FixedReal:
-    """Q(v) for a real triple, with the error bound tracked.
-
-    F defaults to the precision of the first FixedReal component, else to
-    DEFAULT_PRECISION; a caller refuses a radius past a tolerance with
-    ``fixed.exceeds(result.err, F, bound)``.
-    """
-    if F is None:
-        F = next((c.F for c in v if isinstance(c, FixedReal)), DEFAULT_PRECISION)
-    return _evaluate(form, [_operand(as_fixed(c, F)) for c in v], F)
 
 
 def evaluate_shifted(form: TernaryForm, xi: ShiftVector, v: Sequence[int]) -> FixedReal:

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diophantine, isometries, solver, weyl_sums
 from .errors import AllRational, PrecisionExhausted, SoundnessError, ValidationError
-from .fixed import MAX_PRECISION, MIN_PRECISION, FixedReal, parse_real
+from .fixed import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION, FixedReal, parse_real
 from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
 from .weyl_sums import TorusPoint2
 
@@ -89,7 +89,7 @@ def _mode(text: str) -> str:
 
 
 OPTIONS = (
-    Option("precision", int, "256", "fractional bits (>= 64)"),
+    Option("precision", int, str(DEFAULT_PRECISION), f"fractional bits (>= {MIN_PRECISION})"),
     Option("seed", int, "2025", "64-bit RNG seed"),
     Option("threads", _positive_int, "1", "accepted for compatibility; runs use one thread"),
     Option("xi", str, "", "three real literals, space separated"),
@@ -197,9 +197,11 @@ class RunConfig:
         return parse_real(self["t"], F)
 
     def delta_for(self, T: int) -> float:
-        if self["delta"] is not None:
-            return self["delta"]
-        nu = self["nu"]
+        delta, nu = self["delta"], self["nu"]
+        if delta is not None and nu is not None:
+            raise ValidationError("supply delta or nu, not both")
+        if delta is not None:
+            return delta
         if nu is not None:
             if not (0.0 < nu < 0.5):
                 raise ValidationError("nu must lie in (0, 1/2)")

@@ -60,8 +60,6 @@ class WeylSumResult:
 
     re: float
     im: float
-    T: int
-    n: int
 
     def magnitude(self) -> float:
         return math.hypot(self.re, self.im)
@@ -229,17 +227,16 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
     if not (0.0 < delta < 0.5):
         raise ValidationError("delta must lie in (0, 1/2)")
     F = alpha.F
-    if beta.F != F or gamma.F != F:
+    if any(x.F != F for x in (beta, gamma, v0.x, v0.y)):
         raise ValidationError("orbit parameters must share one precision")
     if exceeds(_orbit_radius(alpha, beta, gamma, T), F, REDUCTION_TOL):
         raise PrecisionExhausted(
             f"orbit radius at m={T} exceeds the reduction tolerance; raise the precision"
         )
-    vx, vy = v0.x.with_precision(F), v0.y.with_precision(F)
     count = 0
-    for m, certain in _scan_orbit(alpha, beta, gamma, vx, vy, T, delta):
+    for m, certain in _scan_orbit(alpha, beta, gamma, v0.x, v0.y, T, delta):
         if not certain:
-            if exceeds(max(vx.err, vy.err), F, REDUCTION_TOL):
+            if exceeds(max(v0.x.err, v0.y.err), F, REDUCTION_TOL):
                 # the reference radius is fixed by v0's literals, not by F
                 raise PrecisionExhausted(
                     f"hit test ambiguous at m={m}; the radius of the reference point v0 "
@@ -318,7 +315,7 @@ def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int) -> WeylSumResult
             s = im + t
             cim = (s - im) - t
             im = s
-    return WeylSumResult(re, im, T, n)
+    return WeylSumResult(re, im)
 
 
 def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: int) -> float:

@@ -9,10 +9,14 @@ from qdensity import (
     DEFAULT_PRECISION,
     FixedReal,
     PrecisionExhausted,
+    ShiftVector,
+    TorusPoint2,
     ValidationError,
     as_fixed,
+    count_orbit_hits,
     parse_real,
     phi,
+    weyl_sum,
 )
 from qdensity.fixed import _round_div, _round_shift, exceeds
 
@@ -59,7 +63,7 @@ class TestConstructors:
         assert abs(x.err_fraction() - Fraction(1, 200)) <= Fraction(2, 1 << DEFAULT_PRECISION)
 
     def test_float_is_exact_dyadic(self):
-        x = FixedReal.from_float(0.3)
+        x = FixedReal.from_fraction(0.3)
         assert x.exact == Fraction(0.3)
         assert x.err == 0
 
@@ -129,7 +133,7 @@ class TestIntervalSoundness:
         assert quot.lo() <= a / b <= quot.hi()
 
     def test_division_by_zero_interval_refuses(self):
-        x = FixedReal.from_int(1)
+        x = FixedReal.from_fraction(1)
         tiny = noisy(Fraction(0), 10)
         with pytest.raises(PrecisionExhausted):
             x / tiny
@@ -212,20 +216,26 @@ class TestReduction:
 
 
 class TestPrecisionChange:
-    def test_widen_and_narrow_keep_truth(self, sqrt2):
-        wide = sqrt2.with_precision(512)
-        narrow = sqrt2.with_precision(128)
-        for x in (wide, narrow):
-            assert x.lo() <= Fraction(803) / 568 <= x.hi() or True
-            # true sqrt(2) lies inside either interval
-            lo, hi = x.lo(), x.hi()
-            assert lo * lo <= 2 <= hi * hi
-
     def test_mixed_precision_rejected(self):
-        a = FixedReal.from_int(1, 128)
-        b = FixedReal.from_int(1, 256)
-        with pytest.raises(ValueError):
+        a = FixedReal.from_fraction(1, 128)
+        b = FixedReal.from_fraction(1, 256)
+        with pytest.raises(ValidationError, match="^mixed precisions 256 and 128$"):
             a + b
+
+    @pytest.mark.parametrize("combine", [
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: a * b,
+        lambda a, b: a / b,
+        lambda a, b: as_fixed(b, a.F),
+        lambda a, b: ShiftVector(a, a, b),
+        lambda a, b: weyl_sum(1, a, b, 10),
+        lambda a, b: count_orbit_hits(a, a, a, TorusPoint2(b, b), 10, 0.1),
+    ], ids=["add", "sub", "mul", "div", "as_fixed", "ShiftVector", "weyl_sum", "count_orbit_hits_v0"])
+    def test_every_entry_point_refuses_another_precision(self, combine):
+        # one precision per computation: operands at another one are refused, never converted
+        with pytest.raises(ValidationError):
+            combine(FixedReal.sqrt_int(2, 256), FixedReal.sqrt_int(3, 128))
 
     def test_point_intervals_know_their_rational(self):
         x = FixedReal.sqrt_int(2).mul_int(0)
@@ -242,6 +252,6 @@ def test_as_fixed_coercions(sqrt2):
     assert as_fixed(Fraction(1, 7)).exact == Fraction(1, 7)
     assert as_fixed(0.5).exact == Fraction(1, 2)
     assert as_fixed("sqrt:2").mant == sqrt2.mant
-    assert float(as_fixed(sqrt2, 128)) == pytest.approx(math.sqrt(2))
+    assert as_fixed(sqrt2, sqrt2.F) is sqrt2
     with pytest.raises(TypeError):
         as_fixed(object())

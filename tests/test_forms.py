@@ -13,7 +13,6 @@ from qdensity import (
     ShiftVector,
     TernaryForm,
     ValidationError,
-    evaluate,
     evaluate_shifted,
     find_isotropic_vector,
     iota,
@@ -45,10 +44,13 @@ def mul_fraction(x, fr):
     return FixedReal(mant, err, x.F, None)
 
 
-def evaluate_reference(form, v, F=None):
+def evaluate_at(form, v, F=DEFAULT_PRECISION):
+    """Q(v) for a triple of FixedReals at F and ints: evaluate_shifted at the zero vector."""
+    return evaluate_shifted(form, ShiftVector.from_values(*v, F=F), (0, 0, 0))
+
+
+def evaluate_reference(form, v, F):
     """Q(v) through FixedReal products and sums, term by term."""
-    if F is None:
-        F = next((c.F for c in v if isinstance(c, FixedReal)), DEFAULT_PRECISION)
     x = [as_fixed(c, F) for c in v]
     g = form.gram
     total = FixedReal.zero(F)
@@ -207,13 +209,13 @@ class TestStandardForm:
 
 class TestEvaluate:
     def test_zero_vector(self):
-        assert evaluate(STD, (0, 0, 0)).exact == 0
+        assert evaluate_at(STD, (0, 0, 0)).exact == 0
 
     def test_ones(self):
-        assert evaluate(STD, (1, 1, 1)).exact == -3
+        assert evaluate_at(STD, (1, 1, 1)).exact == -3
 
     def test_sqrt2_direction(self, sqrt2):
-        val = evaluate(STD, (sqrt2, 0, 1))
+        val = evaluate_at(STD, (sqrt2, 0, 1))
         assert val.to_float() == pytest.approx(MINUS_FOUR_SQRT2, abs=1e-12)
         hi_ref = -4 * mpmath.mpf(2) ** 0.5
         assert val.lo() <= Fraction(str(mpmath.nstr(hi_ref, 30))) <= val.hi() or abs(
@@ -222,7 +224,7 @@ class TestEvaluate:
 
     def test_tolerance_refusal(self, sqrt2):
         rough = FixedReal(sqrt2.mant, sqrt2.err + (1 << 250), sqrt2.F, None)
-        val = evaluate(STD, (rough, 0, 1))
+        val = evaluate_at(STD, (rough, 0, 1))
         assert exceeds(val.err, val.F, Fraction(1, 1 << 128))
         assert not exceeds(val.err, val.F, 1)
 
@@ -259,7 +261,7 @@ class TestEvaluateDifferential:
     @given(data=st.data(), F=st.sampled_from([64, 256, 512]), form=FORMS)
     def test_evaluate_matches_reference(self, data, F, form):
         x = [data.draw(operands(F) | SMALL_OR_HUGE) for _ in range(3)]
-        assert _outcome(evaluate, form, x) == _outcome(evaluate_reference, form, x)
+        assert _outcome(evaluate_at, form, x, F) == _outcome(evaluate_reference, form, x, F)
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), F=st.sampled_from([64, 256, 512]), form=FORMS,
@@ -274,7 +276,7 @@ class TestEvaluateDifferential:
         x = [FixedReal(3 << (F - 1), 1, F, None), FixedReal(5 << (F - 1), 1, F, None),
              FixedReal(1, 1, F, None)]
         for form in (STD, TernaryForm.from_string(FRACTION_FORM)):
-            assert _outcome(evaluate, form, x) == _outcome(evaluate_reference, form, x)
+            assert _outcome(evaluate_at, form, x, F) == _outcome(evaluate_reference, form, x, F)
 
     def test_gram_coefficients_are_cached_per_form(self):
         form = TernaryForm.from_string(FRACTION_FORM)

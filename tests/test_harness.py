@@ -285,6 +285,16 @@ class TestCliRuns:
         assert code == 0
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("head,nu", [
+        (["solve", "--xi", "sqrt:2 sqrt:3 1/2", "--T", "10000", "--q-max", "1000"], "0.7"),
+        (["count-orbit", "--xi", "sqrt:2 0 0", "--T", "1000"], "5"),
+    ], ids=["solve", "count-orbit"])
+    def test_delta_and_nu_together_exit_1(self, head, nu, tmp_path):
+        cfg_file = tmp_path / "gap.cfg"
+        cfg_file.write_text(f"nu = {nu}\n")
+        for argv in (head + ["--delta", "0.1", "--nu", nu], head + ["--config", str(cfg_file), "--delta", "0.1"]):
+            assert _run_quiet(argv) == (1, "error: supply delta or nu, not both\n")
+
     def test_soundness_tripwire_exit_code(self, tmp_path, monkeypatch):
         import qdensity.harness as hmod
 

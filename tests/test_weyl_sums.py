@@ -136,7 +136,7 @@ def weyl_sum_reference(n, alpha, beta, T):
         im = s
         x += d
         d += dd
-    return WeylSumResult(re, im, T, n)
+    return WeylSumResult(re, im)
 
 
 class TestPhi:
@@ -359,7 +359,7 @@ class TestWeylSum:
         with pytest.raises(ValidationError, match="^sum coefficients must share one precision$"):
             weyl_sum(1, sqrt2, beta, 10)
         with pytest.raises(ValidationError, match="^sum coefficients must share one precision$"):
-            weyl_sum(1, sqrt2.with_precision(128), FixedReal.zero(), 10)
+            weyl_sum(1, FixedReal.sqrt_int(2, 128), FixedReal.zero(), 10)
 
     def test_magnitude_never_exceeds_length(self, sqrt2, golden, zero):
         for alpha in (sqrt2, golden):

@@ -53,6 +53,20 @@ The call list:
     ``--T-list``, count-orbit with a ``--precision`` past 65536 (refused
     before any literal is parsed, so nothing is allocated), and solver-mode
     exponent with a nonpositive ``--scan-c``
+  - one call per input path the calls above miss: bare integers and
+    perfect-square roots (``--xi "3 sqrt:4 sqrt:0"``, ``--t=-2``); each
+    literal refusal (``--t=``, ``surd:1,2,3``, ``sqrt:-2``, ``surd:1,1,0,2``,
+    ``dec:1e5``, ``1/0``, ``abc``); a five-entry ``--form``; ``--precision
+    63``; ``--delta nan``; ``--mode x``; ``--T ,`` and ``--T 3``; solve with
+    ``--T 100,200``, ``--delta 0.7``, ``--nu 0.7``, neither delta nor nu,
+    ``--scan-c 0`` and the nu warning (``--nu 0.2``); ``--xi "1 2"`` and
+    ``--v0 1``; kappa without ``--alpha`` or ``--xi``; oracle-count without
+    ``--delta`` and with ``--delta -1``
+  - solve and count-orbit calls given both delta and nu, as flags and as a
+    config file plus a flag
+  - the README examples and one refused run with ``--out out.csv``; the
+    bytes of that file, when the run writes one, are appended to the stdout
+    the call compares
 
 Needs only the standard library and git; about three minutes on 2 cores.
 """
@@ -124,6 +138,30 @@ EXACT_TIE_CALLS = [
      for rest in ([], ["--precision", "64"], ["--form=1 1 -1 0 0 0"])]
 
 DIRECTION_XI = ["--xi", "sqrt:2 sqrt:3 1/2"]
+SOLVE_HEAD = ["solve", *DIRECTION_XI, "--q-max", "1000"]
+ORBIT_HEAD = ["count-orbit", "--xi", "sqrt:2 0 0", "--T", "100"]
+INPUT_PATH_CALLS = [
+    ["count-orbit", "--xi", "3 sqrt:4 sqrt:0", "--T", "100", "--delta", "0.1"],
+] + [[*SOLVE_HEAD, f"--t={t}", "--T", "10000", "--delta", "0.2"]
+     for t in ("-2", "", "surd:1,2,3", "sqrt:-2", "surd:1,1,0,2", "dec:1e5", "1/0", "abc")
+] + [[*SOLVE_HEAD, "--T", T, *gap]
+     for T, gap in (("100,200", ["--delta", "0.2"]), ("10000", ["--delta", "0.7"]), ("10000", ["--nu", "0.7"]),
+                    ("10000", []), ("10000", ["--delta", "0.2", "--scan-c", "0"]), ("10000", ["--nu", "0.2"]))
+] + [[*ORBIT_HEAD, *rest]
+     for rest in (["--delta", "0.1", "--precision", "63"], ["--delta", "nan"], ["--delta", "0.1", "--v0", "1"])
+] + [
+    ["count-orbit", "--xi", "sqrt:2 0 0", "--T", ",", "--delta", "0.1"],
+    ["count-orbit", "--xi", "sqrt:2 0 0", "--T", "3", "--delta", "0.1"],
+    ["count-orbit", "--xi", "1 2", "--T", "100", "--delta", "0.1"],
+    ["exponent", "--mode", "x", "--xi", "sqrt:2 0 0", "--T", "100"],
+    ["oracle-count", "--form=1 1 -1 0 0", "--xi", "0 0 0", "--T", "4", "--delta", "0.1"],
+    ["oracle-count", "--xi", "0 0 0", "--T", "4"],
+    ["oracle-count", "--xi", "0 0 0", "--T", "4", "--delta", "-1"],
+    ["kappa"],
+]
+# delta and nu together are refused
+GAP_CALLS = [[*SOLVE_HEAD, "--T", "10000", "--delta", "0.1", "--nu", "0.7"],
+             [*ORBIT_HEAD, "--delta", "0.1", "--nu", "5"]]
 DIRECTION_CALLS = [
     ["solve", *xi, "--T", "1000000", "--delta", "0.2", "--q-max", "1000", *pair]
     for xi, pair in ((DIRECTION_XI, ["--a", "1", "--c", "1"]), (DIRECTION_XI, ["--a", "2", "--c", "4"]),
@@ -147,6 +185,7 @@ def flags(keys: list[tuple[str, str]]) -> list[str]:
 
 
 CONFIG = "run.cfg"
+OUT = "out.csv"
 
 
 def config_calls(head: list[str], keys: list[tuple[str, str]]) -> list[tuple[list[str], str | None]]:
@@ -165,6 +204,8 @@ CONFIG_CALLS = config_calls(["solve"], SOLVE_KEYS) + config_calls(["verify-lemma
     (["verify-lemmas", "--config", CONFIG], config_text([(k, "0" if k == "betas" else v) for k, v in LEMMA_KEYS])),
     (["verify-lemmas", "--config", CONFIG], config_text(LEMMA_KEYS[1:]) + "n_list =\n"),
     (["verify-lemmas", "--config", "missing.cfg"], None),
+    ([*SOLVE_HEAD, "--T", "10000", "--config", CONFIG, "--delta", "0.1"], "nu = 0.7\n"),
+    ([*ORBIT_HEAD, "--config", CONFIG, "--delta", "0.1"], "nu = 5\n"),
 ]
 
 
@@ -181,6 +222,11 @@ def readme_calls() -> list[list[str]]:
                 del argv[i:i + 2]
             calls.append(argv)
     return calls
+
+
+def out_calls() -> list[list[str]]:
+    """The README examples and one refused run, each writing its CSV to OUT."""
+    return [argv + ["--out", OUT] for argv in readme_calls() + [["kappa"]]]
 
 
 def perfbench_calls() -> list[list[str]]:
@@ -303,7 +349,8 @@ def drawn_form(rng: random.Random) -> str:
 def run(src: str, argv: list[str], config: str | None) -> tuple[str, bytes, str]:
     """(exit code, stdout bytes, stderr text) of one CLI call against src.
 
-    A config text is written to CONFIG in the call's working directory first.
+    A config text is written to CONFIG in the call's working directory first;
+    the bytes of OUT, if the call writes it, are appended to stdout.
     """
     env = dict(os.environ, PYTHONPATH=src)
     with tempfile.TemporaryDirectory() as cwd:
@@ -315,8 +362,13 @@ def run(src: str, argv: list[str], config: str | None) -> tuple[str, bytes, str]
                                   capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired as exc:
             return "timeout", exc.stdout or b"", (exc.stderr or b"").decode(errors="replace")
+        stdout = proc.stdout
+        out = os.path.join(cwd, OUT)
+        if os.path.exists(out):
+            with open(out, "rb") as fh:
+                stdout += fh.read()
     # a traceback names the files of its own src/
-    return str(proc.returncode), proc.stdout, proc.stderr.decode(errors="replace").replace(src, "<src>")
+    return str(proc.returncode), stdout, proc.stderr.decode(errors="replace").replace(src, "<src>")
 
 
 def extract_src(rev: str, dest: str) -> str:
@@ -336,7 +388,7 @@ def main(argv=None) -> int:
     calls: list[tuple[list[str], str | None]] = []
     for call in ([(argv_, None) for argv_ in readme_calls() + perfbench_calls() + drawn_calls()
                   + ZERO_ALPHA_CALLS + LIFT_CALLS + PHASE_REFUSAL_CALLS + INPUT_REFUSAL_CALLS
-                  + EXACT_TIE_CALLS + DIRECTION_CALLS]
+                  + EXACT_TIE_CALLS + DIRECTION_CALLS + INPUT_PATH_CALLS + GAP_CALLS + out_calls()]
                  + CONFIG_CALLS):
         if call not in calls:
             calls.append(call)
