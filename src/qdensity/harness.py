@@ -437,6 +437,8 @@ def run_oracle_count(cfg: RunConfig):
     # the oracle threshold may exceed 1/2 (saturation studies), unlike the
     # closeness parameter of solve and count-orbit
     delta = cfg["delta"]
+    if cfg["nu"] is not None:
+        raise ValidationError("oracle-count takes delta, not nu")
     if delta is None:
         raise ValidationError("oracle-count needs delta")
     if delta <= 0:

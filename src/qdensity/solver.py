@@ -12,11 +12,17 @@ the original xi and t: certified Euclidean norm at most T and certified
 residual at most bound_C * delta, so every reported row is correct
 regardless of how the scan constants were chosen.
 
-Solver-mode estimate_critical_exponent walks the same lattice points
-(_lattice_steps) over every step of the scan, not only the hits.  The exact
-residual of the fixed-point mantissas, an integer in units of 2^-2F, bounds
-the midpoint of each step's form evaluation within a derived window; the form
-is evaluated only at the steps whose windows can hold the least midpoint (one
+Solver-mode estimate_critical_exponent looks at every step of the scan, not
+only the hits.  The exact residual of the fixed-point mantissas, an integer R
+in units of 2^-2F, bounds the midpoint of each step's form evaluation within
+a derived window, and by an exact identity R = |gx^2 - 4*A*gy + L| for the
+gap (gx, gy) of the step's orbit point and a lift constant L fixed per run.
+So the block walk of the orbit scan (weyl_sums._orbit_blocks), which carries
+the top 64 bits of every gap, gives a certified lower bound on each step's
+window in numpy, 4096 steps at a time; only the steps whose bound does not
+exceed the least upper bound found so far take the per-step path of the
+same lattice points (_lattice_steps) and their exact window.  The form is
+evaluated only at the steps whose windows can hold the least midpoint (one
 per T unless steps tie or nearly tie), so the reported minimum is the
 certified form evaluation with the least midpoint.
 
@@ -40,6 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -47,7 +54,7 @@ import numpy as np
 from .errors import AlphaZero, CapExceeded, PrecisionExhausted, ValidationError
 from .fixed import FixedReal, _mant_to_float, _round_shift, as_fixed, exceeds
 from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
-from .weyl_sums import REDUCTION_TOL, _orbit_radius, _scan_orbit
+from .weyl_sums import REDUCTION_TOL, _orbit_blocks, _orbit_radius, _scan_orbit
 
 Vec3 = tuple[int, int, int]
 
@@ -511,6 +518,13 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
             for k in (bisect_left(Ts, T) for T in T_grid)]
 
 
+def _window_slack(xi: ShiftVector, M2: int, M3: int) -> int:
+    """The slack s of _midpoint_window at the mantissas M2, M3; it grows with |M2| and |M3|."""
+    h1, h2, h3 = xi.alpha.err, xi.beta.err, xi.gamma.err
+    return ((5 << (xi.precision - 1)) + h2 * (2 * abs(M2) + h2)
+            + 4 * (h1 * abs(M3) + h3 * abs(xi.alpha.mant) + h1 * h3))
+
+
 def _midpoint_window(xi: ShiftVector, t: FixedReal, v: Vec3) -> tuple[int, int]:
     """Bounds, in units of 2^-2F, on the midpoint of |Q(v + xi) - t| as evaluate_shifted rounds it.
 
@@ -524,32 +538,126 @@ def _midpoint_window(xi: ShiftVector, t: FixedReal, v: Vec3) -> tuple[int, int]:
     s = (5/2)*2^F + those input terms of R = |M2^2 - 4*M1*M3 - (t<<F)|.
     """
     F = xi.precision
-    A, h1, h2, h3 = xi.alpha.mant, xi.alpha.err, xi.beta.err, xi.gamma.err
     M2 = (v[1] << F) + xi.beta.mant
     M3 = (v[2] << F) + xi.gamma.mant
-    R = abs(M2 * M2 - 4 * A * M3 - (t.mant << F))
-    s = (5 << (F - 1)) + h2 * (2 * abs(M2) + h2) + 4 * (h1 * abs(M3) + h3 * abs(A) + h1 * h3)
+    R = abs(M2 * M2 - 4 * xi.alpha.mant * M3 - (t.mant << F))
+    s = _window_slack(xi, M2, M3)
     return R - s, R + s
+
+
+def _residual_floors(alpha: float, lift: float, wx: np.ndarray, wy: np.ndarray,
+                     x_err: np.ndarray, y_err: np.ndarray) -> np.ndarray:
+    """Lower bounds on R / 2^2F = |gx^2 - 4*alpha*gy + lift| for a block of _orbit_blocks words.
+
+    gx, gy are the gaps of _offset_at as reals in [-1/2, 1/2], which the
+    words wx, wy fall short of, mod 1, by less than x_err, y_err units of
+    2^-64; alpha and lift are float64 values within 2^-52 relative of alpha
+    and L / 2^2F.  Each entry is within _floor_error(alpha, lift) of a
+    certified lower bound.  A step whose gy lies within its error of the wrap
+    at +-1/2 gets -inf: there the fold and the rounding of _offset_at, ties
+    to even, may pick gaps of opposite sign.
+    """
+    # |gx| lies within x_err of the circle norm u of wx
+    u = np.minimum(wx, -wx)
+    x_lo = np.ldexp(np.where(u > x_err, u - x_err, 0).astype(np.float64), -64)
+    x_hi = np.ldexp((u + x_err).astype(np.float64), -64)
+    # away from the wrap, gy lies in [y, y + y_err) for the int64 view y of wy
+    # (which makes y + y_err below 2^63 too)
+    edge = wy ^ np.uint64(1 << 63)
+    wrap = np.minimum(edge, -edge) <= y_err
+    y = wy.view(np.int64)
+    y_lo = np.ldexp(y.astype(np.float64), -64)
+    y_hi = np.ldexp((y + y_err.view(np.int64)).astype(np.float64), -64)
+    # P = gx^2 - 4*alpha*gy + lift grows with |gx| and is monotone in gy, so
+    # the corners bound it: lo <= P <= hi
+    c = 4.0 * alpha
+    if c < 0:
+        y_lo, y_hi = y_hi, y_lo
+    lo = x_lo * x_lo - c * y_hi + lift
+    hi = x_hi * x_hi - c * y_lo + lift
+    return np.where(wrap, -np.inf, np.maximum(lo, -hi))
+
+
+def _floor_error(alpha: float, lift: float) -> float:
+    """A bound on how far _residual_floors may stray above a certified lower bound.
+
+    The terms x^2 <= 0.26, |4*alpha*y| <= 2.05*|alpha| and |lift| each carry
+    at most 4 roundings of 2^-53 relative (the conversion of x, y, alpha or
+    lift, and the product), and the two sums add 2^-53 of the sum of their
+    magnitudes each: at most 6*2^-53*(1 + 3|alpha| + |lift|) in all, which
+    2^-48*(1 + 4|alpha| + |lift|) covers with room for the float64 alpha and
+    lift in place of the exact ones.  The sum 1 + 4|alpha| + |lift| is at
+    least every magnitude _residual_floors forms, c = 4*alpha among them, up
+    to a factor 1 + 2^-50.
+    """
+    return 2.0 ** -48 * (1.0 + 4.0 * abs(alpha) + abs(lift))
+
+
+def _floor_cut(bound: int, F: int, err: float) -> float:
+    """A float at least bound / 2^2F + err, or inf past float64 range.
+
+    _mant_to_float is within 2^-52 relative and the sum and the product
+    round by 2^-53 each, which the factor 1 + 2^-48 covers.
+    """
+    return (_mant_to_float(bound, 2 * F) + err) * (1.0 + 2.0 ** -48)
 
 
 def _least_midpoint_residual(xi: ShiftVector, t: FixedReal, xi_t: ShiftVector, T: int,
                              scan_c: float) -> tuple[float, bool]:
-    """(float, exact zero?) of the solver-mode residual with the least midpoint at T."""
+    """(float, exact zero?) of the solver-mode residual with the least midpoint at T.
+
+    The least midpoint is at most every step's window bound hi, so only the
+    steps whose window reaches below the least hi over the norm-passing steps
+    can hold it: those are `near`, taken in order of m.  A step is dropped
+    only when a certified lower bound on its window's lo exceeds the running
+    least hi, so dropped steps are neither near nor hold the least hi, and
+    the answer is that of a walk over every step.
+
+    The bound comes from the gap (gx, gy) of _offset_at on the lifted shift:
+    with M3_t = ((b - m*a)<<F) + C_t, C_t the mantissa of the lifted gamma,
+    M2^2 - 4*A*M3_t = gx^2 - 4*A*gy exactly, so _midpoint_window's R is
+    |gx^2 - 4*A*gy + L| for the lift constant L = 4*A*(C_t - C) - (t<<F).
+    """
     m_max = _scan_length(xi_t, T, scan_c)
-    # the least midpoint is at most every upper bound, so only steps whose
-    # window reaches below the least one (least_hi) can hold it; the steps
-    # kept against the running least_hi are a superset of those
+    F = xi.precision
+    A, B, C_t = xi_t.alpha.mant, xi_t.beta.mant, xi_t.gamma.mant
+    lift = 4 * A * (C_t - xi.gamma.mant) - (t.mant << F)
+    # _midpoint_window's slack s at the largest |M2| and |M3| the norm filter
+    # lets through, |a| <= T and |v3| <= T
+    s_max = _window_slack(xi, (T << F) + abs(xi.beta.mant), (T << F) + abs(xi.gamma.mant))
+    alpha_f, lift_f = _mant_to_float(A, F), _mant_to_float(lift, 2 * F)
+    err = _floor_error(alpha_f, lift_f)
+    # below err < 2^960 every magnitude of _residual_floors is under 2^1009,
+    # far from float64's 2^1024, so no term overflows (an overflowed c times
+    # gy = 0 would be NaN); past it (alpha or t beyond about 1e303) a float
+    # bounds nothing and every step takes the per-step path
+    bounded = err < 2.0 ** 960
+
     least_hi, kept = math.inf, []
-    for _, _, v, _, _ in _lattice_steps(xi_t, T, range(1, m_max + 1)):
-        lo, hi = _midpoint_window(xi, t, v)
-        if lo <= least_hi:
-            kept.append((lo, v))
-            least_hi = min(least_hi, hi)
+    # a step is dropped when its floor exceeds cut: a floor is within err of
+    # a lower bound on R / 2^2F and cut is at least (least_hi + s_max) / 2^2F
+    # + err, so R > least_hi + s_max, and lo >= R - s_max exceeds least_hi
+    cut = math.inf
+    for m0, _, _, _, wx, wy, x_err, y_err in _orbit_blocks(A, B, C_t, 0, 0, F, m_max):
+        floors = (_residual_floors(alpha_f, lift_f, wx, wy, x_err, y_err) if bounded
+                  else np.zeros(len(wx)))
+        cand = np.flatnonzero(floors <= cut)
+        # in ascending order of the floor, up to the first floor past the
+        # running cut, which the steps before it may lower
+        order = cand[np.argsort(floors[cand], kind="stable")].tolist()
+        steps = (m0 + j for j in takewhile(lambda j: floors[j] <= cut, order))
+        for m, _, v, _, _ in _lattice_steps(xi_t, T, steps):
+            lo, hi = _midpoint_window(xi, t, v)
+            if lo <= least_hi:
+                kept.append((m, lo, v))
+                if hi < least_hi:
+                    least_hi = hi
+                    cut = _floor_cut(least_hi + s_max, F, err)
     if not kept:
         raise ValidationError(f"no step survived the norm filter at T={T}")
     # each v is evaluated once, at its smallest m, and min keeps the first
     # of equal midpoints
-    near = dict.fromkeys(v for lo, v in kept if lo <= least_hi)
+    near = dict.fromkeys(v for _, lo, v in sorted(kept) if lo <= least_hi)
     r = min((abs(evaluate_shifted(standard_form(), xi, v) - t) for v in near),
             key=FixedReal.midpoint)
     return r.to_float(), r.exact == 0
@@ -571,17 +679,22 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
     """Decay exponent -log(min residual)/log(T) along an increasing grid of T >= 2.
 
     Oracle mode answers the whole grid from one sweep of the largest ball
-    (count_values_grid).  Solver mode walks the orbit steps
-    1 <= m <= scan_c*sqrt(T) (cut at the norm filter, _scan_length) through
-    the same lattice points as find_solutions, with the norm filter still
+    (count_values_grid).  Solver mode covers the orbit steps
+    1 <= m <= scan_c*sqrt(T) (cut at the norm filter, _scan_length) on the
+    same lattice points as find_solutions, with the norm filter still
     enforced, and refuses like find_solutions a nonpositive scan_c and an
     orbit radius at the end of the scan past the reduction tolerance.  It
     reports the certified form evaluation |Q(v + xi) - t| with the least
-    midpoint, ties going to the smallest m.  The exact residual of the mantissa inputs bounds every
-    step's midpoint (_midpoint_window), and only the steps whose bounds reach
-    below the least upper bound are evaluated: one per T unless steps tie or
-    nearly tie.  An exactly zero residual is reported as a saturated row
-    rather than a number.
+    midpoint, ties going to the smallest m.  The exact residual of the
+    mantissa inputs bounds every step's midpoint (_midpoint_window).  That
+    residual is |gx^2 - 4*alpha*gy| on the step's orbit gap, up to an exact
+    lift constant, so a block filter on the top 64 bits of the gaps bounds
+    it from below and drops every step whose bound exceeds the least upper
+    bound so far.  The other steps take the per-step path, in ascending
+    order of their bound, and only the steps whose windows reach below the
+    least upper bound are evaluated: one per T unless steps tie or nearly
+    tie.  An exactly zero residual is reported as a saturated row rather
+    than a number.
     """
     grid = [int(x) for x in T_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:

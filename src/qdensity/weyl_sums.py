@@ -4,11 +4,12 @@ Everything phase-like is reduced mod 1 in integer mantissa arithmetic before
 any floating-point call: for a polynomial phase at m ~ 1e6 a double loses the
 entire fractional part, while mantissa addition mod 2**F is exact, so the only
 uncertainty is the propagated input radius.  The orbit scan runs a uint64
-block filter, then the bigint per-step test.  The Weyl sum takes each phase's
-top 53 bits from uint64 blocks with a proven truncation bound, and from the
-bigint phase where that bound cannot decide them; math.cos and math.sin and
-one Kahan summation in order of m follow.  The sum-min kernel runs on raw
-mantissas with an exact recurrence.
+block filter, then the bigint per-step test; its closed-form block walk
+(_orbit_blocks) also feeds the solver's residual filter.  The Weyl sum takes
+each phase's top 53 bits from uint64 blocks with a proven truncation bound,
+and from the bigint phase where that bound cannot decide them; math.cos and
+math.sin and one Kahan summation in order of m follow.  The sum-min kernel
+runs on raw mantissas with an exact recurrence.
 
 Hit tests against a threshold are three-valued: certainly inside, certainly
 outside, or ambiguous within the certified radius.  One orbit scan makes
@@ -109,6 +110,51 @@ def _block_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     return k, (k * (k - 1)) >> np.uint64(1)
 
 
+def _orbit_blocks(A: int, B: int, C: int, rx: int, ry: int, F: int,
+                  T: int) -> Iterator[tuple[int, int, int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The gaps of steps 1..T of the orbit of mantissas (A, B, C) from (rx, ry), in closed-form blocks.
+
+    The gap of step m is the orbit point (2*alpha*m + beta, alpha*m^2 +
+    beta*m + gamma) less the reference point, folded mod 1 into [-1/2, 1/2).
+    Yields, per block of up to _BLOCK_STEPS steps from m0 on,
+    (m0, x, y, dy, wx, wy, x_err, y_err):
+      - x, y: the exact unreduced gap mantissas at m0 offset by H = 2^(F-1),
+        so that (x & (2^F - 1)) - H is the folded gap, and dy the first
+        difference of y; the gap at m0 + j is x + j*2A and
+        y + j*dy + j(j-1)/2*2A
+      - wx, wy: uint64 words of the folded gaps at m0 + k in units of 2^-64,
+        two's complement, so their int64 views lie in [-2^63, 2^63)
+      - x_err, y_err: each word is short of its exact gap, mod 2^64, by
+        less than k + 1 and k(k-1)/2 + k + 1
+    """
+    S = 1 << F
+    H = S >> 1
+    # exact integer recurrences on unreduced mantissas, offset by H
+    x = 2 * A + B + H - rx      # 2*alpha*m + beta at m = 1
+    y = A + B + C + H - ry      # alpha*m^2 + beta*m + gamma at m = 1
+    dy = 3 * A + B              # second coordinate first difference
+    step = 2 * A                # first coordinate step = second difference
+
+    n = min(_BLOCK_STEPS, T)
+    k, tri = _block_offsets(n)
+    # truncating x0, y0, dy and step to their top 64 bits (_top64) leaves the
+    # block values short by less than k + 1 (x) and k(k-1)/2 + k + 1 (y)
+    # units of 2^-64
+    x_err = k + np.uint64(1)
+    y_err = tri + x_err
+    # flipping the top bit takes the offset H back off
+    half = np.uint64(1 << 63)
+    P = _top64(step, F)
+    for m0 in range(1, T + 1, _BLOCK_STEPS):
+        cnt = min(n, T + 1 - m0)
+        wx = (_top64(x, F) + P * k[:cnt]) ^ half
+        wy = (_top64(y, F) + _top64(dy, F) * k[:cnt] + P * tri[:cnt]) ^ half
+        yield m0, x, y, dy, wx, wy, x_err[:cnt], y_err[:cnt]
+        x += cnt * step
+        y += cnt * dy + (cnt * (cnt - 1) >> 1) * step
+        dy += cnt * step
+
+
 def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
                 vx: FixedReal, vy: FixedReal, T: int, thr: float) -> Iterator[tuple[int, bool]]:
     """Classify 1 <= m <= T by the torus distance from phi(m) to (vx, vy).
@@ -152,8 +198,7 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
         ry = min(ry, 1 - ry)
         return rx * rx + ry * ry <= thr_sq
 
-    # The filter works in units of 2^-64 on the top 64 bits of each value mod
-    # 2^F: _top64(v, F) = (v mod 2^F) / 2^s rounded down, with s = F - 64.
+    # The filter works in units of 2^-64 on the gap words of _orbit_blocks.
     s = F - 64
 
     # base > miss_lim follows from lo^2 > q for the lower bound lo of the
@@ -165,31 +210,14 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
     # down by 2^-53; the factor 1 + 2^-48 covers both
     cut = float(q) * (1.0 + 2.0 ** -48)
 
-    # exact integer recurrences on unreduced mantissas, offset by H so that
-    # (x & mask) - H is the difference to the reference folded into [-1/2, 1/2)
-    x = 2 * A + B + H - vx.mant     # 2*alpha*m + beta at m = 1
-    y = A + B + C + H - vy.mant     # alpha*m^2 + beta*m + gamma at m = 1
-    dy = 3 * A + B                  # second coordinate first difference
-    step = 2 * A                    # first coordinate step = second difference
-
-    n = min(_BLOCK_STEPS, T)
-    k, tri = _block_offsets(n)
-    # truncating x0, y0, dy and step to 64 bits leaves the block values short
-    # by less than k + 1 (x) and k(k-1)/2 + k + 1 (y) units of 2^-64
-    x_err = k + np.uint64(1)
-    y_err = tri + x_err
-    half = np.uint64(1 << 63)
-    P = _top64(step, F)
-    for m0 in range(1, T + 1, n):
-        cnt = min(n, T + 1 - m0)
-        # fold u - 2^63 onto the 64-bit circle: min(a, 2^64 - a) is |u - 2^63|
-        u = (_top64(x, F) + P * k[:cnt]) ^ half
-        w = (_top64(y, F) + _top64(dy, F) * k[:cnt] + P * tri[:cnt]) ^ half
-        u = np.minimum(u, -u)
-        w = np.minimum(w, -w)
-        # the circle norm is 1-Lipschitz, so the fold stays short by the same error
-        lx = np.where(u > x_err[:cnt], u - x_err[:cnt], 0).astype(np.float64)
-        ly = np.where(w > y_err[:cnt], w - y_err[:cnt], 0).astype(np.float64)
+    step = 2 * A
+    for m0, x, y, dy, wx, wy, x_err, y_err in _orbit_blocks(A, B, C, vx.mant, vy.mant, F, T):
+        # min(w, -w) is the circle norm of a gap word w, and it is
+        # 1-Lipschitz, so it stays short by the same error
+        u = np.minimum(wx, -wx)
+        w = np.minimum(wy, -wy)
+        lx = np.where(u > x_err, u - x_err, 0).astype(np.float64)
+        ly = np.where(w > y_err, w - y_err, 0).astype(np.float64)
         for j in np.flatnonzero(lx * lx + ly * ly <= cut).tolist():
             m = m0 + j
             gx = ((x + j * step) & mask) - H
@@ -208,9 +236,6 @@ def _scan_orbit(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
                         yield m, False
                     elif exact_hit(m):
                         yield m, True
-        x += cnt * step
-        y += cnt * dy + (cnt * (cnt - 1) >> 1) * step
-        dy += cnt * step
 
 
 def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,

@@ -244,6 +244,11 @@ class TestCliRuns:
                 "--T", "5", "--delta", "0.5"]
         assert _run_quiet(argv) == (code, message)
 
+    @pytest.mark.parametrize("gap", [["--delta", "0.1", "--nu", "5"], ["--nu", "0.1"]])
+    def test_oracle_count_refuses_nu(self, gap):
+        argv = ["oracle-count", "--xi", "0 0 0", "--T", "4", *gap]
+        assert _run_quiet(argv) == (1, "error: oracle-count takes delta, not nu\n")
+
     def test_exponent_solver_mode_cli(self, tmp_path):
         out = tmp_path / "es.csv"
         assert run_cli(

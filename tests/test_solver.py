@@ -31,7 +31,7 @@ from qdensity import (
 )
 from qdensity.fixed import _round_shift
 from qdensity.forms import TernaryForm
-from qdensity.weyl_sums import _BLOCK_STEPS, REDUCTION_TOL, _orbit_radius, _scan_orbit
+from qdensity.weyl_sums import _BLOCK_STEPS, REDUCTION_TOL, _orbit_blocks, _orbit_radius, _scan_orbit
 from test_weyl_sums import scan_orbit_reference
 
 STD = standard_form()
@@ -203,7 +203,7 @@ def scan_length_reference(xi, t, T, scan_c):
 
 @contextlib.contextmanager
 def offset_steps():
-    """Record the steps m that find_solutions computes an offset for."""
+    """Record the steps m that the solver computes an offset for."""
     steps = []
     offset_at = solver_mod._offset_at
 
@@ -280,6 +280,12 @@ lift_literals = st.one_of(
     st.integers(1, 12).flatmap(lambda places: st.decimals(-3, 3, places=places)).map(
         lambda d: f"dec:{d:f}"),
 )
+
+
+# dyadic rationals, whose mantissas are exact
+dyadics = st.tuples(st.integers(-3000, 3000), st.integers(0, 12)).map(lambda p: f"{p[0]}/{1 << p[1]}")
+# small denominators, whose orbit residuals repeat, so that many steps tie
+small_fractions = st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(lambda p: f"{p[0]}/{p[1]}")
 
 
 class TestTargetLift:
@@ -408,6 +414,63 @@ class TestOffsetDifferential:
         assert all(abs(solver_mod._offset_at(xi_t, m)[0]) > T for m in hits if m > cut)
 
 
+# steps next to the first block boundaries of the orbit walk, and anywhere up to 10^6
+block_steps = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(-2, 2)).map(lambda p: p[0] * _BLOCK_STEPS + p[1]),
+    st.integers(1, 10**6),
+)
+class TestGapIdentity:
+    """Solver-mode exponent reads each step's residual off the gap of _offset_at."""
+
+    @given(lits=st.tuples(st.one_of(lift_literals, st.just("0/1")), lift_literals, lift_literals),
+           t_lit=st.one_of(lift_literals, st.just("0/1")), m=block_steps,
+           F=st.sampled_from([64, 256, 512]))
+    @settings(max_examples=150, deadline=None)
+    def test_mantissa_identity(self, lits, t_lit, m, F):
+        xi, t = shift_and_target(lits, t_lit, F)
+        xi_t = lifted_shift(xi, t)
+        A, B, C_t = xi_t.alpha.mant, xi_t.beta.mant, xi_t.gamma.mant
+        a, b, gx, gy = solver_mod._offset_at(xi_t, m)
+        M2 = (a << F) + B
+        M3_t = ((b - m * a) << F) + C_t
+        assert M2 * M2 - 4 * A * M3_t == gx * gx - 4 * A * gy
+        # so the R of _midpoint_window is the gap's, moved by the lift constant
+        lift = 4 * A * (C_t - xi.gamma.mant) - (t.mant << F)
+        lo, hi = solver_mod._midpoint_window(xi, t, (0, a, b - m * a))
+        assert (lo + hi) // 2 == abs(gx * gx - 4 * A * gy + lift)
+
+    @given(lits=st.tuples(st.one_of(literals, small_fractions, st.just("0/1")),
+                          st.one_of(literals, small_fractions), st.one_of(literals, small_fractions)),
+           t_lit=st.one_of(lift_literals, small_fractions, st.just("0/1")),
+           F=st.sampled_from([64, 256, 512]))
+    @settings(max_examples=20, deadline=None)
+    # gy = 1/2 exactly at m = 1, where the fold gives -1/2 and _offset_at +1/2
+    @example(lits=("1/4", "1/4", "0/1"), t_lit="0/1", F=64)
+    def test_residual_floors_are_certified(self, lits, t_lit, F):
+        # every step of a walk across a block boundary, exact ties at the wrap included
+        xi, t = shift_and_target(lits, t_lit, F)
+        xi_t = lifted_shift(xi, t)
+        A, B, C_t = xi_t.alpha.mant, xi_t.beta.mant, xi_t.gamma.mant
+        lift = 4 * A * (C_t - xi.gamma.mant) - (t.mant << F)
+        alpha_f, lift_f = solver_mod._mant_to_float(A, F), solver_mod._mant_to_float(lift, 2 * F)
+        err = Fraction(solver_mod._floor_error(alpha_f, lift_f))
+        scale = Fraction(1, 1 << 2 * F)
+        for m0, _, _, _, *words in _orbit_blocks(A, B, C_t, 0, 0, F, _BLOCK_STEPS + 2):
+            floors = solver_mod._residual_floors(alpha_f, lift_f, *words)
+            for j, floor in enumerate(floors.tolist()):
+                _, _, gx, gy = solver_mod._offset_at(xi_t, m0 + j)
+                if floor > -math.inf:
+                    assert Fraction(floor) - err <= abs(gx * gx - 4 * A * gy + lift) * scale
+
+    @given(bound=st.integers(0, 1 << 1100), F=st.sampled_from([64, 256, 512]),
+           alpha=st.floats(-1e6, 1e6), lift=st.floats(-1e3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_floor_cut_covers_its_rounding(self, bound, F, alpha, lift):
+        err = solver_mod._floor_error(alpha, lift)
+        cut = solver_mod._floor_cut(bound, F, err)
+        assert cut == math.inf or Fraction(cut) >= Fraction(bound, 1 << 2 * F) + Fraction(err)
+
+
 class TestFindSolutions:
     def test_ambiguous_steps_are_dropped(self):
         # the orbit of TestOrbitCounting.test_per_step_radius_near_boundary:
@@ -437,6 +500,10 @@ class TestFindSolutions:
         xi = ShiftVector.from_values(0, 0, Fraction(1, 4))
         assert find_solutions(xi, 0, 100, 0.25).count == 1
         assert find_solutions(xi, 0, 100, 0.2499999).count == 0
+
+    def test_scan_shorter_than_one_step(self, xi_sqrt2):
+        # scan_c*sqrt(T) < 1: no step is scanned
+        assert find_solutions(xi_sqrt2, 0, 4, 0.1, scan_c=0.1).count == 0
 
     def test_huge_scan_c_stops_at_the_norm_cut(self, xi_sqrt2):
         cut = solver_mod._scan_length(xi_sqrt2, 100, 1e15)
@@ -914,12 +981,6 @@ class TestExponent:
             assert (again.rows(), again.count) == (rep.rows(), rep.count)
 
 
-# dyadic rationals, whose mantissas are exact
-dyadics = st.tuples(st.integers(-3000, 3000), st.integers(0, 12)).map(lambda p: f"{p[0]}/{1 << p[1]}")
-# small denominators, whose orbit residuals repeat, so that many steps tie
-small_fractions = st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(lambda p: f"{p[0]}/{p[1]}")
-
-
 class TestExponentDifferential:
     @given(lits=st.tuples(st.one_of(literals, dyadics, small_fractions, st.just("0/1")),
                           st.one_of(literals, dyadics, small_fractions),
@@ -927,13 +988,46 @@ class TestExponentDifferential:
            t_lit=st.one_of(literals, dyadics, small_fractions, st.just("0/1")),
            grid=st.lists(st.sampled_from([4, 10, 100, 1000, 10**4, 10**5]), min_size=1, max_size=3,
                          unique=True).map(sorted),
-           scan_c=st.floats(0.5, 5), F=st.sampled_from([64, 256]))
+           scan_c=st.floats(0.5, 5), F=st.sampled_from([64, 256, 512]))
     @settings(max_examples=150, deadline=None)
     def test_solver_mode_matches_per_step_reference(self, lits, t_lit, grid, scan_c, F):
         xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
         t = parse_real(t_lit, F)
         got = outcome(estimate_critical_exponent, xi, t, grid, mode="solver", scan_c=scan_c)
         assert got == outcome(exponent_reference, xi, t, grid, scan_c)
+
+    @pytest.mark.parametrize("lits, t_lit, grid, scan_c, F", [
+        # m_max = 4100 crosses the first block boundary of the walk
+        (("sqrt:2", "sqrt:3", "1/2"), "dec:0.7", (10**6,), 4.1, 256),
+        (("sqrt:2", "0/1", "0/1"), "1/3", (10**6,), 4.1, 512),
+        # T = 10^8 on each shift class: sqrt:, surd:, a dec: target and a zero alpha
+        (("sqrt:2", "0/1", "0/1"), "0/1", (10**8,), 1.0, 256),
+        (("surd:1,1,2,5", "sqrt:7", "1/3"), "sqrt:3", (10**8,), 1.0, 256),
+        (("sqrt:2", "sqrt:3", "1/2"), "dec:0.7", (10**8,), 1.0, 512),
+        (("0/1", "sqrt:3", "1/2"), "0/1", (10**8,), 1.0, 256),
+        # scan_c*sqrt(T) < 1: no step is scanned
+        (("sqrt:2", "0/1", "0/1"), "0/1", (4,), 0.1, 256),
+        # an alpha near float64 range bounds nothing, so the steps up to the
+        # norm cut take the per-step path (here gy = 0, and a floor computed
+        # anyway would be 4*alpha * 0 = inf * 0); for |alpha| = 5e307 the float
+        # 4*alpha overflows while 3*|alpha| does not
+        (("7" + "0" * 307, "0/1", "0/1"), "1/3", (17 * 10**307,), 1.0, 256),
+        (("7" + "0" * 307, "sqrt:3", "1/2"), "1/3", (17 * 10**307,), 1.0, 256),
+        (("5" + "0" * 307, "0/1", "0/1"), "0/1", (15 * 10**307,), 1.0, 256),
+        (("-5" + "0" * 307, "0/1", "0/1"), "0/1", (15 * 10**307,), 1.0, 256),
+    ])
+    def test_fixed_scans_match_per_step_reference(self, lits, t_lit, grid, scan_c, F):
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        t = parse_real(t_lit, F)
+        got = outcome(estimate_critical_exponent, xi, t, grid, mode="solver", scan_c=scan_c)
+        assert got == outcome(exponent_reference, xi, t, grid, scan_c)
+
+    def test_few_steps_reach_the_offset(self, xi_sqrt2):
+        # the residual filter leaves under 1% of the 10^4 steps to the per-step path
+        with offset_steps() as steps:
+            rows = estimate_critical_exponent(xi_sqrt2, 0, (10**8,), mode="solver")
+        assert len(steps) < 100
+        assert rows == exponent_reference(xi_sqrt2, 0, (10**8,))
 
     def test_saturated_rows_match(self):
         # exact zeros with non-dyadic and dyadic data

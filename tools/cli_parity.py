@@ -36,6 +36,11 @@ The call list:
     exponent calls whose target has a radius (``1/3``, ``dec:``, ``sqrt:``)
     at precisions 64-256, and solver-mode exponent calls with a zero alpha
     and a nonzero target (refused) or a zero target (the shift as it is)
+  - solver-mode exponent calls at T up to 10^12: ``sqrt:2 0/1 0/1`` with
+    ``--t=0/1`` at 10^12, the grid 10^8, 10^10, 10^12 on
+    ``surd:1,1,2,5 sqrt:7 1/3``, and ``sqrt:2 sqrt:3 1/2`` with
+    ``--t=dec:0.7`` at 10^12, and ``+-5e307 0/1 0/1`` at T = 1.5e308, an
+    alpha near float64 range
   - one verify-lemmas call per phase refusal at precision 64: the
     differencing bound, ``sum_min`` and the Weyl phase
   - oracle-count and oracle-mode exponent calls whose threshold is attained
@@ -61,9 +66,10 @@ The call list:
     ``--T 100,200``, ``--delta 0.7``, ``--nu 0.7``, neither delta nor nu,
     ``--scan-c 0`` and the nu warning (``--nu 0.2``); ``--xi "1 2"`` and
     ``--v0 1``; kappa without ``--alpha`` or ``--xi``; oracle-count without
-    ``--delta`` and with ``--delta -1``
-  - solve and count-orbit calls given both delta and nu, as flags and as a
-    config file plus a flag
+    ``--delta`` and with ``--delta -1``; solve and solver-mode exponent
+    whose scan is shorter than one step (``--T 4 --scan-c 0.1``)
+  - solve, count-orbit and oracle-count calls given both delta and nu, as
+    flags and as a config file plus a flag, and oracle-count given nu alone
   - the README examples and one refused run with ``--out out.csv``; the
     bytes of that file, when the run writes one, are appended to the stdout
     the call compares
@@ -112,6 +118,20 @@ LIFT_CALLS = [
 ] + [["exponent", "--mode", "solver", "--xi", "0/1 1/2 1/3", f"--t={t}", "--T", "100,10000"]
      for t in ("1/3", "0/1")]
 
+# solver-mode exponent far along the orbit, where the residual filter drops
+# nearly every step; a per-step walk takes about 6 s per 10^12 (2 vCPU)
+REACH_CALLS = [
+    ["exponent", "--mode", "solver", "--xi", xi, f"--t={t}", "--T", T]
+    for xi, t, T in (("sqrt:2 0/1 0/1", "0/1", "1000000000000"),
+                     ("surd:1,1,2,5 sqrt:7 1/3", "0/1", "100000000,10000000000,1000000000000"),
+                     ("sqrt:2 sqrt:3 1/2", "dec:0.7", "1000000000000"))
+] + [
+    # an alpha near float64 range, where the filter bounds nothing
+    ["exponent", "--mode", "solver", "--xi", f"{sign}5{'0' * 307} 0/1 0/1", "--t=0/1",
+     "--T", "15" + "0" * 307]
+    for sign in ("", "-")
+]
+
 PHASE_REFUSAL_CALLS = [
     ["verify-lemmas", "--precision", "64", *rest]
     for rest in (["--n-list", "1", "--T-list", "10000000000", "--betas", "1"],
@@ -158,10 +178,13 @@ INPUT_PATH_CALLS = [
     ["oracle-count", "--xi", "0 0 0", "--T", "4"],
     ["oracle-count", "--xi", "0 0 0", "--T", "4", "--delta", "-1"],
     ["kappa"],
-]
-# delta and nu together are refused
+] + [[*head, "--xi", "sqrt:2 0/1 0/1", "--T", "4", "--scan-c", "0.1", *rest]
+     for head, rest in ((["solve"], ["--delta", "0.1"]), (["exponent", "--mode", "solver"], []))]
+# delta and nu together are refused, and oracle-count refuses nu alone too
 GAP_CALLS = [[*SOLVE_HEAD, "--T", "10000", "--delta", "0.1", "--nu", "0.7"],
-             [*ORBIT_HEAD, "--delta", "0.1", "--nu", "5"]]
+             [*ORBIT_HEAD, "--delta", "0.1", "--nu", "5"],
+             ["oracle-count", "--xi", "0 0 0", "--T", "4", "--delta", "0.1", "--nu", "5"],
+             ["oracle-count", "--xi", "0 0 0", "--T", "4", "--nu", "0.1"]]
 DIRECTION_CALLS = [
     ["solve", *xi, "--T", "1000000", "--delta", "0.2", "--q-max", "1000", *pair]
     for xi, pair in ((DIRECTION_XI, ["--a", "1", "--c", "1"]), (DIRECTION_XI, ["--a", "2", "--c", "4"]),
@@ -387,7 +410,7 @@ def main(argv=None) -> int:
 
     calls: list[tuple[list[str], str | None]] = []
     for call in ([(argv_, None) for argv_ in readme_calls() + perfbench_calls() + drawn_calls()
-                  + ZERO_ALPHA_CALLS + LIFT_CALLS + PHASE_REFUSAL_CALLS + INPUT_REFUSAL_CALLS
+                  + ZERO_ALPHA_CALLS + LIFT_CALLS + REACH_CALLS + PHASE_REFUSAL_CALLS + INPUT_REFUSAL_CALLS
                   + EXACT_TIE_CALLS + DIRECTION_CALLS + INPUT_PATH_CALLS + GAP_CALLS + out_calls()]
                  + CONFIG_CALLS):
         if call not in calls:
