@@ -60,6 +60,7 @@ from .weyl_sums import (
     sum_min_explicit_bound,
     weyl_differencing_bound,
     weyl_sum,
+    weyl_sum_lanes,
 )
 
 __version__ = "0.1.0"

@@ -205,7 +205,10 @@ class RunConfig:
         if nu is not None:
             if not (0.0 < nu < 0.5):
                 raise ValidationError("nu must lie in (0, 1/2)")
-            return float(T) ** (-nu)
+            try:
+                return float(T) ** (-nu)
+            except OverflowError:
+                raise ValidationError("T must lie within float64 range, below about 1.8e308") from None
         raise ValidationError("either delta or nu is required")
 
     def check_delta(self, delta: float) -> float:
@@ -377,19 +380,24 @@ def run_verify_lemmas(cfg: RunConfig):
                 weyl_sums.sum_min_explicit_bound(alpha, M, T),
             )
 
-    rel = 1e-6
     rng = Lcg64(cfg["seed"])
+    cases = [(label, alpha, n, T, rng.next_unit(F))
+             for label, alpha in alphas for n in n_list for T in T_list for _ in range(betas_per_case)]
+    # one lane-kernel call per distinct T, in grid order, sums every Weyl sum of that T
+    sums = {}
+    for T in dict.fromkeys(T_list):
+        idx = [i for i, case in enumerate(cases) if case[3] == T]
+        lanes = [(cases[i][2], cases[i][1], cases[i][4]) for i in idx]
+        sums.update(zip(idx, weyl_sums.weyl_sum_lanes(lanes, T)))
+
+    rel = 1e-6
     rows = []
-    for label, alpha in alphas:
-        for n in n_list:
-            for T in T_list:
-                bound = bound_cache[(label, n, T)]
-                sm, sm_bound = summin_cache[(label, T)]
-                for _ in range(betas_per_case):
-                    beta = rng.next_unit(F)
-                    s2 = weyl_sums.weyl_sum(n, alpha, beta, T).magnitude() ** 2
-                    ok = s2 <= bound * (1.0 + rel) and sm <= sm_bound * (1.0 + rel)
-                    rows.append((label, n, T, beta.to_float(), s2, bound, sm, sm_bound, int(ok)))
+    for i, (label, _, n, T, beta) in enumerate(cases):
+        bound = bound_cache[(label, n, T)]
+        sm, sm_bound = summin_cache[(label, T)]
+        s2 = sums[i].magnitude() ** 2
+        ok = s2 <= bound * (1.0 + rel) and sm <= sm_bound * (1.0 + rel)
+        rows.append((label, n, T, beta.to_float(), s2, bound, sm, sm_bound, int(ok)))
     header = ("alpha", "n", "T", "beta", "s2", "differencing_bound", "sum_min", "explicit_bound", "pass")
     return [], header, rows
 

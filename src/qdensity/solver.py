@@ -136,7 +136,8 @@ def _scan_length(xi_t: ShiftVector, T: int, scan_c: float) -> int:
 
     Refuses (PrecisionExhausted) when the orbit radius at the last step, the
     target's share in the lifted gamma included, exceeds the reduction
-    tolerance REDUCTION_TOL = 2^-64.
+    tolerance REDUCTION_TOL = 2^-64, and (ValidationError) a T that float64
+    cannot hold.
     """
     F = xi_t.precision
     A, B, C = xi_t.alpha.mant, xi_t.beta.mant, xi_t.gamma.mant
@@ -146,7 +147,10 @@ def _scan_length(xi_t: ShiftVector, T: int, scan_c: float) -> int:
     else:
         G = abs(B - (_round_shift(B, F) << F))
         cut = (reach + abs(C)) // (G or 1 << (F - 1)) + 1
-    m_max = scan_c * math.sqrt(T)
+    try:
+        m_max = scan_c * math.sqrt(T)
+    except OverflowError:
+        raise ValidationError("T must lie within float64 range, below about 1.8e308") from None
     m_max = cut if m_max >= cut else int(m_max)
     if exceeds(_orbit_radius(*xi_t.components(), m_max), F, REDUCTION_TOL):
         raise PrecisionExhausted("orbit radius at the end of the scan exceeds the tolerance")

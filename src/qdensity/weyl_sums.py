@@ -5,11 +5,15 @@ any floating-point call: for a polynomial phase at m ~ 1e6 a double loses the
 entire fractional part, while mantissa addition mod 2**F is exact, so the only
 uncertainty is the propagated input radius.  The orbit scan runs a uint64
 block filter, then the bigint per-step test; its closed-form block walk
-(_orbit_blocks) also feeds the solver's residual filter.  The Weyl sum takes
-each phase's top 53 bits from uint64 blocks with a proven truncation bound,
-and from the bigint phase where that bound cannot decide them; math.cos and
-math.sin and one Kahan summation in order of m follow.  The sum-min kernel
-runs on raw mantissas with an exact recurrence.
+(_orbit_blocks) also feeds the solver's residual filter.  The Weyl sums of
+one length T run as lanes, one per (n, alpha, beta), in blocks of steps x
+lanes.  Each phase's top 53 bits come from uint64 blocks with a proven
+truncation bound, and from the bigint phase where that bound cannot decide
+them; numpy's cos and sin (bit for bit libm's, which a test pins) and one
+Kahan update per step over a row of every lane's terms follow, so each sum
+has the bits of math.cos, math.sin and one Kahan summation in order of m.
+The sum-min kernel reads each fold's top 96 bits off the same kind of uint64
+closed form, and takes the bigint fold where they cannot decide the term.
 
 Hit tests against a threshold are three-valued: certainly inside, certainly
 outside, or ambiguous within the certified radius.  One orbit scan makes
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,9 +38,12 @@ from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed, exceeds
 TWO_PI = 2.0 * math.pi
 REDUCTION_TOL = Fraction(1, 1 << 64)
 PHASE_TOL = Fraction(1, 1 << 30)
-# Steps per block of the orbit filter and of the Weyl sum; this caps the size
-# of their numpy temporaries.
+# Steps per block of the orbit filter, the Weyl sum and the sum-min kernel;
+# this caps the size of their numpy temporaries.
 _BLOCK_STEPS = 4096
+# Steps times lanes in one block of the Weyl lane kernel, which keeps its
+# numpy temporaries under about 0.5 MB.
+_LANE_ELEMENTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,12 @@ class TorusPoint2:
 
 @dataclass(frozen=True)
 class WeylSumResult:
-    """A Weyl sum of length T.
+    """A Weyl sum of length T, one lane of weyl_sum_lanes.
 
-    Its modulus is at most T: each term has modulus at most 1 + 2^-52, and
-    the Kahan summation's error is far below 1e-9*T.
+    Its terms are math.cos and math.sin of 2*pi times each phase's top 53
+    bits, added by one Kahan summation in order of m.  Its modulus is at most
+    T: each term has modulus at most 1 + 2^-52, and the Kahan summation's
+    error is far below 1e-9*T.
     """
 
     re: float
@@ -98,10 +107,11 @@ def _top64(v: int, F: int) -> np.uint64:
     return np.uint64(_top_bits(v, F, 64))
 
 
-def _top96(v: int, F: int) -> tuple[np.uint64, np.uint64]:
-    """The top 96 bits of v mod 2^F as a uint64 word (the top 64) and a 32-bit sub-limb."""
-    t = _top_bits(v, F, 96)
-    return np.uint64(t >> 32), np.uint64(t & 0xFFFFFFFF)
+def _top96(values: list[int], F: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top 96 bits of each v mod 2^F: uint64 arrays of words (the top 64) and 32-bit sub-limbs."""
+    tops = [_top_bits(v, F, 96) for v in values]
+    return (np.array([t >> 32 for t in tops], dtype=np.uint64),
+            np.array([t & 0xFFFFFFFF for t in tops], dtype=np.uint64))
 
 
 def _block_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -278,22 +288,25 @@ def _phase_to_float(x: int, F: int) -> float:
     return math.ldexp(float(x), -F)
 
 
-def _weyl_phases(PA: int, PB: int, m0: int, cnt: int, F: int) -> np.ndarray:
-    """_phase_to_float((PA*m*m + PB*m) mod 2^F, F) for m0 <= m < m0 + cnt, as float64.
+def _weyl_phases(PA: list[int], PB: list[int], m0: int, cnt: int, F: int) -> np.ndarray:
+    """_phase_to_float((PA[i]*m*m + PB[i]*m) mod 2^F, F) at [m - m0, i] for m0 <= m < m0 + cnt.
 
-    The exact phase and its differences at m0, cut to their top 96 bits,
-    give each phase's top 96 bits in uint64 closed form: a word wrapping mod
-    2^64 and a 32-bit sub-limb whose carry joins it.  Cutting leaves the phase
-    at offset k short by less than k + tri + 1 units of 2^-96, tri = k(k-1)/2,
-    so its top 53 bits are exact unless the 43 bits below them are at least
-    2^43 - (k + tri); those phases are taken from the bigint phase.
+    Each lane's exact phase and its differences at m0, cut to their top 96
+    bits, give each phase's top 96 bits in uint64 closed form: a word
+    wrapping mod 2^64 and a 32-bit sub-limb whose carry joins it.  Cutting
+    leaves the phase at offset k short by less than k + tri + 1 units of
+    2^-96, tri = k(k-1)/2, so its top 53 bits are exact unless the 43 bits
+    below them are at least 2^43 - (k + tri); those phases are taken from the
+    bigint phase.
     """
-    x = PA * m0 * m0 + PB * m0          # phase at m0
-    d = PA * (2 * m0 + 1) + PB          # first difference at m0
-    Xh, Xl = _top96(x, F)
-    Dh, Dl = _top96(d, F)
-    DDh, DDl = _top96(2 * PA, F)       # second difference
+    diffs = []
+    for a, b in zip(PA, PB):
+        diffs += (a * m0 * m0 + b * m0, a * (2 * m0 + 1) + b, 2 * a)   # phase and differences at m0
+    hi3, lo3 = _top96(diffs, F)
+    Xh, Dh, DDh = hi3.reshape(-1, 3).T
+    Xl, Dl, DDl = lo3.reshape(-1, 3).T
     k, tri = _block_offsets(cnt)
+    k, tri = k[:, None], tri[:, None]
     # the sub-limb stays below 2^32 * (1 + k + tri) < 2^56 in a 4096-step block
     lo = Xl + Dl * k + DDl * tri
     hi = Xh + Dh * k + DDh * tri + (lo >> np.uint64(32))
@@ -301,56 +314,88 @@ def _weyl_phases(PA: int, PB: int, m0: int, cnt: int, F: int) -> np.ndarray:
     ph = np.ldexp((hi >> np.uint64(11)).astype(np.float64), -53)
     below = ((hi & np.uint64(0x7FF)) << np.uint64(32)) | (lo & np.uint64(0xFFFFFFFF))
     mask = (1 << F) - 1
-    for j in np.flatnonzero(below >= np.uint64(1 << 43) - (k + tri)).tolist():
+    rows, cols = np.nonzero(below >= np.uint64(1 << 43) - (k + tri))
+    for j, i in zip(rows.tolist(), cols.tolist()):
         m = m0 + j
-        ph[j] = _phase_to_float((PA * m * m + PB * m) & mask, F)
+        ph[j, i] = _phase_to_float((PA[i] * m * m + PB[i] * m) & mask, F)
     return ph
 
 
-def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int) -> WeylSumResult:
-    """Sum of e(n*alpha*m^2 + beta*m) for 1 <= m <= T, phases reduced in fixed point.
+def weyl_sum_lanes(lanes: Sequence[tuple[int, FixedReal, FixedReal]], T: int) -> list[WeylSumResult]:
+    """Sum of e(n*alpha*m^2 + beta*m) for 1 <= m <= T for each lane (n, alpha, beta).
 
-    Each phase is the top 53 bits of the exact mantissa phase mod 1; cos and
-    sin are libm's, summed by Kahan's method in order of m.  alpha and beta
-    must share one precision.
+    Each phase is the top 53 bits of the exact mantissa phase mod 1; numpy's
+    cos and sin of it, which a test pins bit for bit to math.cos and
+    math.sin, are summed by Kahan's method in order of m.  Every lane's alpha
+    and beta share one precision.  The lanes' sums are independent, so
+    one Kahan update per step runs over a row holding every lane's cos and
+    sin; numpy float64 addition and subtraction round like Python floats, so
+    each sum has the bits of a per-term loop.  That update costs four numpy
+    calls per step whatever the number of lanes, so a call with few lanes is
+    slower than a per-term loop.  A block holds min(_BLOCK_STEPS,
+    _LANE_ELEMENTS // lanes) steps.  The first lane refusal, in lane order,
+    is raised before any sum starts.
     """
     if T < 1:
         raise ValidationError("sum length T must be >= 1")
-    F = alpha.F
-    if beta.F != F:
-        raise ValidationError("sum coefficients must share one precision")
-    PA = n * alpha.mant
-    ea = abs(n) * alpha.err
-    PB = beta.mant
-    eb = beta.err
-    if exceeds(ea * T * T + eb * T, F, PHASE_TOL):
-        raise PrecisionExhausted("phase radius at m=T exceeds the phase tolerance")
+    if not lanes:
+        return []
+    F = lanes[0][1].F
+    PA, PB = [], []
+    for n, alpha, beta in lanes:
+        if alpha.F != F or beta.F != F:
+            raise ValidationError("sum coefficients must share one precision")
+        if exceeds(abs(n) * alpha.err * T * T + beta.err * T, F, PHASE_TOL):
+            raise PrecisionExhausted("phase radius at m=T exceeds the phase tolerance")
+        PA.append(n * alpha.mant)
+        PB.append(beta.mant)
 
-    re = im = 0.0
-    cre = cim = 0.0  # Kahan compensation
-    cos, sin = math.cos, math.sin
-    for m0 in range(1, T + 1, _BLOCK_STEPS):
-        ang = (TWO_PI * _weyl_phases(PA, PB, m0, min(_BLOCK_STEPS, T + 1 - m0), F)).tolist()
-        for c, sn in zip(map(cos, ang), map(sin, ang)):
-            t = c - cre
-            s = re + t
-            cre = (s - re) - t
-            re = s
-            t = sn - cim
-            s = im + t
-            cim = (s - im) - t
-            im = s
-    return WeylSumResult(re, im)
+    sub, add = np.subtract, np.add
+    results = []
+    for c0 in range(0, len(PA), _LANE_ELEMENTS):
+        pa, pb = PA[c0:c0 + _LANE_ELEMENTS], PB[c0:c0 + _LANE_ELEMENTS]
+        L = len(pa)
+        steps = min(_BLOCK_STEPS, _LANE_ELEMENTS // L)
+        # columns 0..L-1 hold the lanes' real parts, L..2L-1 their imaginary parts
+        total, comp, t, s = (np.zeros(2 * L) for _ in range(4))  # comp: Kahan compensation
+        for m0 in range(1, T + 1, steps):
+            ang = TWO_PI * _weyl_phases(pa, pb, m0, min(steps, T + 1 - m0), F)
+            for row in np.concatenate((np.cos(ang), np.sin(ang)), axis=1):
+                sub(row, comp, t)
+                add(total, t, s)
+                sub(s, total, comp)
+                sub(comp, t, comp)
+                total, s = s, total
+        results += map(WeylSumResult, total[:L].tolist(), total[L:].tolist())
+    return results
+
+
+def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int) -> WeylSumResult:
+    """Sum of e(n*alpha*m^2 + beta*m) for 1 <= m <= T: weyl_sum_lanes of one lane."""
+    return weyl_sum_lanes([(n, alpha, beta)], T)[0]
 
 
 def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: int) -> float:
     """Sum over m = 1..count of min(1 / ||m*step||, T_cap).
 
-    The circle norm of each multiple is folded from the exact mantissa walk.
-    Refuses (PrecisionExhausted) when the radius at m = count exceeds the
-    phase tolerance, or when a fold is at most a nonzero radius.  With a zero
+    The circle norm ar of each multiple is folded from the exact mantissa
+    m*step mod 2^F; its term is T_cap when ar*T_cap <= 2^F, else
+    1 / ldexp(float(ar), -F), the correctly rounded quotient 2^F / float(ar).
+    The terms are summed by Kahan's method in order of m.  Refuses
+    (PrecisionExhausted) when the radius at m = count exceeds the phase
+    tolerance, or when a fold is at most a nonzero radius.  With a zero
     radius a zero fold (rational step hitting an integer) passes the cap
     test, so the term saturates at T_cap.
+
+    The terms come in blocks of _BLOCK_STEPS steps.  The top 96 bits of
+    m*step mod 2^F, a uint64 word and a 32-bit sub-limb whose carry joins it,
+    follow the linear closed form from the block's first step; cutting leaves
+    them short by less than k + 1 units of 2^-96 at offset k.  So the fold g
+    of the word bounds ar strictly between g - 2 and g + 2 units of
+    2^(F-64).  When float64 rounds both ends to one value, float(ar) is that
+    value; when both ends clear the cap test and the refusal the same way,
+    so does ar.  Every other step (a fold below about 2^-11, near a rounding
+    tie, the cap or the radius) takes the bigint path.
     """
     E = step_err * count
     if exceeds(E, F, PHASE_TOL):
@@ -358,22 +403,43 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
     S = 1 << F
     H = S >> 1
     mask = S - 1
+    # the cap test and the refusal in units of 2^(F-64): low >= cap_out gives
+    # ar*T_cap > 2^F, up <= cap_in gives ar*T_cap < 2^F, low >= e_out gives ar > E
+    word = (1 << 64) - 1
+    cap_out = np.uint64(min(-(-(1 << 64) // T_cap), word))
+    cap_in = np.uint64(min((1 << 64) // T_cap, word))
+    e_out = np.uint64(-((-E << 64) >> F))
+    two = np.uint64(2)
+    (Dh,), (Dl,) = _top96([step_mant], F)
+    k = np.arange(min(_BLOCK_STEPS, count), dtype=np.uint64)
     total = 0.0
     comp = 0.0
-    # unreduced m*step offset by H, so (w & mask) - H is its fold into [-1/2, 1/2)
-    w = H
-    fS = float(S)
-    for m in range(1, count + 1):
-        w += step_mant
-        r = (w & mask) - H
-        ar = -r if r < 0 else r
-        if ar <= E and E:
-            raise PrecisionExhausted(f"circle norm at m={m} is below the certified radius")
-        term = float(T_cap) if ar * T_cap <= S else fS / float(ar)
-        t = term - comp
-        s = total + t
-        comp = (s - total) - t
-        total = s
+    for m0 in range(1, count + 1, _BLOCK_STEPS):
+        kb = k[:count + 1 - m0]
+        (Xh,), (Xl,) = _top96([m0 * step_mant], F)
+        lo = Xl + Dl * kb
+        hi = Xh + Dh * kb + (lo >> np.uint64(32))
+        g = np.minimum(hi, -hi)
+        low = np.maximum(g, two) - two
+        up = g + two
+        f_up = up.astype(np.float64)
+        capped = up <= cap_in
+        fast = (low >= e_out) & (capped | ((low >= cap_out) & (low.astype(np.float64) == f_up)))
+        # 2^64 / float(ar / 2^(F-64)) is 2^F / float(ar), correctly rounded
+        terms = np.where(capped, float(T_cap), 2.0 ** 64 / f_up)
+        for j in np.flatnonzero(~fast).tolist():
+            m = m0 + j
+            r = ((m * step_mant + H) & mask) - H
+            ar = -r if r < 0 else r
+            if ar <= E and E:
+                raise PrecisionExhausted(f"circle norm at m={m} is below the certified radius")
+            # ar / S is float(ar) scaled by 2^-F, without forming a float past 2^1024
+            terms[j] = float(T_cap) if ar * T_cap <= S else 1 / (ar / S)
+        for term in terms.tolist():
+            t = term - comp
+            s = total + t
+            comp = (s - total) - t
+            total = s
     return total
 
 

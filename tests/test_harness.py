@@ -335,14 +335,20 @@ class TestCliRuns:
         from test_weyl_sums import weyl_sum_reference
 
         from qdensity import weyl_sums
+        from qdensity.weyl_sums import _LANE_ELEMENTS
 
-        # T on both sides of the first block edge of the Weyl-sum kernel
-        argv = ["verify-lemmas", "--T-list", "4095,4097", "--precision", "96", "--betas", "3"]
-        block, per_term = tmp_path / "block.csv", tmp_path / "per_term.csv"
-        assert run_cli(argv, block) == 0
-        monkeypatch.setattr(weyl_sums, "weyl_sum", weyl_sum_reference)
+        # 2 alphas x 3 n x 3 betas = 18 lanes per T, so a lane block holds
+        # _LANE_ELEMENTS // 18 steps; T on both sides of its first edge, and
+        # past the 4096-step block of the sum-min kernel
+        steps = _LANE_ELEMENTS // 18
+        argv = ["verify-lemmas", "--T-list", f"{steps - 1},{steps + 1},4097", "--precision", "96",
+                "--betas", "3"]
+        lanes, per_term = tmp_path / "lanes.csv", tmp_path / "per_term.csv"
+        assert run_cli(argv, lanes) == 0
+        monkeypatch.setattr(weyl_sums, "weyl_sum_lanes",
+                            lambda lanes, T: [weyl_sum_reference(n, a, b, T) for n, a, b in lanes])
         assert run_cli(argv, per_term) == 0
-        assert block.read_bytes() == per_term.read_bytes()
+        assert lanes.read_bytes() == per_term.read_bytes()
 
     @pytest.mark.parametrize("flag, key", [("--n-list=", "n_list"), ("--T-list=,", "T_list")])
     def test_verify_lemmas_refuses_empty_lists(self, tmp_path, flag, key):
@@ -419,7 +425,7 @@ class TestDeterminism:
 _QUICK = {
     "solve": ["--xi", "sqrt:2 0/1 0/1", "--T", "100", "--delta", "0.2", "--q-max", "1000"],
     "count-orbit": ["--xi", "sqrt:2 0/1 0/1", "--T", "100,200", "--delta", "0.2"],
-    "verify-lemmas": ["--n-list", "1", "--T-list", "10", "--betas", "2"],
+    "verify-lemmas": ["--n-list", "1", "--T-list", "10,20", "--betas", "2"],
     "kappa": ["--alpha", "sqrt:2", "--q-max", "1000"],
     "exponent": ["--xi", "sqrt:2 0/1 0/1", "--T", "10,20"],
     "oracle-count": ["--xi", "sqrt:2 0/1 0/1", "--T", "5,6", "--delta", "0.25"],
@@ -440,14 +446,15 @@ class TestOneThread:
 
         for module, name in ((harness.solver, "count_values_grid"),
                              (harness.weyl_sums, "count_orbit_hits"),
-                             (harness.weyl_sums, "weyl_sum")):
+                             (harness.weyl_sums, "weyl_sum_lanes")):
             monkeypatch.setattr(module, name, record(getattr(module, name)))
         for sub in ("count-orbit", "verify-lemmas", "oracle-count"):
             assert _run_quiet([sub, *_QUICK[sub], "--threads", "4"])[0] == 0
         names = [name for name, _ in seen]
         # oracle-count answers its whole T grid from one sweep
         assert names.count("count_values_grid") >= 1
-        assert all(names.count(n) >= 2 for n in ("count_orbit_hits", "weyl_sum"))
+        # verify-lemmas makes one lane-kernel call per T of its grid
+        assert all(names.count(n) >= 2 for n in ("count_orbit_hits", "weyl_sum_lanes"))
         assert {ident for _, ident in seen} == {threading.get_ident()}
 
     @pytest.mark.parametrize("sub", SUBCOMMANDS)
@@ -523,6 +530,7 @@ class TestOrbitRefusals:
 
 _BIG = "1" + "0" * 310        # past float64 range
 _NEAR_LIMIT = "1" + "0" * 200
+_T_RANGE_ERROR = "error: T must lie within float64 range, below about 1.8e308\n"
 _ORACLE_RANGE_ERROR = "error: the oracle needs the shift, the target and the form within float64 range\n"
 
 
@@ -536,6 +544,33 @@ class TestFloat64Range:
     ], ids=["shift", "target", "form"])
     def test_oracle_refuses_inputs_past_float64(self, head, flags):
         assert _run_quiet([*head, *flags, "--T", "10"]) == (1, _ORACLE_RANGE_ERROR)
+
+    @pytest.mark.parametrize("T", [str(2**1024 - 2**970), "1" + "0" * 309], ids=["first", "1e309"])
+    @pytest.mark.parametrize("head", [["solve", "--delta", "0.1"], ["solve", "--nu", "0.1"],
+                                      ["exponent", "--mode", "solver"], ["count-orbit", "--nu", "0.1"]],
+                             ids=["solve-delta", "solve-nu", "exponent-solver", "count-orbit-nu"])
+    def test_T_past_float64_exits_1(self, head, T):
+        # the scan length scan_c*sqrt(T) and T**-nu are float64; 2^1024 - 2^970 is
+        # the first integer that rounds past its range
+        assert _run_quiet([*head, "--xi", "sqrt:2 0/1 0/1", "--T", T]) == (1, _T_RANGE_ERROR)
+
+    def test_T_just_inside_float64_is_scanned(self):
+        # the orbit radius at the end of the scan refuses it, as for any T that large
+        code, err = _run_quiet(["solve", "--xi", "sqrt:2 0/1 0/1", "--T", str(2**1024 - 2**970 - 1),
+                                "--delta", "0.1"])
+        assert (code, err) == (
+            2, "precision exhausted: orbit radius at the end of the scan exceeds the tolerance\n")
+
+    def test_verify_lemmas_past_float64_two_to_the_F(self, tmp_path):
+        # 2^F leaves float64 range at F = 1024; no sum-min term forms it, and the
+        # printed values are floats, so the rows equal those at F = 1023
+        argv = ["verify-lemmas", "--n-list", "1", "--T-list", "100", "--betas", "1"]
+        outs = set()
+        for F in ("1023", "1024", "2048", "4096"):
+            out = tmp_path / f"F{F}.csv"
+            assert run_cli([*argv, "--precision", F], out) == 0
+            outs.add(out.read_bytes())
+        assert len(outs) == 1
 
     def test_solve_prints_an_infinite_alpha(self):
         code, err = _run_quiet(["solve", "--xi", f"surd:{_BIG},1,1,2 0/1 0/1",

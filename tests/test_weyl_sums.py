@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,17 +25,20 @@ from qdensity import (
     unipotent,
     weyl_differencing_bound,
     weyl_sum,
+    weyl_sum_lanes,
 )
 from qdensity import weyl_sums
 from qdensity.harness import Lcg64
 from qdensity.weyl_sums import (
     _BLOCK_STEPS,
+    _LANE_ELEMENTS,
     PHASE_TOL,
     TWO_PI,
     WeylSumResult,
     _orbit_radius,
     _phase_to_float,
     _scan_orbit,
+    _sum_min_kernel,
     _weyl_phases,
 )
 
@@ -137,6 +142,39 @@ def weyl_sum_reference(n, alpha, beta, T):
         x += d
         d += dd
     return WeylSumResult(re, im)
+
+
+def sum_min_kernel_reference(step_mant, step_err, count, T_cap, F):
+    """Per-term bigint reference for weyl_sums._sum_min_kernel: the same terms in the same order, no blocks.
+
+    Below F = 1024 a term is fS / float(ar); above, where float(2^F) overflows,
+    it is 1 / (ar / S), the correctly rounded quotient of 2^F by float(ar).
+    """
+    E = step_err * count
+    if Fraction(E, 1 << F) > PHASE_TOL:
+        raise PrecisionExhausted("linear phase radius exceeds the phase tolerance")
+    S = 1 << F
+    H = S >> 1
+    mask = S - 1
+    total = 0.0
+    comp = 0.0
+    # unreduced m*step offset by H, so (w & mask) - H is its fold into [-1/2, 1/2)
+    w = H
+    for m in range(1, count + 1):
+        w += step_mant
+        r = (w & mask) - H
+        ar = -r if r < 0 else r
+        if ar <= E and E:
+            raise PrecisionExhausted(f"circle norm at m={m} is below the certified radius")
+        if ar * T_cap <= S:
+            term = float(T_cap)
+        else:
+            term = float(S) / float(ar) if F < 1024 else 1 / (ar / S)
+        t = term - comp
+        s = total + t
+        comp = (s - total) - t
+        total = s
+    return total
 
 
 class TestPhi:
@@ -463,14 +501,96 @@ class TestWeylSumDifferential:
         PB = (((top << 43) | below) << s) | (1 << (s - 1))
         m = k + 1
         assert ((PA * m * m + PB * m) >> s) % (1 << 43) == 0
-        assert _weyl_phases(PA, PB, 1, m, F).tolist() == reference_phases(PA, PB, 1, m, F)
+        assert _weyl_phases([PA], [PB], 1, m, F)[:, 0].tolist() == reference_phases(PA, PB, 1, m, F)
 
     @given(F=st.sampled_from([64, 128, 256]), data=st.data(),
            m0=st.one_of(st.just(1), st.integers(1, 10**12)), cnt=st.integers(1, _BLOCK_STEPS))
     @settings(max_examples=40, deadline=None)
     def test_block_phases_match_per_term(self, F, data, m0, cnt):
         PA, PB = (data.draw(st.integers(-(1 << (F + 8)), 1 << (F + 8))) for _ in range(2))
-        assert _weyl_phases(PA, PB, m0, cnt, F).tolist() == reference_phases(PA, PB, m0, cnt, F)
+        assert _weyl_phases([PA], [PB], m0, cnt, F)[:, 0].tolist() == reference_phases(PA, PB, m0, cnt, F)
+
+
+def lane_set(F, L, seed):
+    """L lanes (n, alpha, beta) at precision F: literals, raw mantissas and betas next to a 53-bit carry.
+
+    n ranges over 0, small and large values.  A near-carry lane has alpha = 0
+    and beta's bits 54..96 within 4 of all ones, so most of its phases m*beta
+    sit just below a carry into their top 53 bits, where only the bigint phase
+    decides them.  In one set in ten, one lane's beta carries a radius past
+    the phase tolerance, so the whole call is refused.
+    """
+    rng = random.Random(seed)
+    lits = ["sqrt:2", "surd:1,1,2,5", "1/3", "dec:0.7", "-3/8", "sqrt:7"]
+    refused = rng.randrange(L) if rng.random() < 0.1 else None
+    lanes = []
+    for i in range(L):
+        n = rng.choice([0, 1, -2, 50, rng.randint(-100, 100)])
+        kind = rng.randrange(3) if F >= 96 else rng.randrange(2)
+        if i == refused:
+            alpha, beta = parse_real("sqrt:2", F), FixedReal(rng.getrandbits(F), 1 << (F - 20), F)
+        elif kind == 0:
+            alpha, beta = (parse_real(rng.choice(lits), F) for _ in range(2))
+        elif kind == 1:
+            alpha, beta = (FixedReal(rng.randint(-(1 << (F + 2)), 1 << (F + 2)), rng.choice([0, 0, 1]), F)
+                           for _ in range(2))
+        else:
+            bits = (rng.getrandbits(53) << 43) | ((1 << 43) - 1 - rng.randint(0, 4))
+            alpha = FixedReal(0, 0, F)
+            beta = FixedReal((bits << (F - 96)) | rng.getrandbits(F - 96), 0, F)
+        lanes.append((n, alpha, beta))
+    return lanes
+
+
+def lanes_outcome_reference(lanes, T):
+    """Per-lane weyl_outcome of weyl_sum_reference, or the first lane's refusal."""
+    out = []
+    for n, alpha, beta in lanes:
+        o = weyl_outcome(weyl_sum_reference, n, alpha, beta, T)
+        if isinstance(o[0], type):
+            return o
+        out.append(o)
+    return out
+
+
+class TestWeylLanes:
+    @given(F=st.sampled_from([64, 96, 256, 512]),
+           L=st.one_of(st.integers(1, 130), st.sampled_from([1, 2, 4, 5, 129])),
+           seed=st.integers(0, 2**32), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_reference(self, F, L, seed, data):
+        # a block holds min(_BLOCK_STEPS, _LANE_ELEMENTS // L) steps: T covers one
+        # step, both sides of the first block edge and one step into the third block
+        steps = min(_BLOCK_STEPS, _LANE_ELEMENTS // L)
+        T = data.draw(st.sampled_from([1, steps - 1, steps, steps + 1, 2 * steps + 1])
+                      .filter(lambda t: t >= 1))
+        lanes = lane_set(F, L, seed)
+        try:
+            got = [(s.re.hex(), s.im.hex()) for s in weyl_sum_lanes(lanes, T)]
+        except (PrecisionExhausted, ValidationError) as exc:
+            got = type(exc), str(exc)
+        assert got == lanes_outcome_reference(lanes, T)
+
+    def test_lanes_refuse_another_precision_and_empty_lanes_sum_nothing(self, sqrt2):
+        other = FixedReal.sqrt_int(2, 128)
+        with pytest.raises(ValidationError, match="^sum coefficients must share one precision$"):
+            weyl_sum_lanes([(1, sqrt2, sqrt2), (1, other, other)], 10)
+        assert weyl_sum_lanes([], 10) == []
+
+    def test_numpy_trig_matches_libm_on_block_angles(self):
+        # The lane kernel takes cos and sin of its angles from numpy, and the
+        # sums keep the bits of a per-term loop only while those equal libm's
+        # math.cos and math.sin; a numpy build whose float64 trig differs fails
+        # here.  10^5 angles of one block of 100 lanes far along the orbit.
+        rng = random.Random(11)
+        F = 256
+        PA, PB = ([rng.randint(-(1 << (F + 8)), 1 << (F + 8)) for _ in range(100)] for _ in range(2))
+        ang = TWO_PI * _weyl_phases(PA, PB, rng.randint(1, 10**12), 1000, F)
+        assert ang.size == 10**5
+        flat = ang.ravel().tolist()
+        for fn, libm in ((np.cos, math.cos), (np.sin, math.sin)):
+            ref = np.array(list(map(libm, flat))).reshape(ang.shape)
+            assert (fn(ang).view(np.uint64) == ref.view(np.uint64)).all()
 
 
 class TestDifferencingBound:
@@ -562,3 +682,107 @@ class TestSumMin:
     def test_rejects_tiny_T(self, sqrt2):
         with pytest.raises(ValidationError):
             sum_min_explicit_bound(sqrt2, 1, 1)
+
+
+def sum_min_outcome(fn, *args):
+    """The bits of the sum, or the type and message of the refusal."""
+    try:
+        return fn(*args).hex()
+    except (PrecisionExhausted, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# one term, both sides of the first block edge and one term into the third block
+sum_min_lengths = st.one_of(st.sampled_from([1, _BLOCK_STEPS - 1, _BLOCK_STEPS, _BLOCK_STEPS + 1,
+                                             2 * _BLOCK_STEPS + 1]),
+                            st.integers(1, 3 * _BLOCK_STEPS))
+sum_min_precisions = st.sampled_from([64, 96, 128, 256, 512, 1023, 1024, 2048])
+
+
+class TestSumMinKernelDifferential:
+    def check(self, step, err, count, T_cap, F):
+        assert (sum_min_outcome(_sum_min_kernel, step, err, count, T_cap, F)
+                == sum_min_outcome(sum_min_kernel_reference, step, err, count, T_cap, F))
+
+    @given(F=sum_min_precisions, count=sum_min_lengths, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, F, count, data):
+        step = data.draw(st.integers(-(1 << (F + 2)), 1 << (F + 2)))
+        err = data.draw(st.one_of(st.just(0), st.integers(1, 4), st.just((1 << (F - 30)) // count + 1)))
+        T_cap = data.draw(st.one_of(st.just(count), st.integers(1, count + 10)))
+        self.check(step, err, count, T_cap, F)
+
+    @given(F=sum_min_precisions, nudge=st.integers(-4, 4), word_nudge=st.integers(-4, 4),
+           wrap=st.integers(-2, 2), sign=st.sampled_from([1, -1]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_term_next_to_a_rounding_tie(self, F, nudge, word_nudge, wrap, sign, data):
+        # count = 1, so the sum is the term's own bits: a fold at a float64
+        # rounding midpoint, moved by a few units of itself and of the 2^(F-64) word
+        p = data.draw(st.integers(max(F - 40, 53), F - 2))
+        ar = ((2 * data.draw(st.integers(1 << 52, (1 << 53) - 1)) + 1) << (p - 53))
+        ar += nudge + (word_nudge << max(F - 64, 0))
+        self.check(sign * ar + wrap * (1 << F), 0, 1, 1 << 60, F)
+
+    @pytest.mark.parametrize("F", [64, 96, 256, 2048])
+    def test_one_term_next_to_the_cap_and_the_radius(self, F):
+        # count = 1 again; the fold sweeps a few units of itself and of the
+        # word across the cap ar*T_cap = 2^F and across the radius ar = E
+        S = 1 << F
+        nudges = [n + (w << max(F - 64, 0)) for n in range(-3, 4) for w in range(-3, 4)]
+        for T_cap in (3, 4096, 10**6 + 3, (1 << 40) + 1):
+            for d in nudges:
+                self.check(S // T_cap + d, 0, 1, T_cap, F)
+        for err in (1, 1 << 20, 1 << (F - 31)):
+            for d in nudges:
+                self.check(err + d, err, 1, 1 << 60, F)
+
+    @given(F=sum_min_precisions, j=st.integers(0, 13), p=st.integers(-(1 << 20), 1 << 20),
+           count=sum_min_lengths)
+    @settings(max_examples=25, deadline=None)
+    def test_rational_steps_hitting_integers(self, F, j, p, count):
+        # p / 2^j exactly: every multiple of 2^j / gcd folds to zero and takes the cap
+        self.check(p << (F - j), 0, count, count, F)
+
+    @given(F=sum_min_precisions, c=st.integers(1, 4), d=st.integers(-8, 8), shift=st.sampled_from([12, 24]))
+    @settings(max_examples=25, deadline=None)
+    def test_folds_near_two_to_the_minus_12(self, F, c, d, shift):
+        # folds m*c*2^-shift (+ d ulps) pass 2^-12, the fold below which the
+        # word carries too few bits to round, inside the first two blocks
+        self.check(c * (1 << (F - shift)) + d, 0, 2 * _BLOCK_STEPS + 1, 2 * _BLOCK_STEPS + 1, F)
+
+    @given(F=sum_min_precisions, j=st.integers(1, 12), p=st.integers(0, 1 << 11), d=st.integers(-1, 1),
+           count=st.integers(1 << 12, 3 * _BLOCK_STEPS))
+    @settings(max_examples=25, deadline=None)
+    def test_cap_tie(self, F, j, p, d, count):
+        # T_cap = 2^j and the step (2p + 1) / 2^j: where m*(2p + 1) = +-1 mod 2^j
+        # the fold is 2^-j, so ar*T_cap == 2^F exactly, and the cap (<=) holds;
+        # d moves the step one ulp either way
+        S = 1 << F
+        step = (2 * p + 1) * (S >> j) + d
+        if d == 0:
+            m = pow(2 * p + 1, -1, 1 << j) if j > 1 else 1
+            r = (m * step) % S
+            assert min(r, S - r) << j == S and m <= count
+        self.check(step, 0, count, 1 << j, F)
+
+    @pytest.mark.parametrize("F", [64, 256, 1024, 2048])
+    @pytest.mark.parametrize("q", [3, 5000])
+    def test_circle_norm_refusal(self, F, q):
+        # round(2^F / q) with radius 1: at m = q the fold is below the radius
+        # m*1 <= count, after a clean first block when q = 5000
+        step = FixedReal.from_fraction(Fraction(1, q), F)
+        assert step.err == 1
+        out = sum_min_outcome(_sum_min_kernel, step.mant, 1, 3 * _BLOCK_STEPS, 3 * _BLOCK_STEPS, F)
+        assert out == (PrecisionExhausted, f"circle norm at m={q} is below the certified radius")
+        self.check(step.mant, 1, 3 * _BLOCK_STEPS, 3 * _BLOCK_STEPS, F)
+
+    @pytest.mark.parametrize("F", [64, 1024, 2048])
+    def test_phase_radius_refusal(self, F):
+        # count*err meets the phase tolerance 2^-30 at err = 2^(F-30) / count; one more refuses
+        count = 2 * _BLOCK_STEPS
+        err = (1 << (F - 30)) // count
+        step = FixedReal.sqrt_int(2, F).mant
+        assert sum_min_outcome(_sum_min_kernel, step, err + 1, count, count, F) == (
+            PrecisionExhausted, "linear phase radius exceeds the phase tolerance")
+        self.check(step, err, count, count, F)
+        self.check(step, err + 1, count, count, F)

@@ -43,6 +43,12 @@ The call list:
     alpha near float64 range
   - one verify-lemmas call per phase refusal at precision 64: the
     differencing bound, ``sum_min`` and the Weyl phase
+  - verify-lemmas calls with 100-130 lanes (Weyl sums) per T, whose T grids
+    cross the lane kernel's block edge and the 4096-step sum-min block
+  - verify-lemmas at precisions 1023-4096, past the float64 range of 2^F,
+    and solve, solver-mode exponent and count-orbit at a T just inside
+    float64 range, at the first T past it and at 10^309, where the scan
+    length scan_c*sqrt(T) or T**-nu cannot be formed in float64
   - oracle-count and oracle-mode exponent calls whose threshold is attained
     exactly, so points land on it and take the oracle's certified test
   - solve and verify-lemmas calls with a ``--config`` file, whose text the
@@ -137,6 +143,30 @@ PHASE_REFUSAL_CALLS = [
     for rest in (["--n-list", "1", "--T-list", "10000000000", "--betas", "1"],
                  ["--n-list", "1", "--T-list", "1048576", "--M", "32768"],
                  ["--n-list", "100", "--T-list", "20000"])
+]
+
+# verify-lemmas with 100 or more lanes per T (2 alphas x n_list x betas); a
+# lane block holds 8192 // lanes steps, and each grid crosses that edge
+LANE_CALLS = [
+    ["verify-lemmas", "--n-list", n_list, "--betas", betas, "--T-list", grid, *rest]
+    for n_list, betas, grid, rest in (
+        ("1,3,50", "20", "67,68,69,137", []),                               # 120 lanes, 68 steps
+        ("1,2,-3,0,7", "13", "62,63,64,4097", ["--precision", "96"]),       # 130 lanes, 63 steps
+        ("2,50", "25", "80,81,82,163", ["--precision", "512", "--M", "3"]),  # 100 lanes, 81 steps
+    )
+]
+
+# precisions whose 2^F float64 cannot hold, and T at and past float64 range
+# for the scan length scan_c*sqrt(T) and for T**-nu
+BIG_T = str(2**1024 - 2**970)
+WIDE_CALLS = [
+    ["verify-lemmas", "--precision", F, "--n-list", "1", "--T-list", "100", "--betas", "1"]
+    for F in ("1023", "1024", "2048", "4096")
+] + [["verify-lemmas", "--precision", "2048", "--n-list", "1,3", "--T-list", "4097", "--betas", "2"]] + [
+    [*head, "--xi", "sqrt:2 0/1 0/1", "--T", T, *rest]
+    for T in (str(2**1024 - 2**970 - 1), BIG_T, "1" + "0" * 309)
+    for head, rest in ((["solve"], ["--delta", "0.1"]), (["solve"], ["--nu", "0.1"]),
+                       (["exponent", "--mode", "solver"], []), (["count-orbit"], ["--nu", "0.1"]))
 ]
 
 INPUT_REFUSAL_CALLS = [
@@ -410,7 +440,8 @@ def main(argv=None) -> int:
 
     calls: list[tuple[list[str], str | None]] = []
     for call in ([(argv_, None) for argv_ in readme_calls() + perfbench_calls() + drawn_calls()
-                  + ZERO_ALPHA_CALLS + LIFT_CALLS + REACH_CALLS + PHASE_REFUSAL_CALLS + INPUT_REFUSAL_CALLS
+                  + ZERO_ALPHA_CALLS + LIFT_CALLS + REACH_CALLS + PHASE_REFUSAL_CALLS + LANE_CALLS
+                  + WIDE_CALLS + INPUT_REFUSAL_CALLS
                   + EXACT_TIE_CALLS + DIRECTION_CALLS + INPUT_PATH_CALLS + GAP_CALLS + out_calls()]
                  + CONFIG_CALLS):
         if call not in calls:
