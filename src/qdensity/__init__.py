@@ -59,7 +59,6 @@ from .weyl_sums import (
     sum_min,
     sum_min_explicit_bound,
     weyl_differencing_bound,
-    weyl_sum,
     weyl_sum_lanes,
 )
 

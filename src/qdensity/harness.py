@@ -352,7 +352,9 @@ def run_count_orbit(cfg: RunConfig):
     rows = []
     for T, delta in cells:
         n = weyl_sums.count_orbit_hits(xi.alpha, xi.beta, xi.gamma, v0, T, delta)
-        rows.append((T, delta, n, n / (math.pi * T * delta * delta), rational))
+        area = math.pi * T * delta * delta
+        # below delta ~ 4e-163 the area underflows to 0, where n / area rounds to 0 or inf
+        rows.append((T, delta, n, n / area if area else (math.inf if n else 0.0), rational))
     return [], ("T", "delta", "n_phi", "ratio", "rational"), rows
 
 

@@ -713,6 +713,9 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
         # a zero float minimum is saturated below
         minima = [(res.min_residual, False) for res in count_values_grid(form, xi, t, grid, 0.0, cap=cap)]
     else:
+        if form != standard_form():
+            raise ValidationError(
+                "solver mode takes the standard form only; use oracle mode for another form")
         if scan_c <= 0:
             raise ValidationError("scan_c must be positive")
         t = as_fixed(t, xi.precision)

@@ -3,17 +3,21 @@
 Everything phase-like is reduced mod 1 in integer mantissa arithmetic before
 any floating-point call: for a polynomial phase at m ~ 1e6 a double loses the
 entire fractional part, while mantissa addition mod 2**F is exact, so the only
-uncertainty is the propagated input radius.  The orbit scan runs a uint64
-block filter, then the bigint per-step test; its closed-form block walk
-(_orbit_blocks) also feeds the solver's residual filter.  The Weyl sums of
-one length T run as lanes, one per (n, alpha, beta), in blocks of steps x
-lanes.  Each phase's top 53 bits come from uint64 blocks with a proven
-truncation bound, and from the bigint phase where that bound cannot decide
-them; numpy's cos and sin (bit for bit libm's, which a test pins) and one
-Kahan update per step over a row of every lane's terms follow, so each sum
-has the bits of math.cos, math.sin and one Kahan summation in order of m.
-The sum-min kernel reads each fold's top 96 bits off the same kind of uint64
-closed form, and takes the bigint fold where they cannot decide the term.
+uncertainty is the propagated input radius.  Two closed-form block walks in
+uint64 arithmetic, each with a proven truncation bound, read the phase; they
+differ on purpose.  _orbit_blocks keeps the top 64 bits of the orbit gaps:
+the orbit scan filters on them before its bigint per-step test, and so does
+the solver's residual filter.  _phase_limbs keeps the top 96 bits of
+n*alpha*m^2 + beta*m mod 1, a word and a 32-bit sub-limb, for the sums.
+
+The Weyl sums of one length T run as lanes, one per (n, alpha, beta), in
+blocks of steps x lanes.  Each phase's top 53 bits come from its limbs where
+the bound proves them exact, and from the bigint phase elsewhere; numpy's
+cos and sin (bit for bit libm's, which a test pins) and one Kahan update per
+step over a row of every lane's terms follow, so each sum has the bits of
+math.cos, math.sin and one Kahan summation in order of m.  The sum-min
+kernel reads each fold off the limb word of the linear phase m*step, and
+takes the bigint fold where the word cannot decide the term.
 
 Hit tests against a threshold are three-valued: certainly inside, certainly
 outside, or ambiguous within the certified radius.  One orbit scan makes
@@ -32,6 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .diophantine import dirichlet_approx
 from .errors import PrecisionExhausted, ValidationError
 from .fixed import DEFAULT_PRECISION, FixedReal, as_fixed, exceeds
 
@@ -44,6 +49,11 @@ _BLOCK_STEPS = 4096
 # Steps times lanes in one block of the Weyl lane kernel, which keeps its
 # numpy temporaries under about 0.5 MB.
 _LANE_ELEMENTS = 1 << 13
+# Block offsets k and tri = k(k-1)/2 in uint64, read-only: the closed form of
+# a block at offset k is v0 + d*k + dd*tri.
+_K = np.arange(_BLOCK_STEPS, dtype=np.uint64)
+_TRI = (_K * (_K - np.uint64(1))) >> np.uint64(1)
+_K.flags.writeable = _TRI.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -107,19 +117,6 @@ def _top64(v: int, F: int) -> np.uint64:
     return np.uint64(_top_bits(v, F, 64))
 
 
-def _top96(values: list[int], F: int) -> tuple[np.ndarray, np.ndarray]:
-    """The top 96 bits of each v mod 2^F: uint64 arrays of words (the top 64) and 32-bit sub-limbs."""
-    tops = [_top_bits(v, F, 96) for v in values]
-    return (np.array([t >> 32 for t in tops], dtype=np.uint64),
-            np.array([t & 0xFFFFFFFF for t in tops], dtype=np.uint64))
-
-
-def _block_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Block offsets k = 0..n-1 and k(k-1)/2 in uint64: a block's closed form is v0 + d*k + dd*tri."""
-    k = np.arange(n, dtype=np.uint64)
-    return k, (k * (k - 1)) >> np.uint64(1)
-
-
 def _orbit_blocks(A: int, B: int, C: int, rx: int, ry: int, F: int,
                   T: int) -> Iterator[tuple[int, int, int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """The gaps of steps 1..T of the orbit of mantissas (A, B, C) from (rx, ry), in closed-form blocks.
@@ -146,7 +143,7 @@ def _orbit_blocks(A: int, B: int, C: int, rx: int, ry: int, F: int,
     step = 2 * A                # first coordinate step = second difference
 
     n = min(_BLOCK_STEPS, T)
-    k, tri = _block_offsets(n)
+    k, tri = _K[:n], _TRI[:n]
     # truncating x0, y0, dy and step to their top 64 bits (_top64) leaves the
     # block values short by less than k + 1 (x) and k(k-1)/2 + k + 1 (y)
     # units of 2^-64
@@ -283,41 +280,49 @@ def count_orbit_hits(alpha: FixedReal, beta: FixedReal, gamma: FixedReal,
 
 
 def _phase_to_float(x: int, F: int) -> float:
-    if F > 53:
-        return math.ldexp(float(x >> (F - 53)), -53)
-    return math.ldexp(float(x), -F)
+    """The top 53 bits of x mod 2^F as a float in [0, 1)."""
+    return math.ldexp(_top_bits(x, F, 53), -53)
 
 
-def _weyl_phases(PA: list[int], PB: list[int], m0: int, cnt: int, F: int) -> np.ndarray:
-    """_phase_to_float((PA[i]*m*m + PB[i]*m) mod 2^F, F) at [m - m0, i] for m0 <= m < m0 + cnt.
+def _phase_limbs(PA: list[int], PB: list[int], m0: int, cnt: int, F: int) -> tuple[np.ndarray, np.ndarray]:
+    """The top 96 bits of (PA[i]*m*m + PB[i]*m) mod 2^F at [m - m0, i] for m0 <= m < m0 + cnt.
 
     Each lane's exact phase and its differences at m0, cut to their top 96
-    bits, give each phase's top 96 bits in uint64 closed form: a word
-    wrapping mod 2^64 and a 32-bit sub-limb whose carry joins it.  Cutting
-    leaves the phase at offset k short by less than k + tri + 1 units of
-    2^-96, tri = k(k-1)/2, so its top 53 bits are exact unless the 43 bits
-    below them are at least 2^43 - (k + tri); those phases are taken from the
-    bigint phase.
+    bits, give each phase's top 96 bits in uint64 closed form: a word hi
+    wrapping mod 2^64 and a 32-bit sub-limb whose carry joins it, below it in
+    lo.  Cutting leaves the phase at offset k short by less than k + tri + 1
+    units of 2^-96, tri = k(k-1)/2; a lane with PA = 0 has an exact zero
+    second difference, so there by less than k + 1.
     """
     diffs = []
     for a, b in zip(PA, PB):
         diffs += (a * m0 * m0 + b * m0, a * (2 * m0 + 1) + b, 2 * a)   # phase and differences at m0
-    hi3, lo3 = _top96(diffs, F)
-    Xh, Dh, DDh = hi3.reshape(-1, 3).T
-    Xl, Dl, DDl = lo3.reshape(-1, 3).T
-    k, tri = _block_offsets(cnt)
-    k, tri = k[:, None], tri[:, None]
-    # the sub-limb stays below 2^32 * (1 + k + tri) < 2^56 in a 4096-step block
+    tops = [_top_bits(v, F, 96) for v in diffs]
+    Xh, Dh, DDh = np.array([t >> 32 for t in tops], dtype=np.uint64).reshape(-1, 3).T
+    Xl, Dl, DDl = np.array([t & 0xFFFFFFFF for t in tops], dtype=np.uint64).reshape(-1, 3).T
+    k, tri = _K[:cnt, None], _TRI[:cnt, None]
     lo = Xl + Dl * k + DDl * tri
-    hi = Xh + Dh * k + DDh * tri + (lo >> np.uint64(32))
+    hi = Xh + Dh * k + DDh * tri
+    # the sub-limb stays below 2^32 * (1 + k + tri) < 2^56 in a 4096-step block
+    return hi + (lo >> np.uint64(32)), lo
+
+
+def _weyl_phases(PA: list[int], PB: list[int], m0: int, cnt: int, F: int) -> np.ndarray:
+    """_phase_to_float(PA[i]*m*m + PB[i]*m, F) at [m - m0, i] for m0 <= m < m0 + cnt.
+
+    Each phase's top 53 bits are those of its _phase_limbs, which are short
+    by less than k + tri + 1 units of 2^-96 at offset k, so they are exact
+    unless the 43 bits below them are at least 2^43 - (k + tri); those
+    phases are taken from the bigint phase.
+    """
+    hi, lo = _phase_limbs(PA, PB, m0, cnt, F)
     # the top 53 bits are a float64 integer, so the scaling is exact
     ph = np.ldexp((hi >> np.uint64(11)).astype(np.float64), -53)
     below = ((hi & np.uint64(0x7FF)) << np.uint64(32)) | (lo & np.uint64(0xFFFFFFFF))
-    mask = (1 << F) - 1
-    rows, cols = np.nonzero(below >= np.uint64(1 << 43) - (k + tri))
+    rows, cols = np.nonzero(below >= np.uint64(1 << 43) - (_K[:cnt, None] + _TRI[:cnt, None]))
     for j, i in zip(rows.tolist(), cols.tolist()):
         m = m0 + j
-        ph[j, i] = _phase_to_float((PA[i] * m * m + PB[i] * m) & mask, F)
+        ph[j, i] = _phase_to_float(PA[i] * m * m + PB[i] * m, F)
     return ph
 
 
@@ -370,11 +375,6 @@ def weyl_sum_lanes(lanes: Sequence[tuple[int, FixedReal, FixedReal]], T: int) ->
     return results
 
 
-def weyl_sum(n: int, alpha: FixedReal, beta: FixedReal, T: int) -> WeylSumResult:
-    """Sum of e(n*alpha*m^2 + beta*m) for 1 <= m <= T: weyl_sum_lanes of one lane."""
-    return weyl_sum_lanes([(n, alpha, beta)], T)[0]
-
-
 def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: int) -> float:
     """Sum over m = 1..count of min(1 / ||m*step||, T_cap).
 
@@ -387,15 +387,14 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
     radius a zero fold (rational step hitting an integer) passes the cap
     test, so the term saturates at T_cap.
 
-    The terms come in blocks of _BLOCK_STEPS steps.  The top 96 bits of
-    m*step mod 2^F, a uint64 word and a 32-bit sub-limb whose carry joins it,
-    follow the linear closed form from the block's first step; cutting leaves
-    them short by less than k + 1 units of 2^-96 at offset k.  So the fold g
-    of the word bounds ar strictly between g - 2 and g + 2 units of
-    2^(F-64).  When float64 rounds both ends to one value, float(ar) is that
-    value; when both ends clear the cap test and the refusal the same way,
-    so does ar.  Every other step (a fold below about 2^-11, near a rounding
-    tie, the cap or the radius) takes the bigint path.
+    The terms come in blocks of _BLOCK_STEPS steps.  The word of the top 96
+    bits of m*step mod 2^F comes from _phase_limbs of the linear phase, short
+    by less than k + 1 units of 2^-96 at offset k.  So the fold g of the
+    word bounds ar strictly between g - 2 and g + 2 units of 2^(F-64).  When
+    float64 rounds both ends to one value, float(ar) is that value; when
+    both ends clear the cap test and the refusal the same way, so does ar.
+    Every other step (a fold below about 2^-11, near a rounding tie, the cap
+    or the radius) takes the bigint path.
     """
     E = step_err * count
     if exceeds(E, F, PHASE_TOL):
@@ -410,15 +409,10 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
     cap_in = np.uint64(min((1 << 64) // T_cap, word))
     e_out = np.uint64(-((-E << 64) >> F))
     two = np.uint64(2)
-    (Dh,), (Dl,) = _top96([step_mant], F)
-    k = np.arange(min(_BLOCK_STEPS, count), dtype=np.uint64)
     total = 0.0
     comp = 0.0
     for m0 in range(1, count + 1, _BLOCK_STEPS):
-        kb = k[:count + 1 - m0]
-        (Xh,), (Xl,) = _top96([m0 * step_mant], F)
-        lo = Xl + Dl * kb
-        hi = Xh + Dh * kb + (lo >> np.uint64(32))
+        hi = _phase_limbs([0], [step_mant], m0, min(_BLOCK_STEPS, count + 1 - m0), F)[0][:, 0]
         g = np.minimum(hi, -hi)
         low = np.maximum(g, two) - two
         up = g + two
@@ -446,8 +440,8 @@ def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: in
 def weyl_differencing_bound(n: int, alpha: FixedReal, T: int) -> float:
     """T + 2 * sum_{m=1}^{T} min(1/||2*n*m*alpha||, T).
 
-    Classical differencing upper bound for |weyl_sum|^2; independent of the
-    linear coefficient.
+    Classical differencing upper bound for the squared modulus of a lane's
+    sum in weyl_sum_lanes; independent of the linear coefficient.
     """
     if T < 1:
         raise ValidationError("range T must be >= 1")
@@ -469,8 +463,6 @@ def sum_min_explicit_bound(alpha: FixedReal, M: int, T: int) -> float:
     Natural logarithm; the denominator comes from dirichlet_approx so the
     value is reproducible bit for bit.
     """
-    from .diophantine import dirichlet_approx
-
     if T < 2:
         raise ValidationError("T must be >= 2")
     if M < 0:

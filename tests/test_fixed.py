@@ -16,7 +16,7 @@ from qdensity import (
     count_orbit_hits,
     parse_real,
     phi,
-    weyl_sum,
+    weyl_sum_lanes,
 )
 from qdensity.fixed import _round_div, _round_shift, exceeds
 
@@ -229,7 +229,7 @@ class TestPrecisionChange:
         lambda a, b: a / b,
         lambda a, b: as_fixed(b, a.F),
         lambda a, b: ShiftVector(a, a, b),
-        lambda a, b: weyl_sum(1, a, b, 10),
+        lambda a, b: weyl_sum_lanes([(1, a, b)], 10),
         lambda a, b: count_orbit_hits(a, a, a, TorusPoint2(b, b), 10, 0.1),
     ], ids=["add", "sub", "mul", "div", "as_fixed", "ShiftVector", "weyl_sum", "count_orbit_hits_v0"])
     def test_every_entry_point_refuses_another_precision(self, combine):

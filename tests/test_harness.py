@@ -259,6 +259,29 @@ class TestCliRuns:
         rows = read_rows(out)
         assert len(rows) == 2 and all(float(r["min_residual"]) > 0 for r in rows)
 
+    def test_exponent_solver_mode_refuses_another_form(self, tmp_path, capsys):
+        head = ["exponent", "--mode", "solver", "--xi", "sqrt:2 0 0", "--T", "100,10000"]
+        cfg_file = tmp_path / "form.cfg"
+        cfg_file.write_text("form = 1 1 -1 0 0 0\n")
+        message = "error: solver mode takes the standard form only; use oracle mode for another form\n"
+        for argv in (head + ["--form", "1 1 -1 0 0 0"], head + ["--config", str(cfg_file)]):
+            assert _run_quiet(argv) == (1, message)
+        capsys.readouterr()
+        assert run_cli(head) == 0
+        default = capsys.readouterr().out
+        assert run_cli(head + ["--form", "0 1 0 0 -2 0"]) == 0
+        assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("delta", ["1e-162", "1e-163", "1e-300"])
+    def test_count_orbit_ratio_where_the_area_underflows(self, delta, capsys):
+        # pi*T*delta^2 underflows to 0 below about 4e-163; the ratio n_phi / area
+        # then rounds to 0 with no hit and to inf with one, as it does where the
+        # area is subnormal
+        for xi, n_phi, ratio in (("sqrt:2 0/1 0/1", "0", "0"), ("0 0 0", "5", "inf")):
+            assert run_cli(["count-orbit", "--xi", xi, "--v0", "0 0", "--T", "5", "--delta", delta]) == 0
+            row = capsys.readouterr().out.splitlines()[1].split(",")
+            assert (row[2], row[3]) == (n_phi, ratio)
+
     def test_exponent_solver_mode_refuses_uncertified_digits(self, capsys):
         code = run_cli(["exponent", "--mode", "solver", "--precision", "64", "--xi", "sqrt:2 0/1 0/1",
                         "--t=1/3", "--T", "100,10000,1000000,100000000"])

@@ -916,6 +916,15 @@ class TestExponent:
         # oracle mode does not read scan_c
         assert estimate_critical_exponent(xi_sqrt2, 0, (4,), mode="oracle", scan_c=scan_c)
 
+    def test_solver_mode_refuses_another_form(self, xi_sqrt2):
+        other = TernaryForm.from_string("1 1 -1 0 0 0")
+        with pytest.raises(ValidationError, match="^solver mode takes the standard form only; "):
+            estimate_critical_exponent(xi_sqrt2, 0, (100,), mode="solver", form=other)
+        # the standard form given explicitly runs as the default does
+        standard = TernaryForm.from_string("0 1 0 0 -2 0")
+        assert (estimate_critical_exponent(xi_sqrt2, 0, (100,), mode="solver", form=standard)
+                == estimate_critical_exponent(xi_sqrt2, 0, (100,), mode="solver"))
+
     def test_solver_mode_huge_scan_c_stops_at_the_norm_cut(self, xi_sqrt2):
         started = time.perf_counter()
         rows = estimate_critical_exponent(xi_sqrt2, Fraction(1, 3), (100, 10000), mode="solver",

@@ -24,7 +24,6 @@ from qdensity import (
     sum_min_explicit_bound,
     unipotent,
     weyl_differencing_bound,
-    weyl_sum,
     weyl_sum_lanes,
 )
 from qdensity import weyl_sums
@@ -36,6 +35,7 @@ from qdensity.weyl_sums import (
     TWO_PI,
     WeylSumResult,
     _orbit_radius,
+    _phase_limbs,
     _phase_to_float,
     _scan_orbit,
     _sum_min_kernel,
@@ -107,8 +107,13 @@ def scan_orbit_reference(alpha, beta, gamma, vx, vy, T, thr):
         dy += step
 
 
+def phase_float_reference(x, F):
+    """The top 53 bits of x in [0, 2^F) as a float in [0, 1), written apart from weyl_sums._phase_to_float."""
+    return math.ldexp(float(x >> (F - 53)), -53) if F > 53 else math.ldexp(float(x), -F)
+
+
 def weyl_sum_reference(n, alpha, beta, T):
-    """Per-term bigint reference for weyl_sums.weyl_sum: the same floats in the same order, no blocks."""
+    """Per-term bigint reference for one lane of weyl_sums.weyl_sum_lanes: the same floats in the same order, no blocks."""
     if T < 1:
         raise ValidationError("sum length T must be >= 1")
     F = alpha.F
@@ -130,7 +135,7 @@ def weyl_sum_reference(n, alpha, beta, T):
     dd = 2 * PA
     cos, sin = math.cos, math.sin
     for _ in range(T):
-        ang = TWO_PI * _phase_to_float(x & mask, F)
+        ang = TWO_PI * phase_float_reference(x & mask, F)
         t = cos(ang) - cre
         s = re + t
         cre = (s - re) - t
@@ -385,40 +390,40 @@ class TestScanOrbitDifferential:
 
 class TestWeylSum:
     def test_zero_alpha_beta_gives_length(self, zero):
-        s = weyl_sum(5, zero, zero, 17)
+        (s,) = weyl_sum_lanes([(5, zero, zero)], 17)
         assert s.re == pytest.approx(17.0) and s.im == pytest.approx(0.0)
 
     def test_half_beta_cancels(self, zero):
-        s = weyl_sum(0, zero, as_fixed(Fraction(1, 2)), 2)
+        (s,) = weyl_sum_lanes([(0, zero, as_fixed(Fraction(1, 2)))], 2)
         assert abs(s.re) < 1e-12 and abs(s.im) < 1e-12
 
     def test_mixed_precisions_refused(self, sqrt2):
         beta = FixedReal.zero(128)
         with pytest.raises(ValidationError, match="^sum coefficients must share one precision$"):
-            weyl_sum(1, sqrt2, beta, 10)
+            weyl_sum_lanes([(1, sqrt2, beta)], 10)
         with pytest.raises(ValidationError, match="^sum coefficients must share one precision$"):
-            weyl_sum(1, FixedReal.sqrt_int(2, 128), FixedReal.zero(), 10)
+            weyl_sum_lanes([(1, FixedReal.sqrt_int(2, 128), FixedReal.zero())], 10)
 
     def test_magnitude_never_exceeds_length(self, sqrt2, golden, zero):
         for alpha in (sqrt2, golden):
             for n in (1, 3):
-                s = weyl_sum(n, alpha, zero, 500)
+                (s,) = weyl_sum_lanes([(n, alpha, zero)], 500)
                 assert s.magnitude() <= 500.0
 
     def test_zero_frequency_sums_to_length(self, sqrt2, golden, zero):
         for alpha in (sqrt2, golden):
-            s = weyl_sum(0, alpha, zero, 123)
+            (s,) = weyl_sum_lanes([(0, alpha, zero)], 123)
             assert s.re == pytest.approx(123.0) and s.im == pytest.approx(0.0)
 
     def test_cancellation_at_scale(self, sqrt2, zero):
-        s = weyl_sum(1, sqrt2, zero, 10**4)
+        (s,) = weyl_sum_lanes([(1, sqrt2, zero)], 10**4)
         # quadratic phases cancel down to a few sqrt(T)
         assert s.magnitude() < 10**4 / 10
         assert s.magnitude() ** 2 <= weyl_differencing_bound(1, sqrt2, 10**4) * (1 + 1e-6)
 
     def test_against_independent_sum(self, sqrt2):
         beta = as_fixed(Fraction(3, 7))
-        s = weyl_sum(2, sqrt2, beta, 300)
+        (s,) = weyl_sum_lanes([(2, sqrt2, beta)], 300)
         mpmath.mp.dps = 50
         a = mpmath.sqrt(2)
         b = mpmath.mpf(3) / 7
@@ -427,6 +432,11 @@ class TestWeylSum:
             acc += mpmath.expjpi(2 * mpmath.frac(2 * a * m * m + b * m))
         assert s.re == pytest.approx(float(acc.real), abs=1e-9)
         assert s.im == pytest.approx(float(acc.imag), abs=1e-9)
+
+
+def one_lane(n, alpha, beta, T):
+    """weyl_sum_lanes of the one lane (n, alpha, beta)."""
+    return weyl_sum_lanes([(n, alpha, beta)], T)[0]
 
 
 def weyl_outcome(fn, n, alpha, beta, T):
@@ -454,7 +464,7 @@ weyl_lengths = st.one_of(
 
 def reference_phases(PA, PB, m0, cnt, F):
     mask = (1 << F) - 1
-    return [_phase_to_float((PA * m * m + PB * m) & mask, F) for m in range(m0, m0 + cnt)]
+    return [phase_float_reference((PA * m * m + PB * m) & mask, F) for m in range(m0, m0 + cnt)]
 
 
 class TestWeylSumDifferential:
@@ -464,10 +474,10 @@ class TestWeylSumDifferential:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, F, data, T, n):
         alpha, beta = data.draw(fixed_reals(F)), data.draw(fixed_reals(F))
-        assert (weyl_outcome(weyl_sum, n, alpha, beta, T)
+        assert (weyl_outcome(one_lane, n, alpha, beta, T)
                 == weyl_outcome(weyl_sum_reference, n, alpha, beta, T))
 
-    @given(F=st.sampled_from([96, 128, 256, 512]), top=st.integers(0, (1 << 53) - 1),
+    @given(F=st.sampled_from([96, 128, 256, 512, 2048]), top=st.integers(0, (1 << 53) - 1),
            slack=st.integers(0, 4), data=st.data(),
            T=st.sampled_from([_BLOCK_STEPS, 2 * _BLOCK_STEPS + 7]))
     @settings(max_examples=25, deadline=None)
@@ -479,7 +489,7 @@ class TestWeylSumDifferential:
         mant = (bits << (F - 96)) | data.draw(st.integers(0, (1 << (F - 96)) - 1))
         alpha, beta = FixedReal(0, 0, F), FixedReal(mant, 0, F)
         with mock.patch.object(weyl_sums, "_phase_to_float", wraps=_phase_to_float) as exact:
-            got = weyl_outcome(weyl_sum, 1, alpha, beta, T)
+            got = weyl_outcome(one_lane, 1, alpha, beta, T)
         assert got == weyl_outcome(weyl_sum_reference, 1, alpha, beta, T)
         assert exact.call_count > T // 2
 
@@ -503,12 +513,32 @@ class TestWeylSumDifferential:
         assert ((PA * m * m + PB * m) >> s) % (1 << 43) == 0
         assert _weyl_phases([PA], [PB], 1, m, F)[:, 0].tolist() == reference_phases(PA, PB, 1, m, F)
 
-    @given(F=st.sampled_from([64, 128, 256]), data=st.data(),
+    @given(F=st.sampled_from([64, 128, 256, 1024, 2048]), data=st.data(),
            m0=st.one_of(st.just(1), st.integers(1, 10**12)), cnt=st.integers(1, _BLOCK_STEPS))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_block_phases_match_per_term(self, F, data, m0, cnt):
-        PA, PB = (data.draw(st.integers(-(1 << (F + 8)), 1 << (F + 8))) for _ in range(2))
-        assert _weyl_phases([PA], [PB], m0, cnt, F)[:, 0].tolist() == reference_phases(PA, PB, m0, cnt, F)
+        # a quadratic lane next to a PA = 0 lane, the linear phase the sum-min kernel walks
+        PA, PB, PB0 = (data.draw(st.integers(-(1 << (F + 8)), 1 << (F + 8))) for _ in range(3))
+        ph = _weyl_phases([PA, 0], [PB, PB0], m0, cnt, F)
+        assert ph[:, 0].tolist() == reference_phases(PA, PB, m0, cnt, F)
+        assert ph[:, 1].tolist() == reference_phases(0, PB0, m0, cnt, F)
+
+    @given(F=st.sampled_from([32, 64, 96, 128, 256, 1024]), data=st.data(),
+           m0=st.integers(1, 10**12), cnt=st.integers(1, _BLOCK_STEPS))
+    @settings(max_examples=40, deadline=None)
+    def test_phase_limbs_truncation_bound(self, F, data, m0, cnt):
+        # the limbs are short of the top 96 bits of the phase by at most k + tri at
+        # offset k, and by at most k when PA = 0: the sum-min kernel's +-2 slack
+        mants = st.integers(-(1 << (F + 8)), 1 << (F + 8))
+        PA, PB = [0, data.draw(mants)], [data.draw(mants), data.draw(mants)]
+        hi, lo = _phase_limbs(PA, PB, m0, cnt, F)
+        for i in range(2):
+            for k in range(cnt):
+                m = m0 + k
+                # floor of the phase mod 1 in units of 2^-96
+                short = (((PA[i] * m * m + PB[i] * m) % (1 << F) << 96 >> F)
+                         - (int(hi[k, i]) << 32) - (int(lo[k, i]) & 0xFFFFFFFF)) % (1 << 96)
+                assert short <= k + (k * (k - 1) // 2 if PA[i] else 0)
 
 
 def lane_set(F, L, seed):
@@ -601,7 +631,7 @@ class TestDifferencingBound:
         bound = weyl_differencing_bound(1, sqrt2, 100)
         for j in range(100):
             beta = as_fixed(Fraction(j, 100))
-            s = weyl_sum(1, sqrt2, beta, 100)
+            (s,) = weyl_sum_lanes([(1, sqrt2, beta)], 100)
             assert s.magnitude() ** 2 <= bound * (1 + 1e-6)
 
     def test_dominates_random_beta_golden(self, golden):
@@ -609,7 +639,7 @@ class TestDifferencingBound:
         rng = Lcg64(99)
         for _ in range(20):
             beta = rng.next_unit(golden.F)
-            s = weyl_sum(3, golden, beta, 1000)
+            (s,) = weyl_sum_lanes([(3, golden, beta)], 1000)
             assert s.magnitude() ** 2 <= bound * (1 + 1e-6)
 
     @pytest.mark.parametrize("F", [64, 256])

@@ -76,6 +76,11 @@ The call list:
     whose scan is shorter than one step (``--T 4 --scan-c 0.1``)
   - solve, count-orbit and oracle-count calls given both delta and nu, as
     flags and as a config file plus a flag, and oracle-count given nu alone
+  - count-orbit at ``--delta`` 1e-162, 1e-163 and 1e-300, with no hit and
+    with every step a hit, where the area pi*T*delta^2 under its ratio is
+    subnormal or underflows to 0
+  - solver-mode exponent with a non-standard form, as ``--form`` and from a
+    config file, and with the standard literal ``0 1 0 0 -2 0``
   - the README examples and one refused run with ``--out out.csv``; the
     bytes of that file, when the run writes one, are appended to the stdout
     the call compares
@@ -215,6 +220,12 @@ GAP_CALLS = [[*SOLVE_HEAD, "--T", "10000", "--delta", "0.1", "--nu", "0.7"],
              [*ORBIT_HEAD, "--delta", "0.1", "--nu", "5"],
              ["oracle-count", "--xi", "0 0 0", "--T", "4", "--delta", "0.1", "--nu", "5"],
              ["oracle-count", "--xi", "0 0 0", "--T", "4", "--nu", "0.1"]]
+# the count-orbit ratio n_phi / (pi*T*delta^2) where the area is subnormal or 0
+UNDERFLOW_CALLS = [["count-orbit", "--xi", xi, "--v0", "0 0", "--T", "5", "--delta", delta]
+                   for xi in ("sqrt:2 0/1 0/1", "0 0 0") for delta in ("1e-162", "1e-163", "1e-300")]
+# solver mode runs the standard form only
+FORM_HEAD = ["exponent", "--mode", "solver", "--xi", "sqrt:2 0 0", "--T", "100,10000"]
+SOLVER_FORM_CALLS = [[*FORM_HEAD, f"--form={form}"] for form in ("1 1 -1 0 0 0", "0 1 0 0 -2 0")]
 DIRECTION_CALLS = [
     ["solve", *xi, "--T", "1000000", "--delta", "0.2", "--q-max", "1000", *pair]
     for xi, pair in ((DIRECTION_XI, ["--a", "1", "--c", "1"]), (DIRECTION_XI, ["--a", "2", "--c", "4"]),
@@ -259,6 +270,7 @@ CONFIG_CALLS = config_calls(["solve"], SOLVE_KEYS) + config_calls(["verify-lemma
     (["verify-lemmas", "--config", "missing.cfg"], None),
     ([*SOLVE_HEAD, "--T", "10000", "--config", CONFIG, "--delta", "0.1"], "nu = 0.7\n"),
     ([*ORBIT_HEAD, "--config", CONFIG, "--delta", "0.1"], "nu = 5\n"),
+    ([*FORM_HEAD, "--config", CONFIG], "form = 1 1 -1 0 0 0\n"),
 ]
 
 
@@ -442,7 +454,8 @@ def main(argv=None) -> int:
     for call in ([(argv_, None) for argv_ in readme_calls() + perfbench_calls() + drawn_calls()
                   + ZERO_ALPHA_CALLS + LIFT_CALLS + REACH_CALLS + PHASE_REFUSAL_CALLS + LANE_CALLS
                   + WIDE_CALLS + INPUT_REFUSAL_CALLS
-                  + EXACT_TIE_CALLS + DIRECTION_CALLS + INPUT_PATH_CALLS + GAP_CALLS + out_calls()]
+                  + EXACT_TIE_CALLS + DIRECTION_CALLS + INPUT_PATH_CALLS + GAP_CALLS + UNDERFLOW_CALLS
+                  + SOLVER_FORM_CALLS + out_calls()]
                  + CONFIG_CALLS):
         if call not in calls:
             calls.append(call)
