@@ -15,18 +15,13 @@ from .diophantine import (
     DirectionChoice,
     continued_fraction,
     convergents,
-    convergents_up_to,
     diophantine_direction,
     dirichlet_approx,
     estimate_kappa,
 )
 from .errors import (
-    AllRational,
-    AlphaZero,
-    CapExceeded,
     PrecisionExhausted,
     QDensityError,
-    RationalDetected,
     SoundnessError,
     ValidationError,
 )
@@ -45,7 +40,6 @@ from .solver import (
     OracleCount,
     Solution,
     SolveReport,
-    count_values_bruteforce,
     count_values_grid,
     estimate_critical_exponent,
     find_solutions,

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import AllRational, PrecisionExhausted, RationalDetected, ValidationError
+from .errors import PrecisionExhausted, ValidationError
 from .fixed import FixedReal
 from .forms import ShiftVector
 
@@ -118,14 +118,6 @@ def _expand_until(alpha: FixedReal, stop_q: int) -> tuple[CFExpansion, list[Conv
     return cf, convergents(cf, alpha)
 
 
-def convergents_up_to(alpha: FixedReal, q_max: int) -> list[Convergent]:
-    """All certified convergents with denominator at most q_max."""
-    if q_max < 1:
-        raise ValidationError("q_max must be >= 1")
-    _, conv = _expand_until(alpha, q_max)
-    return [c for c in conv if c.q <= q_max]
-
-
 def dirichlet_approx(alpha: FixedReal, T: int) -> Convergent:
     """The convergent with the largest denominator q <= T.
 
@@ -145,29 +137,36 @@ def dirichlet_approx(alpha: FixedReal, T: int) -> Convergent:
 
 @dataclass
 class DiophantineEstimate:
-    """Finite-range certificate dist >= c_hat / q^kappa_hat for q <= q_max."""
+    """Finite-range certificate dist >= c_hat / q^kappa_hat for q <= q_max.
+
+    ``convergents`` are the certified convergents with q <= q_max the
+    certificate was fitted on, q = 1 included; two estimates compare equal on
+    the fitted numbers alone, since FixedReal distances compare by identity.
+    """
 
     kappa_hat: float
     c_hat: float
     q_max: int
     per_convergent: list[tuple[int, float]] = field(default_factory=list)
+    convergents: list[Convergent] = field(default_factory=list, compare=False)
 
 
 def estimate_kappa(alpha: FixedReal, q_max: int) -> DiophantineEstimate:
     """Empirical badness exponent of alpha over denominators up to q_max.
 
     Convergents suffice as sample points since they minimize the circle
-    distance among all smaller denominators; an exact rational raises
-    RationalDetected because rational values admit no such exponent.
+    distance among all smaller denominators; an exact rational is refused
+    because rational values admit no such exponent.
     """
     if q_max < 2:
         raise ValidationError("q_max must be >= 2")
     if alpha.exact is not None:
-        raise RationalDetected("value is rational; badness exponent undefined")
+        raise ValidationError("value is rational; badness exponent undefined")
     _, conv = _expand_until(alpha, q_max)
     if not conv or conv[-1].q <= q_max:
         raise PrecisionExhausted("could not certify convergents through q_max")
-    all_pts = [(c.q, c.dist.to_float()) for c in conv if c.q <= q_max]
+    within = [c for c in conv if c.q <= q_max]
+    all_pts = [(c.q, c.dist.to_float()) for c in within]
     pts = [(q, d) for q, d in all_pts if q >= 2]
     if not pts:
         raise ValidationError("no convergent with 2 <= q <= q_max")
@@ -192,7 +191,7 @@ def estimate_kappa(alpha: FixedReal, q_max: int) -> DiophantineEstimate:
     # the constant covers every convergent in range, q = 1 included, shaved by
     # one part in 1e12 so float rounding cannot break the certificate
     c_hat = min(term(q, d) for q, d in all_pts) * (1.0 - 1e-12)
-    return DiophantineEstimate(kappa_hat, c_hat, q_max, local)
+    return DiophantineEstimate(kappa_hat, c_hat, q_max, local, within)
 
 
 @dataclass
@@ -201,7 +200,6 @@ class DirectionChoice:
 
     a: int
     c: int
-    alpha_tilde: FixedReal
     estimate: DiophantineEstimate
 
 
@@ -220,22 +218,35 @@ def _direction_candidates(B: int):
 def diophantine_direction(xi: ShiftVector, B: int, q_max: int) -> DirectionChoice:
     """Scan coprime directions |a|, |c| <= B for the best badness exponent.
 
-    Directions whose combination is detected rational are skipped; if every
-    candidate is rational the shift cannot feed the solver and AllRational is
-    raised.  Ties in the exponent break by smaller |a| + |c|, then
-    lexicographically, so the reduction is order-independent.
+    Directions whose combination is detected rational are skipped, and so are
+    those within about 1/q_max of an integer, which have no convergent with
+    2 <= q <= q_max to fit; if no candidate is left the shift cannot feed the
+    solver and a ValidationError says why.  A PrecisionExhausted from any
+    direction ends the scan.  Ties in the exponent break by smaller |a| + |c|,
+    then lexicographically, so the reduction is order-independent.
     """
     if B < 1:
         raise ValidationError("direction bound must be >= 1")
+    if q_max < 2:
+        raise ValidationError("q_max must be >= 2")
     best: Optional[tuple[float, int, tuple[int, int], DirectionChoice]] = None
+    irrational = False
     for a, c in _direction_candidates(B):
         combo = xi.alpha.mul_int(a * a) + xi.beta.mul_int(a * c) + xi.gamma.mul_int(c * c)
         if combo.exact is not None:
             continue
-        est = estimate_kappa(combo, q_max)
+        irrational = True
+        try:
+            est = estimate_kappa(combo, q_max)
+        except ValidationError:
+            # q_max and rationality are settled, so only an empty fit range is left
+            continue
         key = (est.kappa_hat, abs(a) + abs(c), (a, c))
         if best is None or key < best[:3]:
-            best = (*key, DirectionChoice(a, c, combo, est))
+            best = (*key, DirectionChoice(a, c, est))
+    if best is None and irrational:
+        raise ValidationError(
+            "no direction is left: each combination is rational or has no convergent with 2 <= q <= q_max")
     if best is None:
-        raise AllRational("every direction produced a rational combination")
+        raise ValidationError("every direction produced a rational combination")
     return best[3]

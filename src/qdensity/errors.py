@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Every error derives from exactly one of three bases, and the CLI maps each
-base onto one process exit code: :class:`ValidationError` exits 1,
-:class:`PrecisionExhausted` exits 2 and :class:`SoundnessError` exits 3.  A
-new refusal picks its exit code by picking its base here.
+Every refusal raises one of three bases, and the CLI maps each base onto one
+process exit code: :class:`ValidationError` exits 1, :class:`PrecisionExhausted`
+exits 2 and :class:`SoundnessError` exits 3.  A refusal says what went wrong in
+its message and picks its exit code by picking its base; no subclass restates
+an exit code.
 """
 
 
@@ -30,19 +31,3 @@ class SoundnessError(QDensityError):
     in a correct build.
     """
 
-
-class RationalDetected(ValidationError):
-    """A value turned out to be rational where an irrational is required."""
-
-
-class AllRational(ValidationError):
-    """Every candidate direction produced a rational value."""
-
-
-class AlphaZero(ValidationError):
-    """The leading coordinate is indistinguishable from zero, so the lifted
-    shift, which adds t/(4*alpha) to gamma, is undefined for a nonzero t."""
-
-
-class CapExceeded(ValidationError):
-    """A brute-force enumeration was asked to scan beyond its hard cap."""

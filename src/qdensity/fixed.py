@@ -318,7 +318,7 @@ class FixedReal:
 
 
 def as_fixed(value, F: int = DEFAULT_PRECISION) -> FixedReal:
-    """Lift ints, Fractions, floats and literal strings to FixedReal at F.
+    """Lift ints, Fractions and floats to FixedReal at F; parse_real reads literals.
 
     A FixedReal at another precision is refused, not converted.
     """
@@ -328,8 +328,6 @@ def as_fixed(value, F: int = DEFAULT_PRECISION) -> FixedReal:
         return value
     if isinstance(value, (int, Fraction, float)):
         return FixedReal.from_fraction(value, F)
-    if isinstance(value, str):
-        return parse_real(value, F)
     raise TypeError(f"cannot convert {type(value).__name__} to FixedReal")
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import diophantine, isometries, solver, weyl_sums
-from .errors import AllRational, PrecisionExhausted, SoundnessError, ValidationError
+from .errors import PrecisionExhausted, SoundnessError, ValidationError
 from .fixed import DEFAULT_PRECISION, MAX_PRECISION, MIN_PRECISION, FixedReal, parse_real
 from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
 from .weyl_sums import TorusPoint2
@@ -115,8 +115,6 @@ OPTIONS = (
 )
 
 DEFAULTS: dict[str, str] = {opt.key: opt.default for opt in OPTIONS}
-
-SUBCOMMANDS = ("solve", "count-orbit", "verify-lemmas", "kappa", "exponent", "oracle-count")
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -286,7 +284,7 @@ def _direction(cfg: RunConfig, xi: ShiftVector):
         M = _direction_matrix(a, c)
         xi_t = isometries.apply(xi, M)
         if xi_t.alpha.exact is not None:
-            raise AllRational("supplied direction produces a rational combination")
+            raise ValidationError("supplied direction produces a rational combination")
         est = diophantine.estimate_kappa(xi_t.alpha, cfg["q_max"])
     else:
         choice = diophantine.diophantine_direction(xi, cfg["direction_bound"], cfg["q_max"])
@@ -339,7 +337,9 @@ def run_solve(cfg: RunConfig):
         f"transform={list(list(r) for r in M.rows)}",
         f"count={report.count}",
     ]
-    return meta, solver.SolveReport.CSV_HEADER, report.rows()
+    rows = [(s.m, s.u[1], s.u[2], s.v[0], s.v[1], s.v[2], s.value, s.residual, s.torus_miss)
+            for s in report.solutions]
+    return meta, ("m", "a", "b", "v1", "v2", "v3", "value", "residual", "torus_miss"), rows
 
 
 def run_count_orbit(cfg: RunConfig):
@@ -411,17 +411,15 @@ def run_kappa(cfg: RunConfig):
     if cfg["alpha"] is not None:
         if any(cfg[key] is not None for key in ("xi", "a", "c")):
             raise ValidationError("alpha cannot be combined with xi, a or c")
-        alpha = parse_real(cfg["alpha"], F)
-        est = diophantine.estimate_kappa(alpha, q_max)
+        est = diophantine.estimate_kappa(parse_real(cfg["alpha"], F), q_max)
     elif cfg["xi"] is not None:
-        a, c, _, xi_t, est = _direction(cfg, cfg.xi(F))
-        alpha = xi_t.alpha
+        a, c, _, _, est = _direction(cfg, cfg.xi(F))
         meta.extend([f"a={a}", f"c={c}"])
     else:
         raise ValidationError("kappa needs alpha or xi")
     local = dict(est.per_convergent)
     rows = [(k, cv.p, cv.q, cv.dist.to_float(), local.get(cv.q, ""), est.kappa_hat, est.c_hat, est.q_max)
-            for k, cv in enumerate(diophantine.convergents_up_to(alpha, q_max))]
+            for k, cv in enumerate(est.convergents)]
     header = ("k", "p", "q", "dist", "kappa_local", "kappa_hat", "c_hat", "q_max")
     return meta, header, rows
 
@@ -483,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Experiments on small values of shifted isotropic ternary quadratic forms.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--out", help="CSV output path (default: stdout)")

@@ -51,7 +51,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import AlphaZero, CapExceeded, PrecisionExhausted, ValidationError
+from .errors import PrecisionExhausted, ValidationError
 from .fixed import FixedReal, _mant_to_float, _round_shift, as_fixed, exceeds
 from .forms import ShiftVector, TernaryForm, evaluate_shifted, standard_form
 from .weyl_sums import REDUCTION_TOL, _orbit_blocks, _orbit_radius, _scan_orbit
@@ -77,14 +77,6 @@ class SolveReport:
     def __post_init__(self):
         self.count = len(self.solutions)
 
-    CSV_HEADER = ("m", "a", "b", "v1", "v2", "v3", "value", "residual", "torus_miss")
-
-    def rows(self) -> list[tuple]:
-        return [
-            (s.m, s.u[1], s.u[2], s.v[0], s.v[1], s.v[2], s.value, s.residual, s.torus_miss)
-            for s in self.solutions
-        ]
-
 
 def lifted_shift(xi: ShiftVector, t) -> ShiftVector:
     """xi_t = (alpha, beta, gamma + t/(4*alpha)): Q(v + xi) - t = Q(v + xi_t) wherever v1 = 0.
@@ -99,7 +91,7 @@ def lifted_shift(xi: ShiftVector, t) -> ShiftVector:
     if t_fix.exact == 0:
         return xi
     if xi.alpha.contains_zero():
-        raise AlphaZero("leading coordinate indistinguishable from zero")
+        raise ValidationError("leading coordinate indistinguishable from zero")
     return ShiftVector(xi.alpha, xi.beta, xi.gamma + t_fix / xi.alpha.mul_int(4))
 
 
@@ -394,12 +386,6 @@ def _chord_polynomials(form: TernaryForm, xi: ShiftVector, t_fix: FixedReal, del
     return A, chord
 
 
-def count_values_bruteforce(form: TernaryForm, xi: ShiftVector, t, T: int, delta: float,
-                            cap: int = 300) -> OracleCount:
-    """Exact count and minimum over the ball ||v|| <= T: count_values_grid on the grid (T,)."""
-    return count_values_grid(form, xi, t, (T,), delta, cap)[0]
-
-
 def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[int], delta: float,
                       cap: int = 300) -> list[OracleCount]:
     """Exact count and minimum over each ball ||v|| <= T of T_grid, from one sweep.
@@ -435,7 +421,7 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
         if T < 0:
             raise ValidationError("T must be >= 0")
         if T > cap:
-            raise CapExceeded(f"T={T} exceeds the enumeration cap {cap}")
+            raise ValidationError(f"T={T} exceeds the enumeration cap {cap}")
     if not T_grid:
         return []
 

@@ -18,7 +18,7 @@ from qdensity import (
     TorusPoint2,
     as_fixed,
     count_orbit_hits,
-    count_values_bruteforce,
+    count_values_grid,
     dirichlet_approx,
     estimate_critical_exponent,
     estimate_kappa,
@@ -163,7 +163,7 @@ def test_criterion_6_solver_oracle_agreement():
     for t in (0, Fraction(1, 3)):
         rep = find_solutions(xi, t, T, delta, scan_c=2.0, bound_C=32.0)
         thr = 32.0 * delta
-        oracle = count_values_bruteforce(STD, xi, t, T, thr)
+        oracle = count_values_grid(STD, xi, t, (T,), thr)[0]
         assert oracle.count >= rep.count >= 1
         t_fix = as_fixed(t)
         for s in rep.solutions:

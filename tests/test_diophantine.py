@@ -5,23 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qdensity import diophantine
+from qdensity import diophantine, isometries
 from qdensity import (
-    AllRational,
     FixedReal,
     PrecisionExhausted,
-    RationalDetected,
     ShiftVector,
     ValidationError,
     continued_fraction,
     convergents,
-    convergents_up_to,
     diophantine_direction,
     dirichlet_approx,
     estimate_kappa,
     parse_real,
 )
 from qdensity.diophantine import CFExpansion
+from qdensity.harness import _direction_matrix
 
 
 def continued_fraction_reference(alpha: FixedReal, n_terms: int) -> CFExpansion:
@@ -221,7 +219,7 @@ class TestConvergents:
     def test_best_approximation_small_scale(self, sqrt2, golden):
         # each convergent beats every smaller denominator, checked brute force
         for alpha in (sqrt2, golden):
-            conv = [c for c in convergents_up_to(alpha, 10**4) if c.q >= 2]
+            conv = [c for c in estimate_kappa(alpha, 10**4).convergents if c.q >= 2]
             for c in conv:
                 dist_c = c.dist.midpoint()
                 for q in range(1, c.q):
@@ -280,9 +278,10 @@ class TestExpansionSizing:
 
         for q, est in zip(q_range, expected):
             within = [key(c) for c in ref_conv if c.q <= q]
-            assert [key(c) for c in convergents_up_to(alpha, q)] == within
+            got = estimate_kappa(alpha, q)
+            assert [key(c) for c in got.convergents] == within
             assert key(dirichlet_approx(alpha, q)) == within[-1]
-            assert estimate_kappa(alpha, q) == est
+            assert got == est
 
     def test_sizing_bound_on_fibonacci(self):
         # 3*bits/2 + 3 quotients pass stop_q when it sits on or just below a
@@ -299,13 +298,13 @@ class TestKappaEstimate:
         est = estimate_kappa(golden, 10**6)
         assert 1.0 <= est.kappa_hat <= 1.05
         assert est.c_hat > 0 and est.q_max == 10**6
-        for c in convergents_up_to(golden, 10**6):
+        for c in est.convergents:
             assert c.dist.to_float() >= est.c_hat / c.q**est.kappa_hat
 
     def test_sqrt2_certificate(self, sqrt2):
         est = estimate_kappa(sqrt2, 10**6)
         assert 1.0 <= est.kappa_hat <= 1.1
-        for c in convergents_up_to(sqrt2, 10**6):
+        for c in est.convergents:
             assert c.dist.to_float() >= est.c_hat / c.q**est.kappa_hat
 
     def test_quadratic_surds_report_near_one(self):
@@ -314,9 +313,9 @@ class TestKappaEstimate:
             assert estimate_kappa(alpha, 10**4).kappa_hat <= 1.1
 
     def test_rational_detected(self):
-        with pytest.raises(RationalDetected):
+        with pytest.raises(ValidationError, match="^value is rational; badness exponent undefined$"):
             estimate_kappa(parse_real("1/2"), 100)
-        with pytest.raises(RationalDetected):
+        with pytest.raises(ValidationError, match="^value is rational; badness exponent undefined$"):
             estimate_kappa(parse_real("dec:0.5"), 100)
 
     def test_denominator_growth_consequence(self, sqrt2, golden):
@@ -336,11 +335,17 @@ class TestKappaEstimate:
         assert all(k > 1.0 for _, k in est.per_convergent)
 
 
+def alpha_tilde(xi: ShiftVector, choice) -> FixedReal:
+    """The leading coordinate of xi after the CLI's isometry for the chosen direction."""
+    return isometries.apply(xi, _direction_matrix(choice.a, choice.c)).alpha
+
+
 class TestDirectionScan:
     def test_alpha_slot(self, sqrt2):
-        choice = diophantine_direction(ShiftVector.from_values(sqrt2, 0, 0), 1, 10_000)
+        xi = ShiftVector.from_values(sqrt2, 0, 0)
+        choice = diophantine_direction(xi, 1, 10_000)
         assert (choice.a, choice.c) == (1, 0)
-        assert abs(choice.alpha_tilde.to_float() - math.sqrt(2)) < 1e-15
+        assert abs(alpha_tilde(xi, choice).to_float() - math.sqrt(2)) < 1e-15
 
     def test_gamma_slot(self, sqrt3):
         choice = diophantine_direction(ShiftVector.from_values(0, 0, sqrt3), 1, 10_000)
@@ -348,7 +353,7 @@ class TestDirectionScan:
 
     def test_all_rational(self):
         xi = ShiftVector.from_values(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
-        with pytest.raises(AllRational):
+        with pytest.raises(ValidationError, match="^every direction produced a rational combination$"):
             diophantine_direction(xi, 3, 10_000)
 
     def test_combination_formula(self, sqrt2, sqrt3):
@@ -356,8 +361,36 @@ class TestDirectionScan:
         choice = diophantine_direction(xi, 2, 10_000)
         a, c = choice.a, choice.c
         expected = a * a * math.sqrt(2) + a * c * math.sqrt(3) + c * c * 0.5
-        assert choice.alpha_tilde.to_float() == pytest.approx(expected, rel=1e-12)
+        assert alpha_tilde(xi, choice).to_float() == pytest.approx(expected, rel=1e-12)
+        # the scan fitted its estimate on the value the CLI's isometry produces
+        assert estimate_kappa(alpha_tilde(xi, choice), 10_000) == choice.estimate
 
     def test_bad_bound(self, sqrt2):
         with pytest.raises(ValidationError):
             diophantine_direction(ShiftVector.from_values(sqrt2, 0, 0), 0, 10_000)
+
+    def test_near_integer_direction_is_skipped(self):
+        # sqrt(10^12 + 1) lies within 5e-7 of 10^6: direction (1, 0) has no
+        # convergent with 2 <= q <= 10^6, so the scan passes over it
+        xi = ShiftVector(parse_real("sqrt:1000000000001"), parse_real("sqrt:2"), parse_real("0"))
+        with pytest.raises(ValidationError, match="^no convergent with 2 <= q <= q_max$"):
+            estimate_kappa(xi.alpha, 10**6)
+        choice = diophantine_direction(xi, 3, 10**6)
+        assert (choice.a, choice.c) == (1, -3)
+        assert estimate_kappa(alpha_tilde(xi, choice), 10**6) == choice.estimate
+        # q_max is checked before any direction, whether or not one is irrational
+        for shift in (xi, ShiftVector.from_values(Fraction(1, 2), Fraction(1, 3), 0)):
+            with pytest.raises(ValidationError, match="^q_max must be >= 2$"):
+                diophantine_direction(shift, 3, 1)
+
+    def test_no_direction_left(self):
+        # both directions of bound 1 with an irrational combination are near integers
+        xi = ShiftVector(parse_real("sqrt:1000000000001"), parse_real("0"), parse_real("0"))
+        with pytest.raises(ValidationError, match="^no direction is left: each combination is rational"):
+            diophantine_direction(xi, 1, 10**6)
+
+    def test_precision_exhausted_ends_the_scan(self):
+        # at F = 64 the expansion of every irrational direction stops short of q_max
+        xi = ShiftVector(*(parse_real(lit, 64) for lit in ("sqrt:2", "sqrt:3", "1/2")))
+        with pytest.raises(PrecisionExhausted):
+            diophantine_direction(xi, 3, 10**12)

@@ -251,7 +251,9 @@ def test_as_fixed_coercions(sqrt2):
     assert as_fixed(3).exact == 3
     assert as_fixed(Fraction(1, 7)).exact == Fraction(1, 7)
     assert as_fixed(0.5).exact == Fraction(1, 2)
-    assert as_fixed("sqrt:2").mant == sqrt2.mant
+    assert parse_real("sqrt:2").mant == sqrt2.mant
     assert as_fixed(sqrt2, sqrt2.F) is sqrt2
-    with pytest.raises(TypeError):
-        as_fixed(object())
+    # literals have one parser, parse_real
+    for value in (object(), "sqrt:2"):
+        with pytest.raises(TypeError):
+            as_fixed(value)

@@ -294,8 +294,8 @@ class TestMidpointWindow:
            lits=st.tuples(LITERALS, LITERALS, LITERALS, LITERALS),
            a=SMALL_OR_HUGE, v3=SMALL_OR_HUGE)
     def test_window_holds_the_rounded_midpoint(self, data, F, lits, a, v3):
-        xi = ShiftVector.from_values(*lits[:3], F=F)
-        t = as_fixed(lits[3], F)
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits[:3]))
+        t = parse_real(lits[3], F)
         v = (0, a, v3)
         lo, hi = solver_mod._midpoint_window(xi, t, v)
         r = abs(evaluate_shifted(STD, xi, v) - t)

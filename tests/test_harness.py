@@ -21,7 +21,6 @@ from qdensity.harness import (
     DEFAULTS,
     OPTIONS,
     RUNNERS,
-    SUBCOMMANDS,
     Lcg64,
     RunConfig,
     _build_parser,
@@ -194,7 +193,7 @@ class TestCliRuns:
         est = diophantine.estimate_kappa(alpha, 1000)
         rows = read_rows(out)
         assert [(int(r["p"]), int(r["q"])) for r in rows] == [
-            (cv.p, cv.q) for cv in diophantine.convergents_up_to(alpha, 1000)]
+            (cv.p, cv.q) for cv in est.convergents]
         assert {r["kappa_hat"] for r in rows} == {_fmt(est.kappa_hat)}
 
     def test_kappa_refuses_a_half_given_direction(self):
@@ -480,7 +479,7 @@ class TestOneThread:
         assert all(names.count(n) >= 2 for n in ("count_orbit_hits", "weyl_sum_lanes"))
         assert {ident for _, ident in seen} == {threading.get_ident()}
 
-    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    @pytest.mark.parametrize("sub", RUNNERS)
     def test_threads_below_one_exits_1(self, sub):
         assert _run_quiet([sub, *_QUICK[sub]])[0] == 0
         code, err = _run_quiet([sub, *_QUICK[sub], "--threads", "0"])
@@ -506,6 +505,28 @@ _STEEP_SLOPE = [
     ["solve", "--xi", "sqrt:2 sqrt:3 1/2", "--t", "dec:0.7", "--T", "2000", "--delta", "0.1",
      "--direction-bound", "10", "--q-max", "1000"],
 ]
+
+
+class TestKappaExpansions:
+    """kappa expands the continued fraction of each value it fits once, and prints those convergents."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["kappa", "--alpha", "surd:1,1,2,5"], 1),
+        # a^2*sqrt(2) + a*c*sqrt(3) + c^2/2 is irrational exactly where a != 0
+        (["kappa", "--xi", "sqrt:2 sqrt:3 1/2"],
+         sum(1 for a, _ in diophantine._direction_candidates(3) if a != 0)),
+    ], ids=["alpha", "xi"])
+    def test_one_expansion_per_value(self, monkeypatch, argv, expected):
+        calls = []
+        expand = diophantine.continued_fraction
+
+        def counted(alpha, n_terms):
+            calls.append(alpha)
+            return expand(alpha, n_terms)
+
+        monkeypatch.setattr(diophantine, "continued_fraction", counted)
+        assert _run_quiet(argv)[0] == 0
+        assert len(calls) == expected
 
 
 class TestKappaRefusals:
@@ -695,22 +716,21 @@ def _subclasses(cls):
 
 def test_every_error_derives_from_one_exit_code_base(monkeypatch):
     exit_codes = {errors.ValidationError: 1, errors.PrecisionExhausted: 2, errors.SoundnessError: 3}
-    others = [cls for cls in _subclasses(errors.QDensityError) if cls not in exit_codes]
-    assert {cls.__name__ for cls in others} >= {"RationalDetected", "AllRational", "AlphaZero", "CapExceeded"}
-    for cls in [*exit_codes, *others]:
-        [base] = [b for b in exit_codes if issubclass(cls, b)]
+    # every refusal raises a base itself: no subclass restates an exit code
+    assert list(_subclasses(errors.QDensityError)) == list(exit_codes)
+    for cls, expected in exit_codes.items():
 
         def refuse(cfg, cls=cls):
             raise cls("refused")
 
         monkeypatch.setitem(RUNNERS, "kappa", refuse)
         code, err = _run_quiet(["kappa"])
-        assert code == exit_codes[base] and err.endswith(": refused\n"), (cls, err)
+        assert code == expected and err.endswith(": refused\n"), (cls, err)
 
 
 class TestCliFuzz:
     @given(
-        sub=st.sampled_from(list(SUBCOMMANDS) + ["bogus"]),
+        sub=st.sampled_from(list(RUNNERS) + ["bogus"]),
         flags=st.lists(
             st.sampled_from(sorted(_FUZZ_VALUES)).flatmap(
                 lambda f: st.tuples(st.just(f), st.sampled_from(_FUZZ_VALUES[f]))
@@ -753,7 +773,7 @@ class TestOptionTable:
         assert len(set(keys)) == len(keys)
         assert list(DEFAULTS) == keys
         sub = next(a for a in _build_parser()._actions if a.dest == "subcommand")
-        for name in SUBCOMMANDS:
+        for name in RUNNERS:
             dests = {a.dest for a in sub.choices[name]._actions} - {"help", "config", "out"}
             assert dests == set(keys), name
         text = open(README, encoding="utf-8").read()

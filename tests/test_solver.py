@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 import qdensity.solver as solver_mod
 from qdensity import (
-    AlphaZero,
-    CapExceeded,
     FixedReal,
     PrecisionExhausted,
     ShiftVector,
@@ -19,7 +17,6 @@ from qdensity import (
     ValidationError,
     as_fixed,
     count_orbit_hits,
-    count_values_bruteforce,
     count_values_grid,
     estimate_critical_exponent,
     evaluate_shifted,
@@ -310,10 +307,10 @@ class TestTargetLift:
         assert xi_t.gamma.err == xi.gamma.err + (t / sqrt2.mul_int(4)).err > 0
 
     def test_alpha_zero_rejected(self):
-        with pytest.raises(AlphaZero, match="^leading coordinate indistinguishable from zero$"):
+        with pytest.raises(ValidationError, match="^leading coordinate indistinguishable from zero$"):
             lifted_shift(ShiftVector.from_values(0, Fraction(1, 2), 0), 1)
         # an alpha whose interval holds zero counts as zero
-        with pytest.raises(AlphaZero):
+        with pytest.raises(ValidationError, match="^leading coordinate indistinguishable from zero$"):
             lifted_shift(ShiftVector(FixedReal(1, 2, 256), as_fixed(0), as_fixed(0)), Fraction(1, 3))
 
     def test_alpha_zero_with_zero_target_degenerates(self):
@@ -493,7 +490,7 @@ class TestFindSolutions:
             mp.setattr(solver_mod, "_scan_orbit", scan_orbit_reference)
             ref = find_solutions(xi_mixed, Fraction(1, 3), T, delta, scan_c)
         assert rep.count > 0
-        assert (rep.rows(), rep.count) == (ref.rows(), ref.count)
+        assert (rep.solutions, rep.count) == (ref.solutions, ref.count)
 
     def test_exact_boundary_tie(self):
         # the orbit sits at distance exactly 1/4 from the lift at every step
@@ -516,7 +513,7 @@ class TestFindSolutions:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver_mod, "_scan_length", lambda xi_t, T, scan_c: 5 * cut)
             again = find_solutions(xi_sqrt2, 0, 100, 0.1, scan_c=1e15)
-            assert (again.rows(), again.count) == (rep.rows(), rep.count)
+            assert (again.solutions, again.count) == (rep.solutions, rep.count)
 
     def test_degenerate_rational_shift(self):
         xi = ShiftVector.from_values(0, 0, 0)
@@ -586,24 +583,24 @@ class TestFindSolutions:
 class TestOracle:
     def test_origin_shift_small_ball(self):
         xi = ShiftVector.from_values(0, 0, 0)
-        res = count_values_bruteforce(STD, xi, 0, 2, 0.5)
+        res = count_values_grid(STD, xi, 0, (2,), 0.5)[0]
         assert res.count == oracle_recount((0, 0, 0), 0, 2, Fraction(1, 2))
         assert res.min_residual == 0.0
 
     def test_reversed_order_recount_matches(self):
         xi = ShiftVector.from_values(Fraction(1, 3), Fraction(1, 5), Fraction(2, 7))
         t, T, delta = Fraction(1, 2), 6, 0.25
-        res = count_values_bruteforce(STD, xi, t, T, delta)
+        res = count_values_grid(STD, xi, t, (T,), delta)[0]
         assert res.count == oracle_recount((Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)), t, T, Fraction(delta))
 
     def test_trivial_zero_at_origin(self, xi_sqrt2):
-        res = count_values_bruteforce(STD, xi_sqrt2, 0, 1, 0.01)
+        res = count_values_grid(STD, xi_sqrt2, 0, (1,), 0.01)[0]
         assert res.count >= 1
         assert res.min_residual == 0.0
 
     def test_saturation_counts_ball(self):
         xi = ShiftVector.from_values(0, 0, 0)
-        res = count_values_bruteforce(STD, xi, 0, 3, 10**6)
+        res = count_values_grid(STD, xi, 0, (3,), 10**6)[0]
         pts = sum(
             1
             for v1 in range(-3, 4)
@@ -614,14 +611,14 @@ class TestOracle:
         assert res.count == pts
 
     def test_argmin_is_lexicographically_least(self, xi_sqrt2):
-        res = count_values_bruteforce(STD, xi_sqrt2, 0, 2, 0.1)
+        res = count_values_grid(STD, xi_sqrt2, 0, (2,), 0.1)[0]
         # every v on the v2 = v3 = 0 line is an exact zero; least is (-2, 0, 0)
         assert res.min_residual == 0.0
         assert res.argmin == (-2, 0, 0)
 
     def test_cap_enforced(self, xi_sqrt2):
-        with pytest.raises(CapExceeded):
-            count_values_bruteforce(STD, xi_sqrt2, 0, 301, 0.1)
+        with pytest.raises(ValidationError, match="^T=301 exceeds the enumeration cap 300$"):
+            count_values_grid(STD, xi_sqrt2, 0, (301,), 0.1)
 
     @pytest.mark.parametrize("form_lit", ["0 1 0 0 -2 0", SYM_FORM])
     @pytest.mark.parametrize("xi_vals, t", [
@@ -632,14 +629,14 @@ class TestOracle:
     @pytest.mark.parametrize("T", [0, 1, 4, 8])
     def test_min_and_argmin_match_exact_enumeration(self, form_lit, xi_vals, t, T):
         form = TernaryForm.from_string(form_lit)
-        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, T, 0.0)
+        res = count_values_grid(form, ShiftVector.from_values(*xi_vals), t, (T,), 0.0)[0]
         r, v = oracle_min(xi_vals, t, T, form.gram)
         assert (res.min_residual, res.argmin) == (float(r), v)
 
     @pytest.mark.parametrize("form_lit, xi_vals, t, ties", TIES)
     def test_exact_tie_takes_least_argmin(self, form_lit, xi_vals, t, ties):
         form = TernaryForm.from_string(form_lit)
-        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, 4, 0.0)
+        res = count_values_grid(form, ShiftVector.from_values(*xi_vals), t, (4,), 0.0)[0]
         r, _ = oracle_min(xi_vals, t, 4, form.gram)
         assert sorted(v for v, rv in exact_residuals(xi_vals, t, 4, form.gram) if rv == r) == ties
         assert res.argmin == ties[0]
@@ -648,7 +645,7 @@ class TestOracle:
         for t in (0, Fraction(1, 3)):
             rep = find_solutions(xi_sqrt2, t, 50, 0.3, scan_c=2.0, bound_C=32.0)
             thr = 32.0 * 0.3
-            oracle = count_values_bruteforce(STD, xi_sqrt2, t, 50, thr)
+            oracle = count_values_grid(STD, xi_sqrt2, t, (50,), thr)[0]
             assert oracle.count >= rep.count >= 1
             t_fix = as_fixed(t)
             for s in rep.solutions:
@@ -699,7 +696,7 @@ class TestOracleDifferential:
         elif mode == "tie":
             # |Q(v + xi) - t| = delta exactly at v
             t = q + data.draw(st.sampled_from([-delta, delta]))
-        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, T, delta)
+        res = count_values_grid(form, ShiftVector.from_values(*xi_vals), t, (T,), delta)[0]
         count, r, w = exact_answer(xi_vals, t, T, delta, form.gram)
         assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
 
@@ -715,7 +712,7 @@ class TestOracleDifferential:
         form = TernaryForm.from_string(form_lit)
         xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
         t = parse_real(t_lit, F)
-        res = count_values_bruteforce(form, xi, t, T, delta)
+        res = count_values_grid(form, xi, t, (T,), delta)[0]
         assert (res.count, res.min_residual, res.argmin) == bruteforce_reference(form, xi, t, T, delta)
 
     @pytest.mark.parametrize("form_lit", ORACLE_FORMS)
@@ -723,7 +720,7 @@ class TestOracleDifferential:
         # 38k chords and 5.6M points, of which a handful are evaluated exactly
         form = TernaryForm.from_string(form_lit)
         with exact_evaluations() as points:
-            res = count_values_bruteforce(form, xi_mixed, Fraction(-21, 64), 110, 0.25)
+            res = count_values_grid(form, xi_mixed, Fraction(-21, 64), (110,), 0.25)[0]
         assert res.argmin in points
         assert len(points) <= 20
         # a grid sweep sets every ball's running bound from the centre rows
@@ -739,7 +736,7 @@ class TestOracleDifferential:
         # and the chord v2 = -1 is a zero of Q - 4/9 along its 19 points
         xi_vals = (0, Fraction(1, 3), Fraction(1, 2))
         t = Fraction(4, 9)
-        res = count_values_bruteforce(STD, ShiftVector.from_values(*xi_vals), t, 10, 0.0)
+        res = count_values_grid(STD, ShiftVector.from_values(*xi_vals), t, (10,), 0.0)[0]
         assert (res.count, res.min_residual, res.argmin) == (23, 0.0, (-2, -7, -6))
         count, r, w = exact_answer(xi_vals, t, 10, 0, STD.gram)
         assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
@@ -765,7 +762,7 @@ class TestOracleDifferential:
         else:
             # |Q(v + xi) - t| = 10^-k exactly, just above the float64 delta
             t, delta = q + data.draw(st.sampled_from([-1, 1])) * Fraction(mode), float(mode)
-        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, T, delta)
+        res = count_values_grid(form, ShiftVector.from_values(*xi_vals), t, (T,), delta)[0]
         count, r, w = exact_answer(xi_vals, t, T, delta, form.gram)
         assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
 
@@ -800,7 +797,7 @@ class TestOracleDifferential:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver_mod, "_chord_polynomials", loosened)
-            res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, T, delta)
+            res = count_values_grid(form, ShiftVector.from_values(*xi_vals), t, (T,), delta)[0]
         assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
 
     @pytest.mark.parametrize("form_lit, xi_vals, t, delta, expected", [
@@ -812,7 +809,7 @@ class TestOracleDifferential:
     ])
     def test_non_dyadic_minimum_is_decided_exactly(self, form_lit, xi_vals, t, delta, expected):
         form = TernaryForm.from_string(form_lit)
-        res = count_values_bruteforce(form, ShiftVector.from_values(*xi_vals), t, 5, delta)
+        res = count_values_grid(form, ShiftVector.from_values(*xi_vals), t, (5,), delta)[0]
         count, r, w = exact_answer(xi_vals, t, 5, delta, form.gram)
         assert r == expected
         assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
@@ -844,7 +841,7 @@ class TestOracleGrid:
         answers = count_values_grid(form, xi, t, grid, delta)
         assert len(answers) == len(grid)
         for T, res in zip(grid, answers):
-            assert answer(res) == answer(count_values_bruteforce(form, xi, t, T, delta))
+            assert answer(res) == answer(count_values_grid(form, xi, t, (T,), delta)[0])
             if T <= 10:
                 count, r, w = exact_answer(xi_vals, t, T, delta, form.gram)
                 assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
@@ -859,20 +856,20 @@ class TestOracleGrid:
         t = parse_real(t_lit, F)
         answers = count_values_grid(form, xi, t, grid, delta)
         assert [answer(res) for res in answers] == [
-            answer(count_values_bruteforce(form, xi, t, T, delta)) for T in grid]
+            answer(count_values_grid(form, xi, t, (T,), delta)[0]) for T in grid]
 
     def test_each_resolved_point_is_evaluated_once(self):
         # every value is an integer plus 1/4, so |Q - t| = delta holds exactly on whole
         # planes: each resolved point is both unsure and a candidate for the minimum
         xi_vals = (0, Fraction(1, 2), 0)
         with exact_evaluations() as points:
-            res = count_values_bruteforce(STD, ShiftVector.from_values(*xi_vals), 0, 12, 0.25)
+            res = count_values_grid(STD, ShiftVector.from_values(*xi_vals), 0, (12,), 0.25)[0]
         assert len(points) == len(set(points)) == 126
         count, r, w = exact_answer(xi_vals, 0, 12, 0.25)
         assert (res.count, res.min_residual, res.argmin) == (count, float(r), w)
 
     def test_cap_refuses_the_first_T_over_it_in_grid_order(self, xi_sqrt2):
-        with pytest.raises(CapExceeded, match="^T=400 exceeds the enumeration cap 300$"):
+        with pytest.raises(ValidationError, match="^T=400 exceeds the enumeration cap 300$"):
             count_values_grid(STD, xi_sqrt2, 0, (5, 400, 301), 0.1)
         with pytest.raises(ValidationError, match="T must be >= 0"):
             count_values_grid(STD, xi_sqrt2, 0, (5, -1, 400), 0.1)
@@ -883,6 +880,77 @@ class TestOracleGrid:
     def test_delta_refused_for_every_grid(self, xi_sqrt2, grid, delta):
         with pytest.raises(ValidationError, match="^delta must be >= 0$"):
             count_values_grid(STD, xi_sqrt2, 0, grid, delta)
+
+
+# signed permutations P, (P v)_i = s_i * v_{perm[i]}; there are 48
+signed_permutations = st.tuples(st.permutations(range(3)), st.tuples(*[st.sampled_from([1, -1])] * 3))
+
+
+def residual_key(form, xi, t, v):
+    """The oracle's key for v: the exact residual, or its certified midpoint."""
+    r = abs(evaluate_shifted(form, xi, v) - t)
+    return r.exact if r.exact is not None else r.midpoint()
+
+
+class TestOracleInvariants:
+    """Facts about Q and the ball, checked at T up to 40, past the references' T <= 16."""
+
+    @given(P=signed_permutations, form_lit=st.sampled_from(ORACLE_FORMS),
+           lits=st.tuples(literals, literals, literals), t_lit=literals, T=st.integers(16, 40),
+           delta=st.sampled_from([0.0, 0.01, 0.25, 5.0]), F=st.sampled_from([64, 256]))
+    @settings(max_examples=60, deadline=None)
+    @example(P=((2, 1, 0), (1, 1, -1)), form_lit="0 1 0 0 -2 0", lits=("sqrt:2", "sqrt:3", "1/2"),
+             t_lit="7/10", T=40, delta=0.1, F=256)
+    def test_signed_permutation(self, P, form_lit, lits, t_lit, T, delta, F):
+        # Q'(v) = Q(P v) and xi' = P^-1 xi give Q'(v + xi') = Q(P v + xi) on the same ball
+        perm, sign = P
+        form = TernaryForm.from_string(form_lit)
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        t = parse_real(t_lit, F)
+        gram = [[0] * 3 for _ in range(3)]
+        comps: list = [None] * 3
+        for i in range(3):
+            comps[perm[i]] = xi.components()[i] if sign[i] > 0 else -xi.components()[i]
+            for j in range(3):
+                gram[perm[i]][perm[j]] = sign[i] * sign[j] * form.gram[i][j]
+        moved = TernaryForm.from_rows(gram)
+        res = count_values_grid(form, xi, t, (T,), delta)[0]
+        res_p = count_values_grid(moved, ShiftVector(*comps), t, (T,), delta)[0]
+        assert (res_p.count, res_p.min_residual) == (res.count, res.min_residual)
+        mapped = tuple(sign[i] * res_p.argmin[perm[i]] for i in range(3))
+        # the lexicographic tie-break does not commute with P: a tied minimum
+        # is compared at the mapped point
+        if mapped != res.argmin:
+            assert residual_key(form, xi, t, mapped) == residual_key(form, xi, t, res.argmin)
+
+    @given(c=st.sampled_from([2, 4, 8, 3]), form_lit=st.sampled_from(ORACLE_FORMS),
+           lits=st.tuples(literals, literals, literals), t_lit=literals, T=st.integers(16, 40),
+           delta=st.sampled_from([0.0, 0.03125, 0.25, 5.0]), F=st.sampled_from([64, 256]))
+    @settings(max_examples=60, deadline=None)
+    # tied minima whose midpoints scaling reorders: v -> v - 2*v1*(1, 1, 1) is an
+    # isometry of SYM_FORM that fixes this shift mod Z^3; and with a rational
+    # shift, the exact Q at (1, -1, -1) and (-1, 1, 1) is rounded term by term
+    # to mantissas an ulp apart, which an inexact t keeps in the midpoint
+    @example(c=3, form_lit=SYM_FORM, lits=("0", "sqrt:2", "1/129"), t_lit="sqrt:2", T=15, delta=0.0, F=64)
+    @example(c=8, form_lit="1 1 0 0 1 -1", lits=("38/97", "0", "0"), t_lit="surd:-44,-41,20,614", T=2,
+             delta=0.25, F=256)
+    def test_scaling(self, c, form_lit, lits, t_lit, T, delta, F):
+        # |c*Q - c*t| <= c*delta picks the same points; the deltas are dyadic, so c*delta is exact
+        form = TernaryForm.from_string(form_lit)
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        t = parse_real(t_lit, F)
+        scaled = TernaryForm.from_rows([[c * g for g in row] for row in form.gram])
+        res = count_values_grid(form, xi, t, (T,), delta)[0]
+        res_c = count_values_grid(scaled, xi, t.mul_int(c), (T,), c * delta)[0]
+        assert res_c.count == res.count
+        # a tie between inexact residuals goes to the least midpoint, which
+        # scaling can move by an ulp: there the two residuals must overlap
+        if res_c.argmin != res.argmin:
+            r, r_c = (abs(evaluate_shifted(form, xi, v) - t) for v in (res.argmin, res_c.argmin))
+            assert (r - r_c).contains_zero()
+        # a non-dyadic c, and any c on an inexact value, moves each rounding
+        # of the certified midpoint by a few ulps of 2^-F
+        assert res_c.min_residual == pytest.approx(c * res.min_residual, rel=1e-12, abs=1e-15)
 
 
 class TestExponent:
@@ -987,7 +1055,7 @@ class TestExponent:
             mp.setattr(solver_mod, "_scan_length", lambda *args: 3 * cut(*args))
             assert estimate_critical_exponent(xi, 0, grid, mode="solver", scan_c=scan_c) == rows
             again = find_solutions(xi, 0, 100, 0.3, scan_c=scan_c)
-            assert (again.rows(), again.count) == (rep.rows(), rep.count)
+            assert (again.solutions, again.count) == (rep.solutions, rep.count)
 
 
 class TestExponentDifferential:

@@ -60,6 +60,10 @@ The call list:
     pair ``(1, 1)``, the non-coprime ``(2, 4)``, ``--a 1`` alone and a
     rational combination; kappa with ``--xi`` and ``--a 1 --c 1``, with
     ``--a 1`` alone, and ``--alpha`` next to ``--xi``
+  - NEAR_INTEGER_CALLS: solve and kappa on ``--xi "sqrt:1000000000001 sqrt:2
+    0"``, whose direction (1, 0) lies within 5e-7 of an integer and has no
+    convergent with 2 <= q <= q_max, so the scan passes over it; and the
+    same kappa call with ``--q-max 1``, refused before the scan
   - one call per input refusal: verify-lemmas with an empty ``--n-list`` or
     ``--T-list``, count-orbit with a ``--precision`` past 65536 (refused
     before any literal is parsed, so nothing is allocated), and solver-mode
@@ -233,6 +237,11 @@ DIRECTION_CALLS = [
 ] + [["kappa", *head, "--q-max", "1000"]
      for head in ([*DIRECTION_XI, "--a", "1", "--c", "1"], [*DIRECTION_XI, "--a", "1"],
                   ["--alpha", "sqrt:2", *DIRECTION_XI])]
+
+NEAR_INTEGER_XI = ["--xi", "sqrt:1000000000001 sqrt:2 0"]
+NEAR_INTEGER_CALLS = [["solve", *NEAR_INTEGER_XI, "--T", "10000", "--delta", "0.1"],
+                      ["kappa", *NEAR_INTEGER_XI],
+                      ["kappa", *NEAR_INTEGER_XI, "--q-max", "1"]]
 
 SOLVE_KEYS = [("xi", "sqrt:2 sqrt:3 1/2"), ("t", "dec:0.7"), ("T", "1000000"), ("delta", "0.2"),
               ("q_max", "1000")]
@@ -454,8 +463,8 @@ def main(argv=None) -> int:
     for call in ([(argv_, None) for argv_ in readme_calls() + perfbench_calls() + drawn_calls()
                   + ZERO_ALPHA_CALLS + LIFT_CALLS + REACH_CALLS + PHASE_REFUSAL_CALLS + LANE_CALLS
                   + WIDE_CALLS + INPUT_REFUSAL_CALLS
-                  + EXACT_TIE_CALLS + DIRECTION_CALLS + INPUT_PATH_CALLS + GAP_CALLS + UNDERFLOW_CALLS
-                  + SOLVER_FORM_CALLS + out_calls()]
+                  + EXACT_TIE_CALLS + DIRECTION_CALLS + NEAR_INTEGER_CALLS + INPUT_PATH_CALLS + GAP_CALLS
+                  + UNDERFLOW_CALLS + SOLVER_FORM_CALLS + out_calls()]
                  + CONFIG_CALLS):
         if call not in calls:
             calls.append(call)
