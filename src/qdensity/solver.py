@@ -13,18 +13,18 @@ residual at most bound_C * delta, so every reported row is correct
 regardless of how the scan constants were chosen.
 
 Solver-mode estimate_critical_exponent looks at every step of the scan, not
-only the hits.  The exact residual of the fixed-point mantissas, an integer R
-in units of 2^-2F, bounds the midpoint of each step's form evaluation within
-a derived window, and by an exact identity R = |gx^2 - 4*A*gy + L| for the
-gap (gx, gy) of the step's orbit point and a lift constant L fixed per run.
-So the block walk of the orbit scan (weyl_sums._orbit_blocks), which carries
-the top 64 bits of every gap, gives a certified lower bound on each step's
-window in numpy, 4096 steps at a time; only the steps whose bound does not
-exceed the least upper bound found so far take the per-step path of the
-same lattice points (_lattice_steps) and their exact window.  The form is
-evaluated only at the steps whose windows can hold the least midpoint (one
-per T unless steps tie or nearly tie), so the reported minimum is the
-certified form evaluation with the least midpoint.
+only the hits, and keeps one running minimum of the certified form
+evaluations.  The exact residual of the fixed-point mantissas, an integer R
+in units of 2^-2F, lies within a derived slack of each step's midpoint, and
+by an exact identity R = |gx^2 - 4*A*gy + L| for the gap (gx, gy) of the
+step's orbit point and a lift constant L fixed per run.  So the block walk
+of the orbit scan (weyl_sums._orbit_blocks), which carries the top 64 bits
+of every gap, gives a certified lower bound on R in numpy, 4096 steps at a
+time; only the steps whose bound does not exceed the least midpoint so far,
+plus the slack, take the per-step path of the same lattice points
+(_lattice_steps), and each is evaluated once.  A dropped step's midpoint
+lies strictly above the least one, so the reported minimum is the certified
+form evaluation with the least midpoint, ties going to the smallest m.
 
 The independent oracle answers a whole T grid from one sweep of the disc
 v1^2 + v2^2 <= max(T)^2, one (v1, v2) chord at a time, rows centre-out.  On
@@ -509,30 +509,21 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
 
 
 def _window_slack(xi: ShiftVector, M2: int, M3: int) -> int:
-    """The slack s of _midpoint_window at the mantissas M2, M3; it grows with |M2| and |M3|."""
+    """How far, in units of 2^-2F, evaluate_shifted's midpoint of |Q(v + xi) - t| may stray from R.
+
+    With the mantissas M1 = A, M2 = (a<<F) + B, M3 = (v3<<F) + C of the shifted
+    point v = (0, a, v3) and the radii h1, h2, h3 of alpha, beta and gamma,
+    the midpoint is the sum of the terms x2*x2 and -4*x1*x3, each rounded to
+    2^-F either from the mantissas (M2^2 within 1/2 ulp, -4*M1*M3 within 2
+    ulps) or from the exact product when both factors are exact (within 1/2
+    ulp of it, which is within h2*(2|M2| + h2), resp. 4*(h1*|M3| + h3*|M1| +
+    h1*h3), of the mantissa product), less the mantissa of t.  So the
+    residual r has |r.mant * 2^F - R| <= s for R = |M2^2 - 4*M1*M3 - (t<<F)|
+    and the s returned here, which grows with |M2| and |M3|.
+    """
     h1, h2, h3 = xi.alpha.err, xi.beta.err, xi.gamma.err
     return ((5 << (xi.precision - 1)) + h2 * (2 * abs(M2) + h2)
             + 4 * (h1 * abs(M3) + h3 * abs(xi.alpha.mant) + h1 * h3))
-
-
-def _midpoint_window(xi: ShiftVector, t: FixedReal, v: Vec3) -> tuple[int, int]:
-    """Bounds, in units of 2^-2F, on the midpoint of |Q(v + xi) - t| as evaluate_shifted rounds it.
-
-    With the mantissas M1 = A, M2 = (a<<F) + B, M3 = (v3<<F) + C of the shifted
-    point v = (0, a, v3) and the radii h1, h2, h3 of alpha, beta and gamma, the
-    midpoint is the sum of the terms x2*x2 and -4*x1*x3, each rounded to 2^-F
-    either from the mantissas (M2^2 within 1/2 ulp, -4*M1*M3 within 2 ulps) or
-    from the exact product when both factors are exact (within 1/2 ulp of it,
-    which is within h2*(2|M2| + h2), resp. 4*(h1*|M3| + h3*|M1| + h1*h3), of
-    the mantissa product), less the mantissa of t.  So it lies within
-    s = (5/2)*2^F + those input terms of R = |M2^2 - 4*M1*M3 - (t<<F)|.
-    """
-    F = xi.precision
-    M2 = (v[1] << F) + xi.beta.mant
-    M3 = (v[2] << F) + xi.gamma.mant
-    R = abs(M2 * M2 - 4 * xi.alpha.mant * M3 - (t.mant << F))
-    s = _window_slack(xi, M2, M3)
-    return R - s, R + s
 
 
 def _residual_floors(alpha: float, lift: float, wx: np.ndarray, wy: np.ndarray,
@@ -596,61 +587,70 @@ def _least_midpoint_residual(xi: ShiftVector, t: FixedReal, xi_t: ShiftVector, T
                              scan_c: float) -> tuple[float, bool]:
     """(float, exact zero?) of the solver-mode residual with the least midpoint at T.
 
-    The least midpoint is at most every step's window bound hi, so only the
-    steps whose window reaches below the least hi over the norm-passing steps
-    can hold it: those are `near`, taken in order of m.  A step is dropped
-    only when a certified lower bound on its window's lo exceeds the running
-    least hi, so dropped steps are neither near nor hold the least hi, and
-    the answer is that of a walk over every step.
+    A running best (r, m) holds the least (r.mant, m) evaluated so far, and
+    each step that passes the block filter and the norm filter is evaluated
+    once.  A step is dropped only when a certified lower bound on its R
+    exceeds best.mant * 2^F + s_max, with s_max the _window_slack at the
+    largest mantissas the norm filter lets through; its midpoint, within
+    s_max of R, then lies strictly above the best's, so it can neither beat
+    nor tie it, and the answer is that of a walk over every step, ties going
+    to the smallest m.
 
     The bound comes from the gap (gx, gy) of _offset_at on the lifted shift:
     with M3_t = ((b - m*a)<<F) + C_t, C_t the mantissa of the lifted gamma,
-    M2^2 - 4*A*M3_t = gx^2 - 4*A*gy exactly, so _midpoint_window's R is
-    |gx^2 - 4*A*gy + L| for the lift constant L = 4*A*(C_t - C) - (t<<F).
+    M2^2 - 4*A*M3_t = gx^2 - 4*A*gy exactly, so R is |gx^2 - 4*A*gy + L| for
+    the lift constant L = 4*A*(C_t - C) - (t<<F).
+
+    A zero A with an alpha not known to be nonzero (lifted_shift then keeps
+    xi, as t = 0) fixes the midpoint: the term -4*x1*x3 rounds to mantissa 0,
+    and M2 = (a<<F) + B, with a = -round(B / 2^F), is the same at every step.
+    There the steps go in order of m, and the first that passes the norm
+    filter decides.
     """
     m_max = _scan_length(xi_t, T, scan_c)
     F = xi.precision
     A, B, C_t = xi_t.alpha.mant, xi_t.beta.mant, xi_t.gamma.mant
     lift = 4 * A * (C_t - xi.gamma.mant) - (t.mant << F)
-    # _midpoint_window's slack s at the largest |M2| and |M3| the norm filter
-    # lets through, |a| <= T and |v3| <= T
+    # the slack at the largest |M2| and |M3| the norm filter lets through,
+    # |a| <= T and |v3| <= T
     s_max = _window_slack(xi, (T << F) + abs(xi.beta.mant), (T << F) + abs(xi.gamma.mant))
     alpha_f, lift_f = _mant_to_float(A, F), _mant_to_float(lift, 2 * F)
     err = _floor_error(alpha_f, lift_f)
+    fixed_midpoint = not A and not xi.alpha.exact
     # below err < 2^960 every magnitude of _residual_floors is under 2^1009,
     # far from float64's 2^1024, so no term overflows (an overflowed c times
     # gy = 0 would be NaN); past it (alpha or t beyond about 1e303) a float
-    # bounds nothing and every step takes the per-step path
-    bounded = err < 2.0 ** 960
+    # bounds nothing and every step takes the per-step path, as with a fixed
+    # midpoint, whose equal floors would order nothing
+    bounded = err < 2.0 ** 960 and not fixed_midpoint
 
-    least_hi, kept = math.inf, []
     # a step is dropped when its floor exceeds cut: a floor is within err of
-    # a lower bound on R / 2^2F and cut is at least (least_hi + s_max) / 2^2F
-    # + err, so R > least_hi + s_max, and lo >= R - s_max exceeds least_hi
+    # a lower bound on R / 2^2F and cut is at least (best.mant*2^F + s_max) /
+    # 2^2F + err, so R exceeds best.mant*2^F + s_max
     cut = math.inf
-    for m0, _, _, _, wx, wy, x_err, y_err in _orbit_blocks(A, B, C_t, 0, 0, F, m_max):
-        floors = (_residual_floors(alpha_f, lift_f, wx, wy, x_err, y_err) if bounded
-                  else np.zeros(len(wx)))
-        cand = np.flatnonzero(floors <= cut)
-        # in ascending order of the floor, up to the first floor past the
-        # running cut, which the steps before it may lower
-        order = cand[np.argsort(floors[cand], kind="stable")].tolist()
-        steps = (m0 + j for j in takewhile(lambda j: floors[j] <= cut, order))
-        for m, _, v, _, _ in _lattice_steps(xi_t, T, steps):
-            lo, hi = _midpoint_window(xi, t, v)
-            if lo <= least_hi:
-                kept.append((m, lo, v))
-                if hi < least_hi:
-                    least_hi = hi
-                    cut = _floor_cut(least_hi + s_max, F, err)
-    if not kept:
+
+    def steps() -> Iterator[int]:
+        for m0, _, _, _, wx, wy, x_err, y_err in _orbit_blocks(A, B, C_t, 0, 0, F, m_max):
+            floors = (_residual_floors(alpha_f, lift_f, wx, wy, x_err, y_err) if bounded
+                      else np.zeros(len(wx)))
+            cand = np.flatnonzero(floors <= cut)
+            # in ascending order of the floor, up to the first floor past the
+            # running cut, which the steps before it may lower
+            order = cand[np.argsort(floors[cand], kind="stable")].tolist()
+            yield from (m0 + j for j in takewhile(lambda j: floors[j] <= cut, order))
+
+    best: Optional[FixedReal] = None
+    best_m = 0
+    for m, _, v, _, _ in _lattice_steps(xi_t, T, steps()):
+        r = abs(evaluate_shifted(standard_form(), xi, v) - t)
+        if best is None or (r.mant, m) < (best.mant, best_m):
+            best, best_m = r, m
+            cut = _floor_cut((r.mant << F) + s_max, F, err)
+        if fixed_midpoint:
+            break
+    if best is None:
         raise ValidationError(f"no step survived the norm filter at T={T}")
-    # each v is evaluated once, at its smallest m, and min keeps the first
-    # of equal midpoints
-    near = dict.fromkeys(v for _, lo, v in sorted(kept) if lo <= least_hi)
-    r = min((abs(evaluate_shifted(standard_form(), xi, v) - t) for v in near),
-            key=FixedReal.midpoint)
-    return r.to_float(), r.exact == 0
+    return best.to_float(), best.exact == 0
 
 
 @dataclass
@@ -675,16 +675,17 @@ def estimate_critical_exponent(xi: ShiftVector, t, T_grid: Sequence[int],
     enforced, and refuses like find_solutions a nonpositive scan_c and an
     orbit radius at the end of the scan past the reduction tolerance.  It
     reports the certified form evaluation |Q(v + xi) - t| with the least
-    midpoint, ties going to the smallest m.  The exact residual of the
-    mantissa inputs bounds every step's midpoint (_midpoint_window).  That
-    residual is |gx^2 - 4*alpha*gy| on the step's orbit gap, up to an exact
-    lift constant, so a block filter on the top 64 bits of the gaps bounds
-    it from below and drops every step whose bound exceeds the least upper
-    bound so far.  The other steps take the per-step path, in ascending
-    order of their bound, and only the steps whose windows reach below the
-    least upper bound are evaluated: one per T unless steps tie or nearly
-    tie.  An exactly zero residual is reported as a saturated row rather
-    than a number.
+    midpoint, ties going to the smallest m, from one running minimum.  The
+    exact residual of the mantissa inputs lies within a derived slack of
+    every step's midpoint (_window_slack).  That residual is
+    |gx^2 - 4*alpha*gy| on the step's orbit gap, up to an exact lift
+    constant, so a block filter on the top 64 bits of the gaps bounds it from
+    below and drops every step whose bound exceeds the least midpoint so far
+    plus the slack.  The other steps take the per-step path, in ascending
+    order of their bound, and each is evaluated once.  A zero alpha mantissa
+    with t = 0 gives every step the same midpoint, so there the first step
+    that passes the norm filter decides.  An exactly zero residual is
+    reported as a saturated row rather than a number.
     """
     grid = [int(x) for x in T_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:

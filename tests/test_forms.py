@@ -287,7 +287,7 @@ class TestEvaluateDifferential:
 
 
 class TestMidpointWindow:
-    """solver._midpoint_window bounds the midpoint that evaluate_shifted rounds."""
+    """The midpoint that evaluate_shifted rounds lies within solver._window_slack of R."""
 
     @settings(max_examples=400, deadline=None)
     @given(data=st.data(), F=st.sampled_from([64, 256, 512]),
@@ -297,9 +297,12 @@ class TestMidpointWindow:
         xi = ShiftVector(*(parse_real(lit, F) for lit in lits[:3]))
         t = parse_real(lits[3], F)
         v = (0, a, v3)
-        lo, hi = solver_mod._midpoint_window(xi, t, v)
+        # R, in units of 2^-2F, is the residual of the mantissas alone
+        M2 = (a << F) + xi.beta.mant
+        M3 = (v3 << F) + xi.gamma.mant
+        R = abs(M2 * M2 - 4 * xi.alpha.mant * M3 - (t.mant << F))
         r = abs(evaluate_shifted(STD, xi, v) - t)
-        assert lo <= (r.mant << F) <= hi
+        assert abs((r.mant << F) - R) <= solver_mod._window_slack(xi, M2, M3)
 
 
 class TestIsotropicSearch:

@@ -431,10 +431,14 @@ class TestGapIdentity:
         M2 = (a << F) + B
         M3_t = ((b - m * a) << F) + C_t
         assert M2 * M2 - 4 * A * M3_t == gx * gx - 4 * A * gy
-        # so the R of _midpoint_window is the gap's, moved by the lift constant
+        # so the R of the mantissas is the gap's, moved by the lift constant,
+        # and the midpoint of the form evaluation lies within _window_slack of it
         lift = 4 * A * (C_t - xi.gamma.mant) - (t.mant << F)
-        lo, hi = solver_mod._midpoint_window(xi, t, (0, a, b - m * a))
-        assert (lo + hi) // 2 == abs(gx * gx - 4 * A * gy + lift)
+        M3 = ((b - m * a) << F) + xi.gamma.mant
+        R = abs(gx * gx - 4 * A * gy + lift)
+        assert R == abs(M2 * M2 - 4 * A * M3 - (t.mant << F))
+        r = abs(evaluate_shifted(STD, xi, (0, a, b - m * a)) - t)
+        assert abs((r.mant << F) - R) <= solver_mod._window_slack(xi, M2, M3)
 
     @given(lits=st.tuples(st.one_of(literals, small_fractions, st.just("0/1")),
                           st.one_of(literals, small_fractions), st.one_of(literals, small_fractions)),
@@ -1036,14 +1040,36 @@ class TestExponent:
         assert len(calls) == len(grid)
         assert rows == exponent_reference(xi_sqrt2, Fraction(1, 3), grid)
 
+    @pytest.mark.parametrize("lits, scan_c", [
+        (("0/1", "1/2", "0/1"), 1e15),
+        # an inexact alpha whose mantissa is 0 at F = 256
+        (("surd:0,1,1" + "0" * 80 + ",2", "sqrt:3", "1/3"), 1e6),
+    ])
+    def test_fixed_midpoint_evaluates_the_form_once_per_T(self, lits, scan_c):
+        # with a zero alpha mantissa every step has the same midpoint, so the
+        # first step that passes the norm filter decides the row
+        xi = ShiftVector(*(parse_real(lit, 256) for lit in lits))
+        grid = (100, 10**4)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return evaluate_shifted(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "evaluate_shifted", counting)
+            rows = estimate_critical_exponent(xi, 0, grid, mode="solver", scan_c=scan_c)
+        assert len(calls) == len(grid)
+        assert rows == exponent_reference(xi, 0, grid, scan_c)
+
     @pytest.mark.parametrize("lits", [("0/1", "1/2", "0/1"), ("0/1", "1/3", "1/5"),
                                       ("0/1", "1/1", "1/2"), ("0/1", "-5/2", "7/3")])
     @pytest.mark.parametrize("scan_c", [1e15, 1e308])
     def test_zero_alpha_huge_scan_c_ends(self, lits, scan_c):
         # with alpha = 0 the offset a is the same at every step, and v3 grows
         # like m*G for the gap G of a, or repeats with period 2 when G = 0;
-        # with t = 0 every step has the same residual, so the exponent
-        # evaluates the form at each distinct v, about 10^4 of them at T = 10^4
+        # with t = 0 every step has the same midpoint, so the exponent stops
+        # at the first step that passes the norm filter
         xi = ShiftVector(*(parse_real(lit) for lit in lits))
         grid = (4, 100, 10**4)
         started = time.perf_counter()
@@ -1067,6 +1093,9 @@ class TestExponentDifferential:
                          unique=True).map(sorted),
            scan_c=st.floats(0.5, 5), F=st.sampled_from([64, 256, 512]))
     @settings(max_examples=150, deadline=None)
+    # an inexact alpha whose mantissa is 0 at F = 256
+    @example(lits=("surd:0,1,1" + "0" * 80 + ",2", "sqrt:3", "1/3"), t_lit="0/1",
+             grid=[100, 10**4], scan_c=5.0, F=256)
     def test_solver_mode_matches_per_step_reference(self, lits, t_lit, grid, scan_c, F):
         xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
         t = parse_real(t_lit, F)
@@ -1125,6 +1154,9 @@ class TestExponentDifferential:
         (("35/12", "30/9", "-33/5"), "-16/4", 96, 2.844849526576636, (10**4,)),
         (("-13/12", "21/9", "-17/1"), "28/6", 128, 3.402789249467379, (100,)),
         (("28/5", "1/10", "26/2"), "16/4", 128, 2.6671988706743917, (100,)),
+        # an exact alpha whose mantissa is 0 at F = 256 does not fix the
+        # midpoint: -4*alpha*x3 is rounded from its exact value, which grows with v3
+        (("1/1" + "0" * 80, "sqrt:3", "1/3"), "0/1", 256, 5.0, (100, 10**4)),
     ])
     def test_small_denominators_pick_the_least_midpoint(self, lits, t_lit, F, scan_c, grid):
         xi = ShiftVector(*(parse_real(lit, F) for lit in lits))

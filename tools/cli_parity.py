@@ -31,7 +31,12 @@ The call list:
     so the disc sweep spans several blocks; the oracle-count grids are
     unsorted and may repeat a T, and every fourth call has a ``--cap`` below
     the largest T, so the refusal text is compared
-  - two zero-alpha solver-mode exponent calls with a huge ``--scan-c``
+  - ZERO_ALPHA_CALLS: zero-alpha solver-mode exponent calls with a huge
+    ``--scan-c``, where every step has the same midpoint: ``--xi "0/1 1/2
+    0/1" --t 0/1`` at T = 100 (``--scan-c`` 1e308 and 1e15), at T = 100000
+    and on the grid 100000,200000 (``--scan-c 1e15``, norm cuts near step
+    2T + 1), and ``--xi "surd:0,1,1<80 zeros>,2 sqrt:3 1/3" --t 0/1 --T
+    100,10000 --scan-c 1e6``, an inexact alpha whose mantissa is 0
   - one call per branch of the solver's lifted shift: solve and solver-mode
     exponent calls whose target has a radius (``1/3``, ``dec:``, ``sqrt:``)
     at precisions 64-256, and solver-mode exponent calls with a zero alpha
@@ -119,9 +124,11 @@ DRAWN_FORM_CALLS = 30
 DRAWN_GRID_CALLS = 24
 
 ZERO_ALPHA_CALLS = [
-    ["exponent", "--mode", "solver", "--xi", "0/1 1/2 0/1", "--t", "0/1", "--T", "100",
-     "--scan-c", scan_c]
-    for scan_c in ("1e308", "1e15")
+    ["exponent", "--mode", "solver", "--xi", xi, "--t", "0/1", "--T", T, "--scan-c", scan_c]
+    for xi, T, scan_c in (("0/1 1/2 0/1", "100", "1e308"), ("0/1 1/2 0/1", "100", "1e15"),
+                          ("0/1 1/2 0/1", "100000", "1e15"),
+                          ("0/1 1/2 0/1", "100000,200000", "1e15"),
+                          (f"surd:0,1,1{'0' * 80},2 sqrt:3 1/3", "100,10000", "1e6"))
 ]
 
 LIFT_CALLS = [
