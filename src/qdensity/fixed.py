@@ -23,6 +23,10 @@ A computation works at one precision F.  Every entry point that combines
 FixedReals, here and in the modules that use them, refuses operands at
 another precision with a ValidationError; nothing converts between
 precisions.  A run that needs a second precision parses its literals again.
+The arithmetic operators take FixedReals only and raise TypeError for an
+int, Fraction or float on either side; an API boundary lifts such a number
+once, with :func:`as_fixed`, and exact integer steps use :meth:`add_int`,
+:meth:`mul_int` and :meth:`div_int`.
 """
 
 from __future__ import annotations
@@ -207,10 +211,9 @@ class FixedReal:
     # ------------------------------------------------------------------
 
     def _coerce(self, other) -> "FixedReal":
-        if isinstance(other, FixedReal) and other.F == self.F:
-            return other
-        if isinstance(other, (FixedReal, int, Fraction, float)):
-            return as_fixed(other, self.F)
+        """other itself, a FixedReal at this precision; nothing is lifted or converted."""
+        if isinstance(other, FixedReal):
+            return other if other.F == self.F else as_fixed(other, self.F)
         raise TypeError(f"cannot mix FixedReal with {type(other).__name__}")
 
     def __add__(self, other) -> "FixedReal":
@@ -218,15 +221,10 @@ class FixedReal:
         exact = self.exact + o.exact if self.exact is not None and o.exact is not None else None
         return FixedReal(self.mant + o.mant, self.err + o.err, self.F, exact)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "FixedReal":
         o = self._coerce(other)
         exact = self.exact - o.exact if self.exact is not None and o.exact is not None else None
         return FixedReal(self.mant - o.mant, self.err + o.err, self.F, exact)
-
-    def __rsub__(self, other) -> "FixedReal":
-        return self._coerce(other) - self
 
     def __neg__(self) -> "FixedReal":
         exact = -self.exact if self.exact is not None else None
@@ -253,8 +251,6 @@ class FixedReal:
         cross = abs(self.mant) * o.err + abs(o.mant) * self.err + self.err * o.err
         err = (cross >> F) + 2
         return FixedReal(mant, err, F, None)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "FixedReal":
         o = self._coerce(other)

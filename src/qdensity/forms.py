@@ -110,12 +110,7 @@ class TernaryForm:
     def evaluate_exact(self, v: Sequence) -> Fraction:
         """Q(v) for a rational triple, exact."""
         x = [Fraction(c) for c in v]
-        g = self.gram
-        total = Fraction(0)
-        for i in range(3):
-            total += g[i][i] * x[i] * x[i]
-        total += 2 * (g[0][1] * x[0] * x[1] + g[0][2] * x[0] * x[2] + g[1][2] * x[1] * x[2])
-        return total
+        return sum((Fraction(p, q) * x[i] * x[j] for i, j, p, q in self._coefficients), Fraction(0))
 
 
 # integer Gram rows of the standard form: M*G*M^T stays in integer arithmetic

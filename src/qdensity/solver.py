@@ -118,8 +118,11 @@ def _scan_length(xi_t: ShiftVector, T: int, scan_c: float) -> int:
     A step has a = -round(d2 / 2^F) with d2 = 2*A*m + B in the mantissas of
     the lifted shift's alpha and beta, and the norm filter needs |a| <= T and
     |v3| <= T.  With A != 0, |a| >= |d2| / 2^F - 1/2, so past the cut
-    2|A|m - |B| > (2T+1)*2^(F-1) gives |a| > T.  With A = 0, a is the same at
-    every step and v3*2^F lies within 2^(F-1) of -(m*G + C), with
+    2|A|m - |B| > (2T+1)*2^(F-1) gives |a| > T.  With A = 0, d2 = B at every
+    step, so a = -round(B / 2^F) is the same at every step; when |a| > T no
+    step passes the norm filter and the cut is at 0 steps, whatever alpha's
+    exact value or radius, as the filter reads only the mantissas.
+    Otherwise v3*2^F lies within 2^(F-1) of -(m*G + C), with
     G = B + a*2^F and C the mantissa of the lifted gamma, so past the cut
     m|G| - |C| > (2T+1)*2^(F-1) gives |v3| > T.  With G = 0 the steps repeat
     with period at most 2 (ties to even), so no step past the second adds
@@ -137,8 +140,9 @@ def _scan_length(xi_t: ShiftVector, T: int, scan_c: float) -> int:
     if A:
         cut = (reach + abs(B)) // (2 * abs(A)) + 1
     else:
-        G = abs(B - (_round_shift(B, F) << F))
-        cut = (reach + abs(C)) // (G or 1 << (F - 1)) + 1
+        a = -_round_shift(B, F)
+        G = abs(B + (a << F))
+        cut = 0 if abs(a) > T else (reach + abs(C)) // (G or 1 << (F - 1)) + 1
     try:
         m_max = scan_c * math.sqrt(T)
     except OverflowError:

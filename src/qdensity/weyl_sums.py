@@ -47,7 +47,7 @@ PHASE_TOL = Fraction(1, 1 << 30)
 # this caps the size of their numpy temporaries.
 _BLOCK_STEPS = 4096
 # Steps times lanes in one block of the Weyl lane kernel, which keeps its
-# numpy temporaries under about 0.5 MB.
+# numpy temporaries under about 0.5 MB while a block holds at least one step.
 _LANE_ELEMENTS = 1 << 13
 # Block offsets k and tri = k(k-1)/2 in uint64, read-only: the closed form of
 # a block at offset k is v0 + d*k + dd*tri.
@@ -337,9 +337,10 @@ def weyl_sum_lanes(lanes: Sequence[tuple[int, FixedReal, FixedReal]], T: int) ->
     sin; numpy float64 addition and subtraction round like Python floats, so
     each sum has the bits of a per-term loop.  That update costs four numpy
     calls per step whatever the number of lanes, so a call with few lanes is
-    slower than a per-term loop.  A block holds min(_BLOCK_STEPS,
-    _LANE_ELEMENTS // lanes) steps.  The first lane refusal, in lane order,
-    is raised before any sum starts.
+    slower than a per-term loop.  A block holds max(1, min(_BLOCK_STEPS,
+    _LANE_ELEMENTS // lanes)) steps, so past _LANE_ELEMENTS lanes a block is
+    one step over every lane.  The first lane refusal, in lane order, is
+    raised before any sum starts.
     """
     if T < 1:
         raise ValidationError("sum length T must be >= 1")
@@ -356,23 +357,19 @@ def weyl_sum_lanes(lanes: Sequence[tuple[int, FixedReal, FixedReal]], T: int) ->
         PB.append(beta.mant)
 
     sub, add = np.subtract, np.add
-    results = []
-    for c0 in range(0, len(PA), _LANE_ELEMENTS):
-        pa, pb = PA[c0:c0 + _LANE_ELEMENTS], PB[c0:c0 + _LANE_ELEMENTS]
-        L = len(pa)
-        steps = min(_BLOCK_STEPS, _LANE_ELEMENTS // L)
-        # columns 0..L-1 hold the lanes' real parts, L..2L-1 their imaginary parts
-        total, comp, t, s = (np.zeros(2 * L) for _ in range(4))  # comp: Kahan compensation
-        for m0 in range(1, T + 1, steps):
-            ang = TWO_PI * _weyl_phases(pa, pb, m0, min(steps, T + 1 - m0), F)
-            for row in np.concatenate((np.cos(ang), np.sin(ang)), axis=1):
-                sub(row, comp, t)
-                add(total, t, s)
-                sub(s, total, comp)
-                sub(comp, t, comp)
-                total, s = s, total
-        results += map(WeylSumResult, total[:L].tolist(), total[L:].tolist())
-    return results
+    L = len(PA)
+    steps = max(1, min(_BLOCK_STEPS, _LANE_ELEMENTS // L))
+    # columns 0..L-1 hold the lanes' real parts, L..2L-1 their imaginary parts
+    total, comp, t, s = (np.zeros(2 * L) for _ in range(4))  # comp: Kahan compensation
+    for m0 in range(1, T + 1, steps):
+        ang = TWO_PI * _weyl_phases(PA, PB, m0, min(steps, T + 1 - m0), F)
+        for row in np.concatenate((np.cos(ang), np.sin(ang)), axis=1):
+            sub(row, comp, t)
+            add(total, t, s)
+            sub(s, total, comp)
+            sub(comp, t, comp)
+            total, s = s, total
+    return list(map(WeylSumResult, total[:L].tolist(), total[L:].tolist()))
 
 
 def _sum_min_kernel(step_mant: int, step_err: int, count: int, T_cap: int, F: int) -> float:

@@ -187,6 +187,9 @@ def scan_length_reference(xi, t, T, scan_c):
     reach = (2 * T + 1) << (F - 1)
     if A:
         cut = (reach + abs(B)) // (2 * abs(A)) + 1
+    elif abs(_round_shift(B, F)) > T:
+        # the offset a = -round(beta) of every step fails the norm filter
+        cut = 0
     else:
         G = abs(B - (_round_shift(B, F) << F))
         cut = (reach + abs(xi.gamma.mant - z.mant)) // (G or 1 << (F - 1)) + 1
@@ -1061,6 +1064,26 @@ class TestExponent:
             rows = estimate_critical_exponent(xi, 0, grid, mode="solver", scan_c=scan_c)
         assert len(calls) == len(grid)
         assert rows == exponent_reference(xi, 0, grid, scan_c)
+
+    @pytest.mark.parametrize("lits, F", [
+        (("0/1", "2000001/2", "0/1"), 256), (("0/1", "-1000001", "1/3"), 256),
+        ((f"surd:0,1,1{'0' * 80},2", "1000001/1", "0/1"), 256),
+        # a radius of 2 ulps, which a scan to step 2T + 1 refuses
+        (("dec:0." + "0" * 21 + "1", "2000001/2", "0/1"), 64),
+    ])
+    def test_zero_alpha_offset_past_T_scans_no_step(self, lits, F):
+        # with a zero alpha mantissa every step has a = -round(beta), and
+        # |a| = 10^6 + (0 or 1) > T fails the norm filter, so the scan is cut at 0 steps
+        xi = ShiftVector(*(parse_real(lit, F) for lit in lits))
+        assert solver_mod._scan_length(xi, 999999, 1e15) == 0
+        # at T = 10^6 + 1 the offset passes, and the scan runs to its cut or
+        # refuses the radius there
+        assert outcome(solver_mod._scan_length, xi, 1000001, 1e15) != 0
+        with offset_steps() as steps:
+            with pytest.raises(ValidationError, match="^no step survived the norm filter at T=999999$"):
+                estimate_critical_exponent(xi, 0, [999999], mode="solver", scan_c=1e15)
+            assert find_solutions(xi, 0, 999999, 0.3, scan_c=1e15).count == 0
+        assert steps == []
 
     @pytest.mark.parametrize("lits", [("0/1", "1/2", "0/1"), ("0/1", "1/3", "1/5"),
                                       ("0/1", "1/1", "1/2"), ("0/1", "-5/2", "7/3")])

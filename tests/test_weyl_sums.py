@@ -601,6 +601,21 @@ class TestWeylLanes:
             got = type(exc), str(exc)
         assert got == lanes_outcome_reference(lanes, T)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_more_lanes_than_a_block_holds(self, seed):
+        # past _LANE_ELEMENTS lanes a block is one step over every lane; the
+        # lanes a reference sum refuses at the largest T are dropped, so the
+        # sums run, and the whole set checks the refusal in lane order
+        full = lane_set(256, 9300, seed)
+        lanes = [lane for lane in full if not isinstance(weyl_outcome(weyl_sum_reference, *lane, 5)[0], type)]
+        assert len(lanes) > _LANE_ELEMENTS
+        for T in (1, 2, 5):
+            got = [(s.re.hex(), s.im.hex()) for s in weyl_sum_lanes(lanes, T)]
+            assert got == lanes_outcome_reference(lanes, T)
+        with pytest.raises(PrecisionExhausted) as refused:
+            weyl_sum_lanes(full, 5)
+        assert (type(refused.value), str(refused.value)) == lanes_outcome_reference(full, 5)
+
     def test_lanes_refuse_another_precision_and_empty_lanes_sum_nothing(self, sqrt2):
         other = FixedReal.sqrt_int(2, 128)
         with pytest.raises(ValidationError, match="^sum coefficients must share one precision$"):

@@ -36,7 +36,9 @@ The call list:
     0/1" --t 0/1`` at T = 100 (``--scan-c`` 1e308 and 1e15), at T = 100000
     and on the grid 100000,200000 (``--scan-c 1e15``, norm cuts near step
     2T + 1), and ``--xi "surd:0,1,1<80 zeros>,2 sqrt:3 1/3" --t 0/1 --T
-    100,10000 --scan-c 1e6``, an inexact alpha whose mantissa is 0
+    100,10000 --scan-c 1e6``, an inexact alpha whose mantissa is 0, and
+    ``--xi "0/1 2000001/2 0/1" --t 0/1 --T 999999 --scan-c 1e15``, whose
+    fixed offset |a| = 10^6 exceeds T, so the scan is cut at 0 steps
   - one call per branch of the solver's lifted shift: solve and solver-mode
     exponent calls whose target has a radius (``1/3``, ``dec:``, ``sqrt:``)
     at precisions 64-256, and solver-mode exponent calls with a zero alpha
@@ -49,7 +51,9 @@ The call list:
   - one verify-lemmas call per phase refusal at precision 64: the
     differencing bound, ``sum_min`` and the Weyl phase
   - verify-lemmas calls with 100-130 lanes (Weyl sums) per T, whose T grids
-    cross the lane kernel's block edge and the 4096-step sum-min block
+    cross the lane kernel's block edge and the 4096-step sum-min block, and
+    ``verify-lemmas --n-list 1 --T-list 3 --betas 4097``, 8194 lanes, past
+    the 8192 steps times lanes of one lane block, so a block is one step
   - verify-lemmas at precisions 1023-4096, past the float64 range of 2^F,
     and solve, solver-mode exponent and count-orbit at a T just inside
     float64 range, at the first T past it and at 10^309, where the scan
@@ -128,7 +132,8 @@ ZERO_ALPHA_CALLS = [
     for xi, T, scan_c in (("0/1 1/2 0/1", "100", "1e308"), ("0/1 1/2 0/1", "100", "1e15"),
                           ("0/1 1/2 0/1", "100000", "1e15"),
                           ("0/1 1/2 0/1", "100000,200000", "1e15"),
-                          (f"surd:0,1,1{'0' * 80},2 sqrt:3 1/3", "100,10000", "1e6"))
+                          (f"surd:0,1,1{'0' * 80},2 sqrt:3 1/3", "100,10000", "1e6"),
+                          ("0/1 2000001/2 0/1", "999999", "1e15"))
 ]
 
 LIFT_CALLS = [
@@ -169,6 +174,7 @@ LANE_CALLS = [
         ("1,3,50", "20", "67,68,69,137", []),                               # 120 lanes, 68 steps
         ("1,2,-3,0,7", "13", "62,63,64,4097", ["--precision", "96"]),       # 130 lanes, 63 steps
         ("2,50", "25", "80,81,82,163", ["--precision", "512", "--M", "3"]),  # 100 lanes, 81 steps
+        ("1", "4097", "3", []),                                             # 8194 lanes, 1 step
     )
 ]
 
