@@ -147,20 +147,8 @@ class ShiftVector:
         return (self.alpha, self.beta, self.gamma)
 
 
-Operand = tuple[int, int, Optional[int], int]
-
-
-def _operand(x: FixedReal, k: int) -> Operand:
-    """(mant, err, num, den) of x + k; num is None when x is not known exactly."""
-    mant = x.mant + (k << x.F)
-    if x.exact is None:
-        return mant, x.err, None, 1
-    den = x.exact.denominator
-    return mant, x.err, x.exact.numerator + k * den, den
-
-
-def _evaluate(form: TernaryForm, x: Sequence[Operand], F: int) -> FixedReal:
-    """Q(x) for three operands, rounded term by term as FixedReal products would be.
+def evaluate_shifted(form: TernaryForm, xi: ShiftVector, v: Sequence[int]) -> FixedReal:
+    """Q(v + xi) for an integer triple v, rounded term by term as FixedReal products would be.
 
     A term with an inexact factor rounds the mantissa product to 2^-F, radius
     the interval cross terms plus two ulps, then scales by the coefficient p/q
@@ -169,6 +157,14 @@ def _evaluate(form: TernaryForm, x: Sequence[Operand], F: int) -> FixedReal:
     otherwise.  The exact sum is kept as an unreduced pair and becomes a
     Fraction only when every term is exact.
     """
+    v = tuple(v)
+    if any(not isinstance(c, int) for c in v) or len(v) != 3:
+        raise ValidationError("shifted evaluation expects an integer triple")
+    F = xi.precision
+    # (mant, err, num, den) of each xi_i + v_i; num is None when xi_i is not known exactly
+    x = [(c.mant + (k << F), c.err, None, 1) if c.exact is None else
+         (c.mant + (k << F), c.err, c.exact.numerator + k * c.exact.denominator, c.exact.denominator)
+         for c, k in zip(xi.components(), v)]
     mant = err = 0
     num: Optional[int] = 0
     den = 1
@@ -190,15 +186,6 @@ def _evaluate(form: TernaryForm, x: Sequence[Operand], F: int) -> FixedReal:
             if num is not None:
                 num, den = num * d + n * den, den * d
     return FixedReal(mant, err, F, None if num is None else Fraction(num, den))
-
-
-def evaluate_shifted(form: TernaryForm, xi: ShiftVector, v: Sequence[int]) -> FixedReal:
-    """Q(v + xi) for an integer triple v."""
-    v = tuple(v)
-    if any(not isinstance(c, int) for c in v) or len(v) != 3:
-        raise ValidationError("shifted evaluation expects an integer triple")
-    x = [_operand(c, k) for c, k in zip(xi.components(), v)]
-    return _evaluate(form, x, xi.precision)
 
 
 def _normalize_primitive(v: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -22,9 +22,11 @@ PrecisionExhausted, 3 for SoundnessError (internal soundness tripwire).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -195,21 +197,23 @@ class RunConfig:
         return parse_real(self["t"], F)
 
     def delta_for(self, T: int) -> float:
+        """The closeness threshold of solve and count-orbit at range bound T.
+
+        It is delta as given, or T**(-nu) for a nu in (0, 1/2); either way it
+        must lie in (0, 1/2), so a nu-derived delta is checked like a given one.
+        """
         delta, nu = self["delta"], self["nu"]
         if delta is not None and nu is not None:
             raise ValidationError("supply delta or nu, not both")
-        if delta is not None:
-            return delta
-        if nu is not None:
+        if delta is None and nu is None:
+            raise ValidationError("either delta or nu is required")
+        if delta is None:
             if not (0.0 < nu < 0.5):
                 raise ValidationError("nu must lie in (0, 1/2)")
             try:
-                return float(T) ** (-nu)
+                delta = float(T) ** (-nu)
             except OverflowError:
                 raise ValidationError("T must lie within float64 range, below about 1.8e308") from None
-        raise ValidationError("either delta or nu is required")
-
-    def check_delta(self, delta: float) -> float:
         if not (0.0 < delta < 0.5):
             raise ValidationError("delta must lie in (0, 1/2)")
         return delta
@@ -234,17 +238,24 @@ def _fmt(x) -> str:
 
 
 def write_csv(out_path: Optional[str], header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+    """Write the header and rows as CSV to the file out_path, or to stdout when it is empty.
 
-    if out_path:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            emit(fh)
-    else:
-        emit(sys.stdout)
+    The stream is flushed before the ``with`` ends, so an unwritable out_path
+    and a stdout whose reader has gone both raise here, as a ValidationError
+    that carries the OSError text.  For stdout, fd 1 is first pointed at
+    os.devnull, so the flush at interpreter exit finds no broken pipe.
+    """
+    try:
+        with (open(out_path, "w", newline="", encoding="utf-8") if out_path
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_fmt(x) for x in row] for row in rows)
+            fh.flush()
+    except OSError as exc:
+        if not out_path:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ValidationError(f"cannot write CSV output: {exc}") from exc
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -278,19 +289,18 @@ def _direction_matrix(a: int, c: int) -> isometries.SOQMatrix:
 def _direction(cfg: RunConfig, xi: ShiftVector):
     """(a, c, M, xi*M, estimate): the direction --a/--c give, or the best the scan finds."""
     a, c = cfg["a"], cfg["c"]
-    if a is not None or c is not None:
-        if a is None or c is None:
-            raise ValidationError("supply both a and c or neither")
-        M = _direction_matrix(a, c)
-        xi_t = isometries.apply(xi, M)
+    est = None
+    if a is None and c is None:
+        choice = diophantine.diophantine_direction(xi, cfg["direction_bound"], cfg["q_max"])
+        a, c, est = choice.a, choice.c, choice.estimate
+    elif a is None or c is None:
+        raise ValidationError("supply both a and c or neither")
+    M = _direction_matrix(a, c)
+    xi_t = isometries.apply(xi, M)
+    if est is None:  # a supplied direction; the scan fitted its estimate already
         if xi_t.alpha.exact is not None:
             raise ValidationError("supplied direction produces a rational combination")
         est = diophantine.estimate_kappa(xi_t.alpha, cfg["q_max"])
-    else:
-        choice = diophantine.diophantine_direction(xi, cfg["direction_bound"], cfg["q_max"])
-        a, c, est = choice.a, choice.c, choice.estimate
-        M = _direction_matrix(a, c)
-        xi_t = isometries.apply(xi, M)
     return a, c, M, xi_t, est
 
 
@@ -302,7 +312,7 @@ def run_solve(cfg: RunConfig):
     if len(grid) != 1:
         raise ValidationError("solve needs a single T")
     T = grid[0]
-    delta = cfg.check_delta(cfg.delta_for(T))
+    delta = cfg.delta_for(T)
     nu = cfg["nu"]
     if nu is not None:
         nu_max = 1.0 / (8.0 * est.kappa_hat)
@@ -347,7 +357,7 @@ def run_count_orbit(cfg: RunConfig):
     xi = cfg.xi(F)
     v0 = cfg.v0(F)
     # every delta is checked before the first scan, so a bad one costs no kernel work
-    cells = [(T, cfg.check_delta(cfg.delta_for(T))) for T in cfg.range_grid()]
+    cells = [(T, cfg.delta_for(T)) for T in cfg.range_grid()]
     rational = 1 if xi.alpha.exact is not None else 0
     rows = []
     for T, delta in cells:

@@ -196,6 +196,15 @@ class TestCliRuns:
             (cv.p, cv.q) for cv in est.convergents]
         assert {r["kappa_hat"] for r in rows} == {_fmt(est.kappa_hat)}
 
+    def test_direction_override_naming_the_scan_pick_changes_nothing(self, capsys):
+        head = ["kappa", "--xi", "sqrt:3 sqrt:2 1/3", "--q-max", "100000"]
+        assert run_cli(head) == 0
+        scanned = capsys.readouterr()
+        # the scan picks a non-identity transform, so the override applies it too
+        assert scanned.err == "# a=1\n# c=-3\n"
+        assert run_cli(head + ["--a", "1", "--c=-3"]) == 0
+        assert capsys.readouterr() == scanned
+
     def test_kappa_refuses_a_half_given_direction(self):
         for pair in (["--a", "1"], ["--c", "1"]):
             code, err = _run_quiet(["kappa", "--xi", "sqrt:2 sqrt:3 1/2", *pair, "--q-max", "1000"])
@@ -321,6 +330,12 @@ class TestCliRuns:
         cfg_file.write_text(f"nu = {nu}\n")
         for argv in (head + ["--delta", "0.1", "--nu", nu], head + ["--config", str(cfg_file), "--delta", "0.1"]):
             assert _run_quiet(argv) == (1, "error: supply delta or nu, not both\n")
+
+    @pytest.mark.parametrize("head", [["solve", "--xi", "sqrt:2 0/1 0/1"], ["count-orbit", "--xi", "sqrt:2 0 0"]],
+                             ids=["solve", "count-orbit"])
+    def test_nu_derived_delta_of_a_half_or_more_exits_1(self, head):
+        # T**(-nu) = 4**(-0.25) ~ 0.707: nu lies in (0, 1/2), the delta it gives does not
+        assert _run_quiet(head + ["--T", "4", "--nu", "0.25"]) == (1, "error: delta must lie in (0, 1/2)\n")
 
     def test_soundness_tripwire_exit_code(self, tmp_path, monkeypatch):
         import qdensity.harness as hmod
@@ -650,6 +665,32 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+class TestCsvOutput:
+    ORBIT = ["count-orbit", "--xi", "sqrt:2 0/1 0/1", "--v0", "0/1 0/1", "--T", "100", "--delta", "0.1"]
+
+    def test_unwritable_out_exits_1(self, tmp_path):
+        missing = tmp_path / "missing" / "x.csv"
+        for out, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+            code, err = _run_quiet(self.ORBIT + ["--out", str(out)])
+            assert code == 1 and err.startswith("error: cannot write CSV output: ") and reason in err
+            assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_closed_stdout_exits_1_with_one_error_line(self):
+        # 4000 rows, several times a 64 KB pipe buffer, so rows are still being written when the pipe closes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qdensity", "verify-lemmas", "--n-list", "1", "--T-list", "3",
+             "--betas", "2000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"alpha,n,T,beta,s2,differencing_bound,sum_min,explicit_bound,pass\r\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err.splitlines() == ["error: cannot write CSV output: [Errno 32] Broken pipe"]
 
 
 # flag -> candidate values, valid and malformed; sizes stay small so each call is quick

@@ -68,7 +68,9 @@ The call list:
   - direction overrides: solve with ``--a``/``--c`` for a coprime irrational
     pair ``(1, 1)``, the non-coprime ``(2, 4)``, ``--a 1`` alone and a
     rational combination; kappa with ``--xi`` and ``--a 1 --c 1``, with
-    ``--a 1`` alone, and ``--alpha`` next to ``--xi``
+    ``--a 1`` alone, and ``--alpha`` next to ``--xi``; and ``kappa --xi
+    "sqrt:3 sqrt:2 1/3" --q-max 100000`` with and without ``--a 1 --c=-3``,
+    the non-identity direction its scan picks
   - NEAR_INTEGER_CALLS: solve and kappa on ``--xi "sqrt:1000000000001 sqrt:2
     0"``, whose direction (1, 0) lies within 5e-7 of an integer and has no
     convergent with 2 <= q <= q_max, so the scan passes over it; and the
@@ -76,7 +78,9 @@ The call list:
   - one call per input refusal: verify-lemmas with an empty ``--n-list`` or
     ``--T-list``, count-orbit with a ``--precision`` past 65536 (refused
     before any literal is parsed, so nothing is allocated), and solver-mode
-    exponent with a nonpositive ``--scan-c``
+    exponent with a nonpositive ``--scan-c``, and solve and count-orbit with
+    ``--T 4 --nu 0.25``, whose nu lies in (0, 1/2) but whose delta
+    4**-0.25 ~ 0.707 does not
   - one call per input path the calls above miss: bare integers and
     perfect-square roots (``--xi "3 sqrt:4 sqrt:0"``, ``--t=-2``); each
     literal refusal (``--t=``, ``surd:1,2,3``, ``sqrt:-2``, ``surd:1,1,0,2``,
@@ -94,9 +98,10 @@ The call list:
     subnormal or underflows to 0
   - solver-mode exponent with a non-standard form, as ``--form`` and from a
     config file, and with the standard literal ``0 1 0 0 -2 0``
-  - the README examples and one refused run with ``--out out.csv``; the
-    bytes of that file, when the run writes one, are appended to the stdout
-    the call compares
+  - the README examples and one refused run with ``--out out.csv``, and a
+    count-orbit run whose ``--out`` cannot be written: ``missing/out.csv``
+    (no such directory) and ``.`` (a directory); the bytes of out.csv, when
+    the run writes one, are appended to the stdout the call compares
 
 Needs only the standard library and git; about three minutes on 2 cores.
 """
@@ -197,7 +202,8 @@ INPUT_REFUSAL_CALLS = [
 ] + [["count-orbit", "--xi", "sqrt:2 0 0", "--T", "4", "--delta", "0.1", "--precision", F]
      for F in ("65536", "65537", "100000000000000000000")
 ] + [["exponent", "--mode", "solver", "--xi", "sqrt:2 0/1 0/1", "--T", "4", f"--scan-c={c}"]
-     for c in ("0", "-1")]
+     for c in ("0", "-1")
+] + [[sub, "--xi", "sqrt:2 0/1 0/1", "--T", "4", "--nu", "0.25"] for sub in ("solve", "count-orbit")]
 
 
 # Q(v + xi) = v2^2 + v2 - 4*v1*v3 + 1/4 for xi = (0, 1/2, 0): every value is k + 1/4, so
@@ -249,7 +255,8 @@ DIRECTION_CALLS = [
                      (DIRECTION_XI, ["--a", "1"]), (["--xi", "1/2 sqrt:3 1/3"], ["--a", "1", "--c", "0"]))
 ] + [["kappa", *head, "--q-max", "1000"]
      for head in ([*DIRECTION_XI, "--a", "1", "--c", "1"], [*DIRECTION_XI, "--a", "1"],
-                  ["--alpha", "sqrt:2", *DIRECTION_XI])]
+                  ["--alpha", "sqrt:2", *DIRECTION_XI])
+] + [["kappa", "--xi", "sqrt:3 sqrt:2 1/3", "--q-max", "100000", *pair] for pair in ([], ["--a", "1", "--c=-3"])]
 
 NEAR_INTEGER_XI = ["--xi", "sqrt:1000000000001 sqrt:2 0"]
 NEAR_INTEGER_CALLS = [["solve", *NEAR_INTEGER_XI, "--T", "10000", "--delta", "0.1"],
@@ -312,8 +319,11 @@ def readme_calls() -> list[list[str]]:
 
 
 def out_calls() -> list[list[str]]:
-    """The README examples and one refused run, each writing its CSV to OUT."""
-    return [argv + ["--out", OUT] for argv in readme_calls() + [["kappa"]]]
+    """The README examples and one refused run, each writing its CSV to OUT, and two runs
+    whose --out cannot be written."""
+    orbit = ["count-orbit", "--xi", "sqrt:2 0/1 0/1", "--v0", "0/1 0/1", "--T", "100", "--delta", "0.1"]
+    return [argv + ["--out", OUT] for argv in readme_calls() + [["kappa"]]] + [
+        orbit + ["--out", out] for out in ("missing/" + OUT, ".")]
 
 
 def perfbench_calls() -> list[list[str]]:
