@@ -37,7 +37,9 @@ endpoint, and those whose residual may be the minimum of some ball, are
 resolved in certified fixed point, each once and credited to every ball
 that holds it, so counts and minima are exact up to explicitly ambiguous
 intervals (which count as hits; with exact rational data there is no
-ambiguity at all).  A single T is the one-cell grid.
+ambiguity at all).  Past the first block of chords, a filter at the same
+bound drops every chord that can hold neither a hit nor a candidate for a
+minimum before any of this.  A single T is the one-cell grid.
 """
 
 from __future__ import annotations
@@ -309,9 +311,26 @@ def _gaps(outer, inner, R: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
             (np.maximum(np.floor(inner[1]) + 1, lo), hi)]
 
 
+def _near_chords(A: float, B: np.ndarray, C: np.ndarray, E: np.ndarray, R: np.ndarray,
+                 bound: float) -> np.ndarray:
+    """Mask of the chords with an integer |n| <= R that the band at bound + 2E may hold.
+
+    The band test of count_values_grid at the level bound + 2E: a chord
+    outside the mask has A*n^2 + B*n + C certainly outside [-bound - 2E,
+    bound + 2E] at every |n| <= R.
+    """
+    level = bound + 2 * E
+    return _nonempty(_gaps(_sublevel(A, B, C, level, True), _sublevel(A, B, C, -level, False), R))
+
+
+def _nonempty(ranges) -> np.ndarray:
+    """Mask of the chords where some integer range [lo, hi] is nonempty."""
+    return np.any([hi >= lo for lo, hi in ranges], axis=0)
+
+
 def _gap_points(ranges) -> Iterator[tuple[int, list[int]]]:
     """(chord index, sorted integers) for each chord where some range is nonempty."""
-    for i in np.flatnonzero(np.any([hi >= lo for lo, hi in ranges], axis=0)):
+    for i in np.flatnonzero(_nonempty(ranges)):
         pts: set[int] = set()
         for lo, hi in ranges:
             if lo[i] <= hi[i]:
@@ -418,6 +437,20 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
     when the value is not known exactly) over the resolved points of its ball
     wins, ties going to the least v.  Each resolved point is evaluated once,
     in one pass per block.
+
+    From the second block on every mu_T is finite, and before any of this a
+    chord is dropped when the band at the level L = max(delta, max_T mu_T *
+    (1 + 2*2^-52)) + 2E, with the mu_T as they stood before the block, holds
+    no integer of it (_near_chords).  L is at least the level of each of the
+    chord's own tests, delta + 2E and its band's, and the true set at a
+    level grows with the level, so the certified _sublevel intervals at L
+    keep every certain hit, every hit among the unsure points and every
+    point whose key may be at most some mu_T, which is all a chord can add
+    to an answer; the marks of a dropped chord lie past L, so with their 2E
+    they exceed every mu_T, and dropping the chord lowers none.  The filter
+    is the band test at L, with the bound the band already derives, and
+    every other step runs unchanged on the chords it keeps; a block it
+    empties is skipped.
     """
     if not delta >= 0:
         raise ValidationError("delta must be >= 0")
@@ -446,6 +479,15 @@ def count_values_grid(form: TernaryForm, xi: ShiftVector, t, T_grid: Sequence[in
         # or NaN that results leaves the chord's points to fixed point
         with np.errstate(over="ignore", invalid="ignore"):
             B, C, E = chord(v1, v2, R)
+        # from the second block on every ball has a finite bound; the chords
+        # whose band at the largest of them, or at delta, holds no integer
+        # hold no hit and no candidate for any minimum
+        mu_max = max(mu)
+        if mu_max < math.inf:
+            keep = _near_chords(A, B, C, E, R, max(delta, mu_max * (1 + 2 * _EPS)))
+            if not keep.any():
+                continue
+            v1, v2, R, B, C, E = (x[keep] for x in (v1, v2, R, B, C, E))
         rho = v1 * v1 + v2 * v2
         # the chords inside each smaller disc and their half-lengths there
         cells = [(last, slice(None), R)]

@@ -66,20 +66,33 @@ def oracle_min(xi_vals, t, T, gram=STD.gram):
     return r, v
 
 
-def exact_answer(xi_vals, t, T, delta, gram=STD.gram):
-    """Independent exact (count, minimum residual, least argmin) over the ball.
+def scaled_residual(xi_vals, t, gram=STD.gram):
+    """(K, r) with r(v) = K * |Q(v + xi) - t| an integer at every integer v.
 
     With u = v + xi = w / L, g = h / M and K = L^2 * M * den(t), every
     residual times K is the integer |den(t) * sum h_ij w_i w_j - t*K|.
     """
     xi_vals = [Fraction(x) for x in xi_vals]
-    t, delta = Fraction(t), Fraction(delta)
+    t = Fraction(t)
     L = math.lcm(*(x.denominator for x in xi_vals))
     M = math.lcm(*(g.denominator for row in gram for g in row))
     K = L * L * M * t.denominator
     h = [[int(g * M) for g in row] for row in gram]
     p = [int(x * L) for x in xi_vals]
     tK = int(t * K)
+
+    def r(v):
+        w = (L * v[0] + p[0], L * v[1] + p[1], L * v[2] + p[2])
+        S = sum(h[i][j] * w[i] * w[j] for i in range(3) for j in range(3))
+        return abs(S * t.denominator - tK)
+
+    return K, r
+
+
+def exact_answer(xi_vals, t, T, delta, gram=STD.gram):
+    """Independent exact (count, minimum residual, least argmin) over the ball."""
+    K, resid = scaled_residual(xi_vals, t, gram)
+    delta = Fraction(delta)
     count, best = 0, None
     for v1 in range(-T, T + 1):
         for v2 in range(-T, T + 1):
@@ -88,9 +101,7 @@ def exact_answer(xi_vals, t, T, delta, gram=STD.gram):
                 continue
             R = math.isqrt(room)
             for v3 in range(-R, R + 1):
-                w = (L * v1 + p[0], L * v2 + p[1], L * v3 + p[2])
-                S = sum(h[i][j] * w[i] * w[j] for i in range(3) for j in range(3))
-                r = abs(S * t.denominator - tK)
+                r = resid((v1, v2, v3))
                 count += r <= delta * K
                 if best is None or (r, (v1, v2, v3)) < best:
                     best = (r, (v1, v2, v3))
@@ -958,6 +969,125 @@ class TestOracleInvariants:
         # a non-dyadic c, and any c on an inexact value, moves each rounding
         # of the certified midpoint by a few ulps of 2^-F
         assert res_c.min_residual == pytest.approx(c * res.min_residual, rel=1e-12, abs=1e-15)
+
+
+def keep_every_chord(A, B, C, E, R, bound):
+    """A chord filter that drops nothing: the oracle's path without the filter."""
+    return np.ones(len(C), dtype=bool)
+
+
+class SmallBlocks:
+    """Rerun a class's tests with a few chords per block of the disc sweep.
+
+    A block then holds one or two rows, so the balls of the references span
+    many blocks and the chord filter, which starts at the second block, runs
+    on them.
+    """
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_blocks(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_BLOCK_SLICES", 8)
+            yield
+
+
+class Unfiltered:
+    """Rerun a class's tests with the chord filter keeping every chord."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def unfiltered(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_near_chords", keep_every_chord)
+            yield
+
+
+def rerun(mode, cls):
+    """A subclass of cls whose tests run under the mode's fixture, named cls + mode.
+
+    Each @given test is wrapped afresh, with the strategies, settings and
+    examples of the original, as Hypothesis runs one wrapped test from one
+    class only.
+    """
+    fresh = {name: given(**test.hypothesis._given_kwargs)(test.hypothesis.inner_test)
+             for name, test in vars(cls).items() if hasattr(test, "hypothesis")}
+    return type(cls.__name__ + mode.__name__, (mode, cls), fresh)
+
+
+TestOracleDifferentialSmallBlocks = rerun(SmallBlocks, TestOracleDifferential)
+TestOracleDifferentialUnfiltered = rerun(Unfiltered, TestOracleDifferential)
+TestOracleGridSmallBlocks = rerun(SmallBlocks, TestOracleGrid)
+TestOracleGridUnfiltered = rerun(Unfiltered, TestOracleGrid)
+TestOracleInvariantsSmallBlocks = rerun(SmallBlocks, TestOracleInvariants)
+TestOracleInvariantsUnfiltered = rerun(Unfiltered, TestOracleInvariants)
+
+
+class TestChordFilter:
+    @given(data=st.data(), form_lit=st.sampled_from(ORACLE_FORMS),
+           xi_vals=st.tuples(rationals, rationals, rationals), T=st.integers(1, 10),
+           delta=st.sampled_from([0.0, 0.25, 5.0]), width=st.sampled_from([0.0, 1e-3, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_dropped_chords_hold_no_hit_and_no_candidate(self, data, form_lit, xi_vals, T, delta,
+                                                         width, seed):
+        # every chord the filter drops has all its residuals above the bound
+        # it was given, max(delta, mu) or more; the chord polynomials may be
+        # loosened as in test_answer_holds_for_any_valid_bound, C moved by up
+        # to 0.8 w and E grown by w, which a filter without its margin of E
+        # on each side of the band misses
+        form = TernaryForm.from_string(form_lit)
+        t = data.draw(rationals)
+        rng = np.random.default_rng(seed)
+        chord_polynomials, near_chords = solver_mod._chord_polynomials, solver_mod._near_chords
+        blocks, dropped = [], []
+
+        def loosened(*args):
+            A, chord = chord_polynomials(*args)
+
+            def moved(v1, v2, R):
+                B, C, E = chord(v1, v2, R)
+                blocks.append((v1, v2, R))
+                w = width * rng.random(len(C))
+                return B, C + rng.uniform(-0.8, 0.8, len(C)) * w, E + w
+
+            return A, moved
+
+        def recording(A, B, C, E, R, bound):
+            keep = near_chords(A, B, C, E, R, bound)
+            v1, v2, R = blocks[-1]
+            dropped.extend((int(v1[i]), int(v2[i]), int(R[i]), bound) for i in np.flatnonzero(~keep))
+            return keep
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_BLOCK_SLICES", 8)
+            mp.setattr(solver_mod, "_chord_polynomials", loosened)
+            mp.setattr(solver_mod, "_near_chords", recording)
+            count_values_grid(form, ShiftVector.from_values(*xi_vals), t, (T,), delta)
+        K, resid = scaled_residual(xi_vals, t, form.gram)
+        for v1, v2, R, bound in dropped:
+            assert bound >= delta
+            assert all(resid((v1, v2, n)) > Fraction(bound) * K for n in range(-R, R + 1))
+
+    @pytest.mark.parametrize("form_lit", ["0 1 0 0 -2 0", "1 1 -1 0 0 0"])
+    def test_few_chords_reach_the_general_path(self, form_lit, xi_mixed):
+        # 38k chords at T = 110: the first block's 18 rows, 4.0k chords or
+        # 10.5%, take the general path, and past them the 73 (standard form)
+        # or 88 chords of 34k that the filter keeps, near a hit or the minimum
+        T = 110
+        near_chords = solver_mod._near_chords
+        seen, kept = [0], [0]
+
+        def counting(*args):
+            keep = near_chords(*args)
+            seen[0] += len(keep)
+            kept[0] += int(keep.sum())
+            return keep
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_near_chords", counting)
+            count_values_grid(TernaryForm.from_string(form_lit), xi_mixed, Fraction(-21, 64), (T,), 0.25)
+        chords = sum(2 * math.isqrt(T * T - v1 * v1) + 1 for v1 in range(-T, T + 1))
+        assert kept[0] < 0.005 * seen[0]
+        assert chords - seen[0] + kept[0] < 0.11 * chords
 
 
 class TestExponent:

@@ -20,8 +20,9 @@ Prints one line per check with the counts at each T and ``ok`` or what
 differs, and exits 1 if any check fails.  A failure is a fault in the oracle
 (its E bound, its band or its ball clipping), to be reported with the
 smallest T that shows it; the comparisons are not to be loosened.  Fourteen
-sweeps of the disc at T = 2000 take about 50 s on 2 vCPU; the swaps that
-make every chord quadratic take the longest.  Imports the package from
+sweeps of the disc at T = 2000 take about 20 s on 2 vCPU, and about 56 s
+with the oracle's chord filter keeping every chord; the swaps that make
+every chord quadratic take the longest.  Imports the package from
 ``src/``; needs numpy.
 """
 
